@@ -19,6 +19,7 @@
 
 use std::ops::ControlFlow;
 
+use fdbscan_device::Counters;
 use fdbscan_geom::Point;
 
 use crate::node::NodeRef;
@@ -53,6 +54,19 @@ impl QueryStats {
     #[inline]
     pub fn distance_tests(&self) -> u64 {
         self.leaf_hits - self.contained_hits
+    }
+
+    /// Charges this query's traversal work to the device counters: node
+    /// visits, wide-node and wide-lane batches, and
+    /// [`QueryStats::distance_tests`]. A caller whose callback counts its
+    /// own distance tests (box primitives) overrides `leaf_hits` with
+    /// that count and `contained_hits` with zero first.
+    #[inline]
+    pub fn charge(&self, counters: &Counters) {
+        counters.add_nodes_visited(self.nodes_visited);
+        counters.add_wide_nodes_visited(self.wide_nodes_visited);
+        counters.add_wide_leaf_lanes(self.wide_leaf_lanes);
+        counters.add_distances(self.distance_tests());
     }
 }
 
@@ -342,6 +356,25 @@ mod tests {
     fn build_points(device: &Device, points: &[Point<2>]) -> Bvh<2> {
         let bounds: Vec<Aabb<2>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
         Bvh::build(device, &bounds)
+    }
+
+    #[test]
+    fn charge_books_traversal_work() {
+        let counters = Counters::default();
+        let stats = QueryStats {
+            nodes_visited: 7,
+            leaf_hits: 5,
+            contained_hits: 2,
+            wide_nodes_visited: 3,
+            wide_leaf_lanes: 4,
+            ..Default::default()
+        };
+        stats.charge(&counters);
+        let c = counters.snapshot();
+        assert_eq!(
+            (c.bvh_nodes_visited, c.distance_computations, c.wide_nodes_visited, c.wide_leaf_lanes),
+            (7, 3, 3, 4)
+        );
     }
 
     fn brute_force(points: &[Point<2>], center: &Point<2>, eps: f32) -> Vec<u32> {

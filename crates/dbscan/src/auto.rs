@@ -22,9 +22,11 @@ use fdbscan_geom::Point;
 use fdbscan_grid::DenseGrid;
 
 use crate::densebox::densebox_with_grid;
+use crate::fdbscan_impl::fdbscan_core;
 use crate::labels::Clustering;
+use crate::pipeline::CallerIndex;
 use crate::stats::RunStats;
-use crate::{DenseBoxOptions, Params};
+use crate::Params;
 
 /// Which algorithm the heuristic picked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,9 +58,9 @@ pub fn fdbscan_auto<const D: usize>(
         let (c, s) = crate::fdbscan(device, points, params)?;
         return Ok((c, s, AutoChoice::Fdbscan));
     }
-    let grid_start = std::time::Instant::now();
-    let grid = DenseGrid::build(device, points, params.eps, params.minpts);
-    let grid_time = grid_start.elapsed();
+    // The decision grid is index work of whichever algorithm runs.
+    let (grid, caller) =
+        CallerIndex::build(device, || DenseGrid::build(device, points, params.eps, params.minpts));
 
     // Memory pre-flight: on a budgeted device, never pick an algorithm
     // predicted to bust the budget when the other one fits.
@@ -75,21 +77,11 @@ pub fn fdbscan_auto<const D: usize>(
     }
 
     if prefer_dense {
-        let (c, s) = densebox_with_grid(
-            device,
-            points,
-            params,
-            DenseBoxOptions::default(),
-            grid,
-            grid_time,
-        )?;
+        let (c, s) = densebox_with_grid(device, points, params, grid, caller)?;
         Ok((c, s, AutoChoice::DenseBox))
     } else {
         drop(grid);
-        let (c, mut s) = crate::fdbscan(device, points, params)?;
-        // The decision grid was real work; account for it.
-        s.index_time += grid_time;
-        s.total_time += grid_time;
+        let (c, s) = fdbscan_core(device, points, params, Default::default(), None, Some(caller))?;
         Ok((c, s, AutoChoice::Fdbscan))
     }
 }
@@ -138,6 +130,34 @@ mod tests {
         let (auto_c, _, _) = fdbscan_auto(&d, &points, params).unwrap();
         let (manual, _) = crate::fdbscan(&d, &points, params).unwrap();
         assert_core_equivalent(&manual, &auto_c);
+    }
+
+    #[test]
+    fn decision_grid_work_is_booked_into_the_index_phase() {
+        // Dense path: exactly the work of a direct DenseBox run, phase by
+        // phase (the grid is DenseBox's own first index step).
+        let stacked = vec![Point2::new([1.0, 1.0]); 2000];
+        let params = Params::new(0.1, 5);
+        let (_, auto, choice) =
+            fdbscan_auto(&Device::new(DeviceConfig::sequential()), &stacked, params).unwrap();
+        assert_eq!(choice, AutoChoice::DenseBox);
+        let (_, direct) =
+            crate::fdbscan_densebox(&Device::new(DeviceConfig::sequential()), &stacked, params)
+                .unwrap();
+        assert_eq!(auto.counters, direct.counters);
+        assert_eq!(auto.phase_counters, direct.phase_counters);
+
+        // Sparse path: the stats cover everything the device ran.
+        let mut rng = StdRng::seed_from_u64(3);
+        let scattered: Vec<Point2> = (0..2000)
+            .map(|_| Point2::new([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]))
+            .collect();
+        let d = Device::new(DeviceConfig::sequential());
+        let before = d.counters().snapshot();
+        let (_, auto, choice) = fdbscan_auto(&d, &scattered, Params::new(5.0, 5)).unwrap();
+        assert_eq!(choice, AutoChoice::Fdbscan);
+        assert_eq!(auto.counters, d.counters().snapshot().since(&before));
+        assert!(auto.phase_counters.index.kernel_launches > 0);
     }
 
     #[test]

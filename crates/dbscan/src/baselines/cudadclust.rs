@@ -25,7 +25,6 @@
 //! `chains × chains` bit matrix.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
 
 use fdbscan_device::shared::SharedMut;
 use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
@@ -35,11 +34,12 @@ use fdbscan_unionfind::SequentialDsu;
 use parking_lot::Mutex;
 
 use crate::checkpoint::{
-    self, ChainState, CoreSnapshot, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS,
+    ChainState, CoreSnapshot, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS,
 };
 use crate::framework::CoreFlags;
 use crate::labels::{Clustering, PointClass, NOISE};
-use crate::stats::{PhaseCounters, RunStats};
+use crate::pipeline::Pipeline;
+use crate::stats::RunStats;
 use crate::Params;
 
 const UNSET: u32 = u32::MAX;
@@ -92,7 +92,6 @@ pub fn cuda_dclust_run_from<const D: usize>(
     config: CudaDclustConfig,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    checkpoint::prepare(ckpt, CUDA_DCLUST_ALGORITHM, points, params);
     cuda_dclust_core(device, points, params, config, Some(ckpt))
 }
 
@@ -101,53 +100,26 @@ fn cuda_dclust_core<const D: usize>(
     points: &[Point<D>],
     params: Params,
     config: CudaDclustConfig,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
+    ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
+    if points.is_empty() {
+        return Ok((Clustering::from_union_find(&[], &[]), RunStats::default()));
+    }
+    let mut run = Pipeline::start(device, CUDA_DCLUST_ALGORITHM, points, params, ckpt, None)?;
     let n = points.len();
     let Params { eps, minpts } = params;
     let eps_sq = eps * eps;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
-
-    if n == 0 {
-        return Ok((
-            Clustering::from_union_find(&[], &[]),
-            RunStats { total_time: start.elapsed(), ..Default::default() },
-        ));
-    }
-
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("cuda-dclust");
 
     let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
     let _chain_mem = device.memory().reserve_array::<u32>(n)?;
 
     // ---- Directory index -------------------------------------------------
-    let index_span = tracer.phase("index");
-    let index_start = Instant::now();
-    let grid = match ckpt.as_deref().and_then(|c| c.restore::<DenseGrid<D>>(PHASE_INDEX)) {
-        Some(grid) => {
-            tracer.instant("checkpoint.restore: index");
-            grid
-        }
-        None => {
-            // Cell edge = eps: all neighbors of a point live in the
-            // surrounding 3^D cells. Dense classification is disabled
-            // (minpts = MAX).
-            let grid = DenseGrid::build_with_cell_len(device, points, eps, usize::MAX);
-            if let Some(c) = ckpt.as_deref_mut() {
-                c.record(PHASE_INDEX, &grid);
-                checkpoint::persist(c, device);
-            }
-            grid
-        }
-    };
+    // Cell edge = eps: all neighbors of a point live in the surrounding
+    // 3^D cells. Dense classification is disabled (minpts = MAX).
+    let grid = run.phase(PHASE_INDEX, || {
+        Ok(DenseGrid::build_with_cell_len(device, points, eps, usize::MAX))
+    })?;
     let _grid_mem = device.memory().reserve(grid.memory_bytes())?;
-    let index_time = index_start.elapsed();
-    drop(index_span);
-    let after_index = device.counters().snapshot();
 
     // Visits every candidate in the 3^D neighborhood of `q`, calling
     // `visit(point id, within_eps)`. Returns the number of distance
@@ -187,232 +159,148 @@ fn cuda_dclust_core<const D: usize>(
     };
 
     // ---- Phase 1: core identification (Mr. Scan refinement) --------------
-    let preprocess_span = tracer.phase("preprocess");
-    let preprocess_start = Instant::now();
-    let core = match ckpt.as_deref().and_then(|c| c.restore::<CoreSnapshot>(PHASE_PREPROCESS)) {
-        Some(flags) => {
-            tracer.instant("checkpoint.restore: preprocess");
-            CoreFlags::from_flags(&flags.0)
-        }
-        None => {
-            let core = CoreFlags::new(n);
-            {
-                let core_ref = &core;
-                let counters = device.counters();
-                device.try_launch_named("cudadclust.core_count", n, |i| {
-                    let mut count = 0usize;
-                    let distances = for_candidates(
-                        &points[i],
-                        Box::new(|_, within| {
-                            if within {
-                                count += 1; // includes the point itself
-                            }
-                            count < minpts
-                        }),
-                    );
-                    if count >= minpts {
-                        core_ref.set(i as u32);
+    let CoreSnapshot(core) = run.phase(PHASE_PREPROCESS, || {
+        let core = CoreFlags::new(n);
+        let counters = device.counters();
+        device.try_launch_named("cudadclust.core_count", n, |i| {
+            let mut count = 0usize;
+            let distances = for_candidates(
+                &points[i],
+                Box::new(|_, within| {
+                    if within {
+                        count += 1; // includes the point itself
                     }
-                    counters.add_distances(distances);
-                })?;
+                    count < minpts
+                }),
+            );
+            if count >= minpts {
+                core.set(i as u32);
             }
-            if let Some(c) = ckpt.as_deref_mut() {
-                c.record(PHASE_PREPROCESS, &CoreSnapshot(core.to_vec()));
-                checkpoint::persist(c, device);
-            }
-            core
-        }
-    };
-    let preprocess_time = preprocess_start.elapsed();
-    drop(preprocess_span);
-    let after_preprocess = device.counters().snapshot();
+            counters.add_distances(distances);
+        })?;
+        Ok(CoreSnapshot(core))
+    })?;
 
     // ---- Phase 2: chain expansion ----------------------------------------
-    let main_span = tracer.phase("main");
-    let main_start = Instant::now();
-    let (chain_of, cluster_of_chain, num_clusters) =
-        match ckpt.as_deref().and_then(|c| c.restore::<ChainState>(PHASE_MAIN)) {
-            Some(state) => {
-                tracer.instant("checkpoint.restore: main");
-                let chain_of: Vec<AtomicU32> =
-                    state.chain_of.into_iter().map(AtomicU32::new).collect();
-                (chain_of, state.cluster_of_chain, state.num_clusters)
+    let ChainState { chain_of, cluster_of_chain, num_clusters } = run.phase(PHASE_MAIN, || {
+        let chain_of: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
+        let collisions: Mutex<Vec<(u32, u32)>> = Mutex::new(Vec::new());
+        let mut chain_count = 0u32;
+        let mut scan_cursor = 0usize;
+
+        loop {
+            // Host-side: pick the next batch of unchained core seeds.
+            let mut seeds: Vec<u32> = Vec::with_capacity(config.chains_per_round);
+            while scan_cursor < n && seeds.len() < config.chains_per_round {
+                let i = scan_cursor as u32;
+                if core.get(i) && chain_of[scan_cursor].load(Ordering::Relaxed) == UNSET {
+                    let q = chain_count;
+                    chain_count += 1;
+                    chain_of[scan_cursor].store(q, Ordering::Relaxed);
+                    seeds.push(i);
+                }
+                scan_cursor += 1;
             }
-            None => {
-                let chain_of: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-                let collisions: Mutex<Vec<(u32, u32)>> = Mutex::new(Vec::new());
-                let mut chain_count = 0u32;
-                let mut scan_cursor = 0usize;
+            if seeds.is_empty() {
+                break;
+            }
 
-                loop {
-                    // Host-side: pick the next batch of unchained core seeds.
-                    let mut seeds: Vec<u32> = Vec::with_capacity(config.chains_per_round);
-                    while scan_cursor < n && seeds.len() < config.chains_per_round {
-                        let i = scan_cursor as u32;
-                        if core.get(i) && chain_of[scan_cursor].load(Ordering::Relaxed) == UNSET {
-                            let q = chain_count;
-                            chain_count += 1;
-                            chain_of[scan_cursor].store(q, Ordering::Relaxed);
-                            seeds.push(i);
-                        }
-                        scan_cursor += 1;
-                    }
-                    if seeds.is_empty() {
-                        break;
-                    }
-
-                    let seeds_ref = &seeds;
-                    let chain_ref = &chain_of;
-                    let core_ref = &core;
-                    let collisions_ref = &collisions;
-                    let counters = device.counters();
-                    device.try_launch_named("cudadclust.chain_expand", seeds.len(), |s| {
-                        let seed = seeds_ref[s];
-                        let q = chain_ref[seed as usize].load(Ordering::Relaxed);
-                        let mut frontier = vec![seed];
-                        let mut total_distances = 0u64;
-                        while let Some(u) = frontier.pop() {
-                            total_distances += for_candidates(
-                                &points[u as usize],
-                                Box::new(|v, within| {
-                                    if within && core_ref.get(v) {
-                                        match chain_ref[v as usize].compare_exchange(
-                                            UNSET,
-                                            q,
-                                            Ordering::Relaxed,
-                                            Ordering::Relaxed,
-                                        ) {
-                                            Ok(_) => frontier.push(v),
-                                            Err(other) => {
-                                                if other != q {
-                                                    collisions_ref.lock().push((q, other));
-                                                }
-                                            }
+            let counters = device.counters();
+            device.try_launch_named("cudadclust.chain_expand", seeds.len(), |s| {
+                let seed = seeds[s];
+                let q = chain_of[seed as usize].load(Ordering::Relaxed);
+                let mut frontier = vec![seed];
+                let mut total_distances = 0u64;
+                while let Some(u) = frontier.pop() {
+                    total_distances += for_candidates(
+                        &points[u as usize],
+                        Box::new(|v, within| {
+                            if within && core.get(v) {
+                                match chain_of[v as usize].compare_exchange(
+                                    UNSET,
+                                    q,
+                                    Ordering::Relaxed,
+                                    Ordering::Relaxed,
+                                ) {
+                                    Ok(_) => frontier.push(v),
+                                    Err(other) => {
+                                        if other != q {
+                                            collisions.lock().push((q, other));
                                         }
                                     }
-                                    true
-                                }),
-                            );
-                        }
-                        counters.add_distances(total_distances);
-                    })?;
-                }
-
-                // Host-side collision resolution.
-                let mut chain_dsu = SequentialDsu::new(chain_count as usize);
-                for &(a, b) in collisions.lock().iter() {
-                    chain_dsu.union(a, b);
-                }
-                let mut cluster_of_chain = vec![UNSET; chain_count as usize];
-                let mut num_clusters = 0u32;
-                for q in 0..chain_count {
-                    let root = chain_dsu.find(q) as usize;
-                    if cluster_of_chain[root] == UNSET {
-                        cluster_of_chain[root] = num_clusters;
-                        num_clusters += 1;
-                    }
-                    cluster_of_chain[q as usize] = cluster_of_chain[root];
-                }
-                if let Some(c) = ckpt.as_deref_mut() {
-                    c.record(
-                        PHASE_MAIN,
-                        &ChainState {
-                            chain_of: chain_of.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                            cluster_of_chain: cluster_of_chain.clone(),
-                            num_clusters,
-                        },
-                    );
-                    checkpoint::persist(c, device);
-                }
-                (chain_of, cluster_of_chain, num_clusters)
-            }
-        };
-    let main_time = main_start.elapsed();
-    drop(main_span);
-    let after_main = device.counters().snapshot();
-
-    // ---- Phase 4: border attachment --------------------------------------
-    let finalize_span = tracer.phase("finalize");
-    let finalize_start = Instant::now();
-    let restored_final = ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE));
-    let clustering = if let Some(clustering) = restored_final {
-        tracer.instant("checkpoint.restore: finalize");
-        clustering
-    } else {
-        let mut assignments = vec![NOISE; n];
-        let mut classes = vec![PointClass::Noise; n];
-        {
-            let assignments_view = SharedMut::new(&mut assignments);
-            let classes_view = SharedMut::new(&mut classes);
-            let chain_ref = &chain_of;
-            let core_ref = &core;
-            let cluster_of_chain_ref = &cluster_of_chain;
-            let counters = device.counters();
-            device.try_launch_named("cudadclust.border_attach", n, |i| {
-                if core_ref.get(i as u32) {
-                    let chain = chain_ref[i].load(Ordering::Relaxed);
-                    debug_assert_ne!(chain, UNSET, "core point left unchained");
-                    // SAFETY: one writer per index.
-                    unsafe {
-                        assignments_view.write(i, cluster_of_chain_ref[chain as usize] as i64);
-                        classes_view.write(i, PointClass::Core);
-                    }
-                    return;
-                }
-                // Border: first core neighbor within eps decides the cluster.
-                let mut found: Option<u32> = None;
-                let distances = for_candidates(
-                    &points[i],
-                    Box::new(|v, within| {
-                        if within && core_ref.get(v) {
-                            found = Some(v);
-                            false
-                        } else {
+                                }
+                            }
                             true
-                        }
-                    }),
-                );
-                counters.add_distances(distances);
-                if let Some(v) = found {
-                    let chain = chain_ref[v as usize].load(Ordering::Relaxed);
-                    // SAFETY: one writer per index.
-                    unsafe {
-                        assignments_view.write(i, cluster_of_chain_ref[chain as usize] as i64);
-                        classes_view.write(i, PointClass::Border);
-                    }
+                        }),
+                    );
                 }
+                counters.add_distances(total_distances);
             })?;
         }
-        let clustering = Clustering { assignments, num_clusters: num_clusters as usize, classes };
-        if let Some(c) = ckpt {
-            c.record(PHASE_FINALIZE, &clustering);
-            checkpoint::persist(c, device);
-        }
-        clustering
-    };
-    let finalize_time = finalize_start.elapsed();
-    drop(finalize_span);
-    let after_finalize = device.counters().snapshot();
 
-    let stats = RunStats {
-        index_time,
-        preprocess_time,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed(),
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: after_preprocess.since(&after_index),
-            main: after_main.since(&after_preprocess),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: None,
-        attempts: 0,
-        request_id: None,
-    };
-    Ok((clustering, stats))
+        // Host-side collision resolution.
+        let mut chain_dsu = SequentialDsu::new(chain_count as usize);
+        for &(a, b) in collisions.lock().iter() {
+            chain_dsu.union(a, b);
+        }
+        let mut cluster_of_chain = vec![UNSET; chain_count as usize];
+        let mut num_clusters = 0u32;
+        for q in 0..chain_count {
+            let root = chain_dsu.find(q) as usize;
+            if cluster_of_chain[root] == UNSET {
+                cluster_of_chain[root] = num_clusters;
+                num_clusters += 1;
+            }
+            cluster_of_chain[q as usize] = cluster_of_chain[root];
+        }
+        let chain_of = chain_of.into_iter().map(AtomicU32::into_inner).collect();
+        Ok(ChainState { chain_of, cluster_of_chain, num_clusters })
+    })?;
+
+    // ---- Phase 4: border attachment --------------------------------------
+    let clustering = run.phase(PHASE_FINALIZE, || {
+        let mut assignments = vec![NOISE; n];
+        let mut classes = vec![PointClass::Noise; n];
+        let assignments_view = SharedMut::new(&mut assignments);
+        let classes_view = SharedMut::new(&mut classes);
+        let counters = device.counters();
+        device.try_launch_named("cudadclust.border_attach", n, |i| {
+            if core.get(i as u32) {
+                let chain = chain_of[i];
+                debug_assert_ne!(chain, UNSET, "core point left unchained");
+                // SAFETY: one writer per index.
+                unsafe {
+                    assignments_view.write(i, cluster_of_chain[chain as usize] as i64);
+                    classes_view.write(i, PointClass::Core);
+                }
+                return;
+            }
+            // Border: first core neighbor within eps decides the cluster.
+            let mut found: Option<u32> = None;
+            let distances = for_candidates(
+                &points[i],
+                Box::new(|v, within| {
+                    if within && core.get(v) {
+                        found = Some(v);
+                        false
+                    } else {
+                        true
+                    }
+                }),
+            );
+            counters.add_distances(distances);
+            if let Some(v) = found {
+                let chain = chain_of[v as usize];
+                // SAFETY: one writer per index.
+                unsafe {
+                    assignments_view.write(i, cluster_of_chain[chain as usize] as i64);
+                    classes_view.write(i, PointClass::Border);
+                }
+            }
+        })?;
+        Ok(Clustering { assignments, num_clusters: num_clusters as usize, classes })
+    })?;
+    Ok((clustering, run.finish()))
 }
 
 #[cfg(test)]

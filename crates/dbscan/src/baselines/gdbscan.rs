@@ -14,18 +14,18 @@
 //!    neighbors are labeled (borders) but not expanded.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::time::Instant;
 
 use fdbscan_device::shared::SharedMut;
-use fdbscan_device::{CountersSnapshot, Device, DeviceError, PipelineCheckpoint};
+use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
 use fdbscan_geom::{simd, Point, SoaPoints};
 
 use crate::checkpoint::{
-    self, BfsLabels, CoreSnapshot, CsrGraph, PHASE_CORE_FLAGS, PHASE_FINALIZE, PHASE_INDEX,
-    PHASE_MAIN,
+    BfsLabels, CoreSnapshot, CsrGraph, PHASE_CORE_FLAGS, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN,
 };
+use crate::framework::CoreFlags;
 use crate::labels::{Clustering, PointClass, NOISE};
-use crate::stats::{PhaseCounters, RunStats};
+use crate::pipeline::{Pipeline, Recorder};
+use crate::stats::RunStats;
 use crate::Params;
 
 const UNSET: u32 = u32::MAX;
@@ -60,7 +60,6 @@ pub fn gdbscan_run_from<const D: usize>(
     params: Params,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    checkpoint::prepare(ckpt, GDBSCAN_ALGORITHM, points, params);
     gdbscan_core(device, points, params, Some(ckpt))
 }
 
@@ -68,266 +67,165 @@ fn gdbscan_core<const D: usize>(
     device: &Device,
     points: &[Point<D>],
     params: Params,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
+    ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
-    let n = points.len();
-    let Params { eps, minpts } = params;
-    let eps_sq = eps * eps;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
-
-    if n == 0 {
-        return Ok((
-            Clustering::from_union_find(&[], &[]),
-            RunStats { total_time: start.elapsed(), ..Default::default() },
-        ));
+    if points.is_empty() {
+        return Ok((Clustering::from_union_find(&[], &[]), RunStats::default()));
     }
-
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("g-dbscan");
+    let mut run = Pipeline::start(device, GDBSCAN_ALGORITHM, points, params, ckpt, None)?;
+    let n = points.len();
 
     let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
 
     // ---- Graph construction -------------------------------------------
-    let index_span = tracer.phase("index");
-    let index_start = Instant::now();
-    let (offsets, adjacency, core) =
-        match ckpt.as_deref().and_then(|c| c.restore::<CsrGraph>(PHASE_INDEX)) {
-            Some(graph) => {
-                tracer.instant("checkpoint.restore: index");
-                // The restored graph occupies the same device memory the
-                // original reservation did.
-                let num_edges = graph.adjacency.len();
-                let _graph_mem = device.memory().reserve(
-                    num_edges * std::mem::size_of::<u32>() + (n + 1) * std::mem::size_of::<u64>(),
-                )?;
-                (graph.offsets, graph.adjacency, graph.core)
-            }
-            None => {
-                // Both all-to-all passes stream the lane-width SIMD
-                // kernels over the dimension-major layout (a transpose
-                // of the already-reserved point storage, so it is not
-                // charged against the budget a second time). The accept
-                // set is bit-identical to the scalar loop, so labels,
-                // adjacency order, and distance counters are unchanged.
-                let soa = SoaPoints::from_points(points);
-                // Degree pass (all-to-all): neighbor count excluding self;
-                // the core test adds the point itself back.
-                let mut degrees = vec![0u64; n + 1];
-                {
-                    let deg_view = SharedMut::new(&mut degrees);
-                    let soa = &soa;
-                    let counters = device.counters();
-                    device.try_launch_named("gdbscan.degree", n, |i| {
-                        // The self-distance always passes, so subtract
-                        // the point itself back out of the lane count.
-                        let count = simd::count_within(soa, &points[i], eps_sq) as u64 - 1;
-                        counters.add_distances(n as u64);
-                        // SAFETY: one writer per index.
-                        unsafe { deg_view.write(i, count) };
-                    })?;
-                }
-
-                // Core flags from degrees (|N| includes self). Recorded
-                // *before* the graph reservation: when the edge lists OOM,
-                // the flags survive for cross-algorithm handoff.
-                let core: Vec<bool> = (0..n).map(|i| degrees[i] as usize + 1 >= minpts).collect();
-                if let Some(c) = ckpt.as_deref_mut() {
-                    c.record(PHASE_CORE_FLAGS, &CoreSnapshot(core.clone()));
-                    checkpoint::persist(c, device);
-                }
-
-                // CSR offsets; `degrees` becomes the offsets array in place.
-                let num_edges = fdbscan_psort::exclusive_scan(device, &mut degrees) as usize;
-                let offsets = degrees;
-
-                // THE reservation that makes or breaks G-DBSCAN: the edge
-                // lists.
-                let _graph_mem = device.memory().reserve(
-                    num_edges * std::mem::size_of::<u32>() + (n + 1) * std::mem::size_of::<u64>(),
-                )?;
-
-                // Fill pass (second all-to-all).
-                let mut adjacency = vec![0u32; num_edges];
-                {
-                    let adj_view = SharedMut::new(&mut adjacency);
-                    let offsets_ref = &offsets;
-                    let soa = &soa;
-                    let counters = device.counters();
-                    device.try_launch_named("gdbscan.fill", n, |i| {
-                        let mut cursor = offsets_ref[i] as usize;
-                        // Lane hits arrive in ascending j — the same CSR
-                        // segment order as the scalar loop.
-                        simd::for_each_within(soa, &points[i], eps_sq, |j| {
-                            if j != i {
-                                // SAFETY: vertex i owns its CSR segment.
-                                unsafe { adj_view.write(cursor, j as u32) };
-                                cursor += 1;
-                            }
-                        });
-                        counters.add_distances(n as u64);
-                        debug_assert_eq!(cursor as u64, offsets_ref[i + 1]);
-                    })?;
-                }
-                if let Some(c) = ckpt.as_deref_mut() {
-                    c.record(
-                        PHASE_INDEX,
-                        &CsrGraph {
-                            offsets: offsets.clone(),
-                            adjacency: adjacency.clone(),
-                            core: core.clone(),
-                        },
-                    );
-                    checkpoint::persist(c, device);
-                }
-                (offsets, adjacency, core)
-            }
-        };
-    let index_time = index_start.elapsed();
-    drop(index_span);
-    let after_index = device.counters().snapshot();
+    let graph = run.phase_with(PHASE_INDEX, |ckpt| build_graph(device, points, params, ckpt))?;
+    if run.restored() {
+        // The restored graph occupies the same device memory the
+        // original reservation did, for the rest of the index phase.
+        drop(device.memory().reserve(graph_bytes(n, graph.adjacency.len()))?);
+    }
+    let CsrGraph { offsets, adjacency, core } = graph;
 
     // ---- BFS clustering -------------------------------------------------
-    let main_span = tracer.phase("main");
-    let main_start = Instant::now();
-    let (labels, num_clusters) =
-        match ckpt.as_deref().and_then(|c| c.restore::<BfsLabels>(PHASE_MAIN)) {
-            Some(state) => {
-                tracer.instant("checkpoint.restore: main");
-                let labels: Vec<AtomicU32> = state.labels.into_iter().map(AtomicU32::new).collect();
-                (labels, state.num_clusters)
+    let BfsLabels { labels, num_clusters } = run.phase(PHASE_MAIN, || {
+        let labels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
+        let mut frontier: Vec<u32> = Vec::with_capacity(n);
+        let mut next: Vec<u32> = vec![0u32; n];
+        let mut num_clusters = 0u32;
+
+        for seed in 0..n {
+            if !core[seed] || labels[seed].load(Ordering::Relaxed) != UNSET {
+                continue;
             }
-            None => {
-                let labels: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-                let mut frontier: Vec<u32> = Vec::with_capacity(n);
-                let mut next: Vec<u32> = vec![0u32; n];
-                let mut num_clusters = 0u32;
+            let cluster = num_clusters;
+            num_clusters += 1;
+            labels[seed].store(cluster, Ordering::Relaxed);
+            frontier.clear();
+            frontier.push(seed as u32);
 
-                for seed in 0..n {
-                    if !core[seed] || labels[seed].load(Ordering::Relaxed) != UNSET {
-                        continue;
-                    }
-                    let cluster = num_clusters;
-                    num_clusters += 1;
-                    labels[seed].store(cluster, Ordering::Relaxed);
-                    frontier.clear();
-                    frontier.push(seed as u32);
-
-                    while !frontier.is_empty() {
-                        let next_len = AtomicUsize::new(0);
-                        {
-                            let next_view = SharedMut::new(&mut next);
-                            let frontier_ref = &frontier;
-                            let labels_ref = &labels;
-                            let offsets_ref = &offsets;
-                            let adjacency_ref = &adjacency;
-                            let core_ref = &core;
-                            let counters = device.counters();
-                            device.try_launch_named("gdbscan.bfs_level", frontier.len(), |f| {
-                                let u = frontier_ref[f] as usize;
-                                let begin = offsets_ref[u] as usize;
-                                let end = offsets_ref[u + 1] as usize;
-                                for &v in &adjacency_ref[begin..end] {
-                                    // Claim: first cluster to reach v owns it.
-                                    if labels_ref[v as usize]
-                                        .compare_exchange(
-                                            UNSET,
-                                            cluster,
-                                            Ordering::Relaxed,
-                                            Ordering::Relaxed,
-                                        )
-                                        .is_ok()
-                                    {
-                                        counters.label_cas.fetch_add(1, Ordering::Relaxed);
-                                        if core_ref[v as usize] {
-                                            let slot = next_len.fetch_add(1, Ordering::Relaxed);
-                                            // SAFETY: `slot` is unique per claim and
-                                            // claims are unique per vertex, so at most
-                                            // n disjoint writes.
-                                            unsafe { next_view.write(slot, v) };
-                                        }
-                                    }
-                                }
-                            })?;
+            while !frontier.is_empty() {
+                let next_len = AtomicUsize::new(0);
+                let next_view = SharedMut::new(&mut next);
+                let counters = device.counters();
+                device.try_launch_named("gdbscan.bfs_level", frontier.len(), |f| {
+                    let u = frontier[f] as usize;
+                    let (begin, end) = (offsets[u] as usize, offsets[u + 1] as usize);
+                    for &v in &adjacency[begin..end] {
+                        // Claim: first cluster to reach v owns it.
+                        let claim = labels[v as usize].compare_exchange(
+                            UNSET,
+                            cluster,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        );
+                        if claim.is_ok() {
+                            counters.label_cas.fetch_add(1, Ordering::Relaxed);
+                            if core[v as usize] {
+                                let slot = next_len.fetch_add(1, Ordering::Relaxed);
+                                // SAFETY: `slot` is unique per claim and
+                                // claims are unique per vertex, so at most
+                                // n disjoint writes.
+                                unsafe { next_view.write(slot, v) };
+                            }
                         }
-                        let len = next_len.load(Ordering::Relaxed);
-                        frontier.clear();
-                        frontier.extend_from_slice(&next[..len]);
                     }
-                }
-                if let Some(c) = ckpt.as_deref_mut() {
-                    c.record(
-                        PHASE_MAIN,
-                        &BfsLabels {
-                            labels: labels.iter().map(|l| l.load(Ordering::Relaxed)).collect(),
-                            num_clusters,
-                        },
-                    );
-                    checkpoint::persist(c, device);
-                }
-                (labels, num_clusters)
+                })?;
+                let len = next_len.load(Ordering::Relaxed);
+                frontier.clear();
+                frontier.extend_from_slice(&next[..len]);
             }
-        };
-    let main_time = main_start.elapsed();
-    drop(main_span);
-    let after_main = device.counters().snapshot();
+        }
+        let labels = labels.into_iter().map(AtomicU32::into_inner).collect();
+        Ok(BfsLabels { labels, num_clusters })
+    })?;
 
     // ---- Relabel ---------------------------------------------------------
-    let finalize_span = tracer.phase("finalize");
-    let finalize_start = Instant::now();
-    let clustering = match ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE)) {
-        Some(clustering) => {
-            tracer.instant("checkpoint.restore: finalize");
-            clustering
-        }
-        None => {
-            let mut assignments = vec![NOISE; n];
-            let mut classes = vec![PointClass::Noise; n];
-            for i in 0..n {
-                let label = labels[i].load(Ordering::Relaxed);
-                if core[i] {
-                    debug_assert_ne!(label, UNSET, "core point left unlabeled by BFS");
-                    assignments[i] = label as i64;
-                    classes[i] = PointClass::Core;
-                } else if label != UNSET {
-                    assignments[i] = label as i64;
-                    classes[i] = PointClass::Border;
-                }
+    let clustering = run.phase(PHASE_FINALIZE, || {
+        let mut assignments = vec![NOISE; n];
+        let mut classes = vec![PointClass::Noise; n];
+        for i in 0..n {
+            let label = labels[i];
+            if core[i] {
+                debug_assert_ne!(label, UNSET, "core point left unlabeled by BFS");
+                assignments[i] = label as i64;
+                classes[i] = PointClass::Core;
+            } else if label != UNSET {
+                assignments[i] = label as i64;
+                classes[i] = PointClass::Border;
             }
-            let clustering =
-                Clustering { assignments, num_clusters: num_clusters as usize, classes };
-            if let Some(c) = ckpt {
-                c.record(PHASE_FINALIZE, &clustering);
-                checkpoint::persist(c, device);
-            }
-            clustering
         }
-    };
-    let finalize_time = finalize_start.elapsed();
-    drop(finalize_span);
-    let after_finalize = device.counters().snapshot();
+        Ok(Clustering { assignments, num_clusters: num_clusters as usize, classes })
+    })?;
+    Ok((clustering, run.finish()))
+}
 
-    let stats = RunStats {
-        index_time,
-        preprocess_time: std::time::Duration::ZERO,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed(),
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: CountersSnapshot::default(),
-            main: after_main.since(&after_index),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: None,
-        attempts: 0,
-        request_id: None,
-    };
-    Ok((clustering, stats))
+/// Device bytes of a CSR graph with `num_edges` edges over `n` points.
+fn graph_bytes(n: usize, num_edges: usize) -> usize {
+    num_edges * std::mem::size_of::<u32>() + (n + 1) * std::mem::size_of::<u64>()
+}
+
+/// The index phase: degree pass, core flags, CSR offsets and the edge
+/// lists, whose reservation ends with the phase.
+fn build_graph<const D: usize>(
+    device: &Device,
+    points: &[Point<D>],
+    params: Params,
+    ckpt: &mut Recorder<'_>,
+) -> Result<CsrGraph, DeviceError> {
+    let n = points.len();
+    let Params { eps, minpts } = params;
+    let eps_sq = eps * eps;
+    // Both all-to-all passes stream the lane-width SIMD kernels over the
+    // dimension-major layout (a transpose of the already-reserved point
+    // storage, so it is not charged against the budget a second time).
+    // The accept set is bit-identical to the scalar loop, so labels,
+    // adjacency order, and distance counters are unchanged.
+    let soa = SoaPoints::from_points(points);
+    // Degree pass (all-to-all): neighbor count excluding self; the core
+    // test adds the point itself back.
+    let mut degrees = vec![0u64; n + 1];
+    let deg_view = SharedMut::new(&mut degrees);
+    let counters = device.counters();
+    device.try_launch_named("gdbscan.degree", n, |i| {
+        // The self-distance always passes, so subtract the point itself
+        // back out of the lane count.
+        let count = simd::count_within(&soa, &points[i], eps_sq) as u64 - 1;
+        counters.add_distances(n as u64);
+        // SAFETY: one writer per index.
+        unsafe { deg_view.write(i, count) };
+    })?;
+
+    // Core flags from degrees (|N| includes self). Recorded *before* the
+    // graph reservation: when the edge lists OOM, the flags survive for
+    // cross-algorithm handoff.
+    let core: Vec<bool> = (0..n).map(|i| degrees[i] as usize + 1 >= minpts).collect();
+    ckpt.record(PHASE_CORE_FLAGS, &CoreSnapshot(CoreFlags::from_flags(&core)));
+
+    // CSR offsets; `degrees` becomes the offsets array in place.
+    let num_edges = fdbscan_psort::exclusive_scan(device, &mut degrees) as usize;
+    let offsets = degrees;
+
+    // THE reservation that makes or breaks G-DBSCAN: the edge lists.
+    let _graph_mem = device.memory().reserve(graph_bytes(n, num_edges))?;
+
+    // Fill pass (second all-to-all).
+    let mut adjacency = vec![0u32; num_edges];
+    let adj_view = SharedMut::new(&mut adjacency);
+    device.try_launch_named("gdbscan.fill", n, |i| {
+        let mut cursor = offsets[i] as usize;
+        // Lane hits arrive in ascending j — the same CSR segment order as
+        // the scalar loop.
+        simd::for_each_within(&soa, &points[i], eps_sq, |j| {
+            if j != i {
+                // SAFETY: vertex i owns its CSR segment.
+                unsafe { adj_view.write(cursor, j as u32) };
+                cursor += 1;
+            }
+        });
+        counters.add_distances(n as u64);
+        debug_assert_eq!(cursor as u64, offsets[i + 1]);
+    })?;
+    Ok(CsrGraph { offsets, adjacency, core })
 }
 
 #[cfg(test)]

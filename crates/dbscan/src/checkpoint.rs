@@ -29,7 +29,9 @@ use fdbscan_device::snapshot::{
 };
 use fdbscan_device::{Checkpointable, Device, PipelineCheckpoint, RunManifest, SnapshotError};
 use fdbscan_geom::Point;
+use fdbscan_unionfind::AtomicLabels;
 
+use crate::framework::CoreFlags;
 use crate::labels::{Clustering, PointClass};
 use crate::Params;
 
@@ -52,37 +54,39 @@ pub const PHASE_CORE_FLAGS: &str = "core_flags";
 /// status depends only on `(points, eps, minpts)`, so the resilient
 /// ladder hands it from a failed rung to the next one (see
 /// [`crate::resilient`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct CoreSnapshot(pub Vec<bool>);
+pub struct CoreSnapshot(pub CoreFlags);
 
 impl Checkpointable for CoreSnapshot {
     const KIND: &'static str = "dbscan.core_flags";
 
     fn to_snapshot(&self) -> Json {
-        bools_to_json(&self.0)
+        bools_to_json(&self.0.to_vec())
     }
 
     fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        json_to_bools(snapshot).map(CoreSnapshot)
+        Ok(CoreSnapshot(CoreFlags::from_flags(&json_to_bools(snapshot)?)))
     }
 }
 
-/// Union-find parents + core flags at the end of the main phase. Core
-/// flags are captured again because the main phase can extend them
-/// (lazy marking under `minpts <= 2`, dense-cell unions).
-#[derive(Clone, Debug, PartialEq)]
+/// Union-find state + core flags at the end of the main phase, held
+/// live so the phase hands its artifact on without copying. Core flags
+/// are captured again because the main phase can extend them (lazy
+/// marking under `minpts <= 2`, dense-cell unions).
 pub struct LabelState {
     /// Union-find parent of every point (not necessarily flattened).
-    pub labels: Vec<u32>,
+    pub labels: AtomicLabels,
     /// Core flag of every point.
-    pub core: Vec<bool>,
+    pub core: CoreFlags,
 }
 
 impl Checkpointable for LabelState {
     const KIND: &'static str = "dbscan.label_state";
 
     fn to_snapshot(&self) -> Json {
-        Json::obj([("labels", u32s_to_json(&self.labels)), ("core", bools_to_json(&self.core))])
+        Json::obj([
+            ("labels", u32s_to_json(&self.labels.snapshot())),
+            ("core", bools_to_json(&self.core.to_vec())),
+        ])
     }
 
     fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
@@ -91,7 +95,7 @@ impl Checkpointable for LabelState {
         if labels.len() != core.len() {
             return Err(SnapshotError::Corrupt("label/core length mismatch".to_string()));
         }
-        Ok(Self { labels, core })
+        Ok(Self { labels: AtomicLabels::from_labels(labels), core: CoreFlags::from_flags(&core) })
     }
 }
 
@@ -313,15 +317,6 @@ pub(crate) fn prepare<const D: usize>(
     }
 }
 
-/// Best-effort persistence after a completed phase: no-op unless
-/// `FDBSCAN_CKPT_DIR` is set; an IO failure is surfaced as a tracer
-/// instant, never as a run failure.
-pub(crate) fn persist(ckpt: &PipelineCheckpoint, device: &Device) {
-    if let Err(e) = ckpt.persist() {
-        device.tracer().instant(format!("checkpoint.persist_failed: {e}"));
-    }
-}
-
 /// Assembles the replay manifest of a (possibly failed) run: everything
 /// `examples/replay_run.rs` needs to re-execute it, including the
 /// content hash of every phase the run completed.
@@ -375,7 +370,7 @@ mod tests {
         let points = vec![Point2::new([0.0, 0.0])];
         let params = Params::new(1.0, 2);
         let mut ckpt = checkpoint_for("fdbscan", &points, params);
-        ckpt.record(PHASE_PREPROCESS, &CoreSnapshot(vec![true]));
+        ckpt.record(PHASE_PREPROCESS, &CoreSnapshot(CoreFlags::from_flags(&[true])));
         // Matching identity: phases survive.
         prepare(&mut ckpt, "fdbscan", &points, params);
         assert!(ckpt.has_phase(PHASE_PREPROCESS));
@@ -384,7 +379,7 @@ mod tests {
         assert!(ckpt.is_empty());
         assert_eq!(ckpt.algorithm(), "densebox");
         // Wrong input: reset.
-        ckpt.record(PHASE_PREPROCESS, &CoreSnapshot(vec![true]));
+        ckpt.record(PHASE_PREPROCESS, &CoreSnapshot(CoreFlags::from_flags(&[true])));
         prepare(&mut ckpt, "densebox", &points, Params::new(2.0, 2));
         assert!(ckpt.is_empty());
     }
@@ -408,8 +403,13 @@ mod tests {
 
     #[test]
     fn composite_artifacts_round_trip() {
-        let state = LabelState { labels: vec![0, 0, 2], core: vec![true, false, true] };
-        assert_eq!(LabelState::from_snapshot(&state.to_snapshot()).unwrap(), state);
+        let state = LabelState {
+            labels: AtomicLabels::from_labels(vec![0, 0, 2]),
+            core: CoreFlags::from_flags(&[true, false, true]),
+        };
+        let restored = LabelState::from_snapshot(&state.to_snapshot()).unwrap();
+        assert_eq!(restored.labels.snapshot(), state.labels.snapshot());
+        assert_eq!(restored.core.to_vec(), state.core.to_vec());
         let graph = CsrGraph {
             offsets: vec![0, 2, 2, 3],
             adjacency: vec![1, 2, 0],

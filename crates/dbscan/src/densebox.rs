@@ -16,9 +16,8 @@
 //!   point, lazily deciding core status on first demand (see
 //!   [`LazyCore`]); a box hit requires finding just *one* member within
 //!   `eps` to connect the whole cell, and a point hit resolves like
-//!   FDBSCAN. There is no separate preprocessing launch; the empty
-//!   `preprocess` phase span is kept so traces and phase counters keep
-//!   their shape.
+//!   FDBSCAN. There is no separate preprocessing launch; the
+//!   `preprocess` phase only seeds handed-down core flags.
 //!
 //! No distance computations ever happen between two points of the same
 //! dense cell — the elimination the paper's §5.1 measurements attribute
@@ -26,22 +25,18 @@
 
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
 
-use fdbscan_bvh::Bvh;
-use fdbscan_device::json::Json;
-use fdbscan_device::{Checkpointable, Device, DeviceError, PipelineCheckpoint};
+use fdbscan_bvh::{Bvh, QueryStats};
+use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
 use fdbscan_geom::Point;
 use fdbscan_grid::DenseGrid;
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{
-    self, CoreSnapshot, DenseIndex, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN,
-    PHASE_PREPROCESS,
-};
-use crate::framework::{finalize, resolve_pair, resolve_pair_star, CoreFlags, LazyCore};
+use crate::checkpoint::{DenseIndex, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
+use crate::framework::{finalize, CoreFlags, LazyCore, PairRule};
 use crate::labels::Clustering;
-use crate::stats::{DenseStats, PhaseCounters, RunStats};
+use crate::pipeline::{CallerIndex, Pipeline};
+use crate::stats::{DenseStats, RunStats};
 use crate::Params;
 
 /// Checkpoint algorithm tag of [`fdbscan_densebox`] runs.
@@ -89,23 +84,21 @@ pub fn fdbscan_densebox_run_from<const D: usize>(
     options: DenseBoxOptions,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    checkpoint::prepare(ckpt, DENSEBOX_ALGORITHM, points, params);
     densebox_core(device, points, params, options, None, Some(ckpt))
 }
 
-/// FDBSCAN-DenseBox over a prebuilt grid (used by the heuristic switch
-/// in [`crate::auto`], which builds the grid to make its decision).
-///
-/// `grid_time` is folded into the index-time accounting.
-pub fn densebox_with_grid<const D: usize>(
+/// FDBSCAN-DenseBox over a grid the caller built (the heuristic switch
+/// in [`crate::auto`] builds it to make its decision); the grid's work
+/// counts towards the index phase.
+pub(crate) fn densebox_with_grid<const D: usize>(
     device: &Device,
     points: &[Point<D>],
     params: Params,
-    options: DenseBoxOptions,
     grid: DenseGrid<D>,
-    grid_time: Duration,
+    caller: CallerIndex,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    densebox_core(device, points, params, options, Some((grid, grid_time)), None)
+    let options = DenseBoxOptions::default();
+    densebox_core(device, points, params, options, Some((grid, caller)), None)
 }
 
 fn densebox_core<const D: usize>(
@@ -113,171 +106,69 @@ fn densebox_core<const D: usize>(
     points: &[Point<D>],
     params: Params,
     options: DenseBoxOptions,
-    prebuilt: Option<(DenseGrid<D>, Duration)>,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
+    prebuilt: Option<(DenseGrid<D>, CallerIndex)>,
+    ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
+    if points.is_empty() {
+        return Ok((Clustering::from_union_find(&[], &[]), RunStats::default()));
+    }
+    let (prebuilt, caller) = prebuilt.unzip();
+    let mut run = Pipeline::start(device, DENSEBOX_ALGORITHM, points, params, ckpt, caller)?;
     let n = points.len();
     let Params { eps, minpts } = params;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
-
-    if n == 0 {
-        return Ok((
-            Clustering::from_union_find(&[], &[]),
-            RunStats { total_time: start.elapsed(), ..Default::default() },
-        ));
-    }
-
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("fdbscan-densebox");
 
     let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
     let _labels_mem = device.memory().reserve_array::<u32>(n)?;
     let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
 
     // Phase 1: dense grid + mixed-primitive BVH. The mixed primitive
-    // references are recomputed in every path — they are a cheap
+    // references are recomputed on restore — they are a cheap
     // deterministic function of (grid, points), so the checkpoint only
-    // needs to carry the grid and the tree.
-    let index_span = tracer.phase("index");
-    let index_start = Instant::now();
-    let mut grid_time = Duration::ZERO;
-    let (grid, restored_bvh) =
-        match ckpt.as_deref().and_then(|c| c.restore::<DenseIndex<D>>(PHASE_INDEX)) {
-            Some(index) => {
-                tracer.instant("checkpoint.restore: index");
-                (index.grid, Some(index.bvh))
-            }
-            None => {
-                let grid = match prebuilt {
-                    Some((grid, prebuilt_time)) => {
-                        grid_time = prebuilt_time;
-                        grid
-                    }
-                    None => DenseGrid::build_in(device, device.arena(), points, eps, minpts)?,
-                };
-                (grid, None)
-            }
+    // needs to carry the grid and the tree. The grid is reserved before
+    // the tree is built, on both paths.
+    let (mut grid_mem, mut mixed) = (None, None);
+    let DenseIndex { grid, mut bvh } = run.phase(PHASE_INDEX, || {
+        let grid = match prebuilt {
+            Some(grid) => grid,
+            None => DenseGrid::build_in(device, device.arena(), points, eps, minpts)?,
         };
-    let _grid_mem = device.memory().reserve(grid.memory_bytes())?;
-    let mixed = grid.mixed_primitives(points);
-    let bvh = match restored_bvh {
-        Some(mut bvh) => {
-            // Snapshots never carry the derived wide layout; re-derive it
-            // to match this device's configured width.
-            bvh.ensure_width(device.bvh_width());
-            bvh
-        }
-        None => {
-            let bvh = Bvh::build_in(device, device.arena(), &mixed.bounds)?;
-            if let Some(c) = ckpt.as_deref_mut() {
-                c.record_raw(
-                    PHASE_INDEX,
-                    DenseIndex::<D>::KIND,
-                    Json::obj([("grid", grid.to_snapshot()), ("bvh", bvh.to_snapshot())]),
-                );
-                checkpoint::persist(c, device);
-            }
-            bvh
-        }
+        grid_mem = Some(device.memory().reserve(grid.memory_bytes())?);
+        let primitives = grid.mixed_primitives(points);
+        let bvh = Bvh::build_in(device, device.arena(), &primitives.bounds)?;
+        mixed = Some(primitives);
+        Ok(DenseIndex { grid, bvh })
+    })?;
+    let _grid_mem = match grid_mem {
+        Some(mem) => mem,
+        None => device.memory().reserve(grid.memory_bytes())?,
     };
+    let refs = mixed.unwrap_or_else(|| grid.mixed_primitives(points)).refs;
+    // Snapshots never carry the derived wide layout; re-derive it to
+    // match this device's configured width.
+    bvh.ensure_width(device.bvh_width());
     let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
-    let refs = &mixed.refs;
-    let index_time = index_start.elapsed() + grid_time;
-    drop(index_span);
-    let after_index = device.counters().snapshot();
 
-    // A completed main phase supersedes preprocessing: its label state
-    // carries the (cell-union extended) core flags as well.
-    let restored_main = ckpt.as_deref().and_then(|c| c.restore::<LabelState>(PHASE_MAIN));
-
-    // Phase 2: preprocessing. Core counting is fused into the main
-    // kernel; this phase only seeds the fused kernel's lazy core state
-    // from restored checkpoints (nothing launches).
-    let preprocess_span = tracer.phase("preprocess");
-    let preprocess_start = Instant::now();
-    let (core, lazy) = if let Some(state) = &restored_main {
-        (CoreFlags::from_flags(&state.core), LazyCore::from_decided(&state.core))
-    } else if let Some(flags) =
-        ckpt.as_deref().and_then(|c| c.restore::<CoreSnapshot>(PHASE_PREPROCESS))
-    {
-        tracer.instant("checkpoint.restore: preprocess");
-        (CoreFlags::from_flags(&flags.0), LazyCore::from_decided(&flags.0))
-    } else {
-        (CoreFlags::new(n), LazyCore::new(n))
-    };
-    let preprocess_time = preprocess_start.elapsed();
-    drop(preprocess_span);
-    let after_preprocess = device.counters().snapshot();
+    // Phase 2: preprocessing, fused into the main kernel.
+    let (core, lazy) = run.lazy_core(n);
 
     // Phase 3: main. 3a unions each dense cell internally; 3b traverses
     // from every point, deciding core status lazily.
-    let main_span = tracer.phase("main");
-    let main_start = Instant::now();
-    let labels = if let Some(state) = restored_main {
-        tracer.instant("checkpoint.restore: main");
-        let mut labels = AtomicLabels::from_labels(state.labels);
-        labels.attach_counters(device.counters_arc());
-        labels
-    } else {
+    let state = run.phase(PHASE_MAIN, || {
         let labels = AtomicLabels::with_counters(n, device.counters_arc());
-        run_main(device, points, params, options, &grid, &bvh, refs, &labels, &core, &lazy)?;
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_MAIN, &LabelState { labels: labels.snapshot(), core: core.to_vec() });
-            checkpoint::persist(c, device);
-        }
-        labels
-    };
-    let main_time = main_start.elapsed();
-    drop(main_span);
-    let after_main = device.counters().snapshot();
+        run_main(device, points, params, options, &grid, &bvh, &refs, &labels, &core, &lazy)?;
+        Ok(LabelState { labels, core })
+    })?;
 
     // Phase 4: finalization.
-    let finalize_span = tracer.phase("finalize");
-    let finalize_start = Instant::now();
-    let clustering = match ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE)) {
-        Some(clustering) => {
-            tracer.instant("checkpoint.restore: finalize");
-            clustering
-        }
-        None => {
-            let clustering = finalize(device, &labels, &core);
-            if let Some(c) = ckpt {
-                c.record(PHASE_FINALIZE, &clustering);
-                checkpoint::persist(c, device);
-            }
-            clustering
-        }
-    };
-    let finalize_time = finalize_start.elapsed();
-    drop(finalize_span);
-    let after_finalize = device.counters().snapshot();
-
-    let stats = RunStats {
-        index_time,
-        preprocess_time,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed(),
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: after_preprocess.since(&after_index),
-            main: after_main.since(&after_preprocess),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: Some(DenseStats {
-            num_cells: grid.num_cells(),
-            num_dense_cells: grid.num_dense_cells(),
-            points_in_dense_cells: grid.points_in_dense_cells(),
-            dense_fraction: grid.dense_fraction(),
-        }),
-        attempts: 0,
-        request_id: None,
-    };
+    let clustering =
+        run.phase(PHASE_FINALIZE, || Ok(finalize(device, &state.labels, &state.core)))?;
+    let mut stats = run.finish();
+    stats.dense = Some(DenseStats {
+        num_cells: grid.num_cells(),
+        num_dense_cells: grid.num_dense_cells(),
+        points_in_dense_cells: grid.points_in_dense_cells(),
+        dense_fraction: grid.dense_fraction(),
+    });
     Ok((clustering, stats))
 }
 
@@ -296,6 +187,7 @@ fn run_main<const D: usize>(
 ) -> Result<(), DeviceError> {
     let n = points.len();
     let Params { eps, minpts } = params;
+    let rule = PairRule::of(minpts, options.star);
 
     // Phase 3a: union all points within each dense cell.
     {
@@ -381,10 +273,8 @@ fn run_main<const D: usize>(
                                 ControlFlow::Continue(())
                             }
                         });
-                    counters.add_nodes_visited(stats.nodes_visited);
-                    counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-                    counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-                    counters.add_distances(distances);
+                    QueryStats { leaf_hits: distances, contained_hits: 0, ..stats }
+                        .charge(counters);
                     counters.dense_box_scans.fetch_add(box_scans, Ordering::Relaxed);
                     count >= minpts
                 }
@@ -392,7 +282,7 @@ fn run_main<const D: usize>(
         };
         device.try_launch_named("densebox.main_fused", n, |i| {
             let i = i as u32;
-            if minpts != 2 {
+            if rule != PairRule::Connect {
                 ensure_core(i);
             }
             let my_cell = grid_ref.cell_of_point(i);
@@ -428,16 +318,9 @@ fn run_main<const D: usize>(
                             points[m as usize].dist_sq(q) <= eps_sq
                         };
                         if hit {
-                            if minpts == 2 {
-                                core_ref.set(i); // m is already core
-                                labels_ref.union(i, m);
-                            } else if options.star {
-                                // `i` was ensured at kernel entry; `m` is
-                                // a dense member, core since phase 3a.
-                                resolve_pair_star(labels_ref, core_ref, i, m);
-                            } else {
-                                resolve_pair(labels_ref, core_ref, i, m);
-                            }
+                            // `i` was ensured at kernel entry; `m` is a
+                            // dense member, core since phase 3a.
+                            rule.resolve(labels_ref, core_ref, i, m);
                             break;
                         }
                     }
@@ -449,28 +332,18 @@ fn run_main<const D: usize>(
                         if !contained {
                             distances += 1;
                         }
-                        if minpts == 2 {
-                            core_ref.set(i);
-                            core_ref.set(j);
-                            labels_ref.union(i, j);
-                        } else {
+                        if rule != PairRule::Connect {
                             ensure_core(j);
-                            if options.star {
-                                resolve_pair_star(labels_ref, core_ref, i, j);
-                            } else {
-                                resolve_pair(labels_ref, core_ref, i, j);
-                            }
                         }
+                        rule.resolve(labels_ref, core_ref, i, j);
                     }
                 }
                 ControlFlow::Continue(())
             });
-            counters.add_nodes_visited(stats.nodes_visited);
-            counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-            counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-            counters.add_distances(distances);
-            counters.dense_box_scans.fetch_add(box_scans, Ordering::Relaxed);
             counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
+            // The callback counted the distance tests it really made.
+            QueryStats { leaf_hits: distances, contained_hits: 0, ..stats }.charge(counters);
+            counters.dense_box_scans.fetch_add(box_scans, Ordering::Relaxed);
         })?;
     }
     Ok(())

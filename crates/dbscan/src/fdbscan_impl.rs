@@ -6,7 +6,7 @@
 //! 1. **index** — build a linear BVH over the points,
 //! 2. **main** — one kernel fusing core determination with pair
 //!    resolution. Each thread first decides its own point's core status
-//!    via [`LazyCore`] (an early-terminating counting traversal, run
+//!    via [`crate::framework::LazyCore`] (an early-terminating counting traversal, run
 //!    exactly once per point no matter how many pairs touch it), then
 //!    runs the *index-masked* traversal (cutoff = its own sorted-leaf
 //!    position + 1, Fig. 1) so each close pair is discovered exactly
@@ -18,25 +18,24 @@
 //! 3. **finalization** — flatten the union-find and relabel.
 //!
 //! The separate preprocessing kernel of the unfused formulation is gone —
-//! one traversal launch instead of two — but the `preprocess` phase span
-//! is still emitted (empty) so traces and phase counters keep their
-//! shape; its counters are zero and the counting work is attributed to
-//! the main phase where it now happens.
+//! one traversal launch instead of two. The `preprocess` phase launches
+//! nothing: it only seeds the lazy core state from core flags the
+//! resilient ladder handed down, and its counters are zero because the
+//! counting work is attributed to the main phase where it now happens.
 
 use std::ops::ControlFlow;
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
 use fdbscan_bvh::Bvh;
 use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
 use fdbscan_geom::{Aabb, Point};
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{
-    self, CoreSnapshot, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS,
-};
-use crate::framework::{finalize, resolve_pair, resolve_pair_star, CoreFlags, LazyCore};
+use crate::checkpoint::{LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
+use crate::framework::{finalize, PairRule};
 use crate::labels::Clustering;
-use crate::stats::{PhaseCounters, RunStats};
+use crate::pipeline::{CallerIndex, Pipeline};
+use crate::stats::RunStats;
 use crate::Params;
 
 /// Checkpoint algorithm tag of [`fdbscan`] runs.
@@ -88,7 +87,7 @@ pub fn fdbscan_with<const D: usize>(
     params: Params,
     options: FdbscanOptions,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    fdbscan_core(device, points, params, options, None)
+    fdbscan_core(device, points, params, options, None, None)
 }
 
 /// [`fdbscan_with`], resuming from (and recording into) a checkpoint.
@@ -106,213 +105,96 @@ pub fn fdbscan_run_from<const D: usize>(
     options: FdbscanOptions,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    checkpoint::prepare(ckpt, FDBSCAN_ALGORITHM, points, params);
-    fdbscan_core(device, points, params, options, Some(ckpt))
+    fdbscan_core(device, points, params, options, Some(ckpt), None)
 }
 
-fn fdbscan_core<const D: usize>(
+pub(crate) fn fdbscan_core<const D: usize>(
     device: &Device,
     points: &[Point<D>],
     params: Params,
     options: FdbscanOptions,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
+    ckpt: Option<&mut PipelineCheckpoint>,
+    caller: Option<CallerIndex>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
+    let mut run = Pipeline::start(device, FDBSCAN_ALGORITHM, points, params, ckpt, caller)?;
     let n = points.len();
     let Params { eps, minpts } = params;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("fdbscan");
 
     // Device-resident data: the points themselves + label + flag arrays.
     let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
     let _labels_mem = device.memory().reserve_array::<u32>(n)?;
     let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
 
-    // Phase 1: search index.
-    let index_start = Instant::now();
-    let index_span = tracer.phase("index");
-    let bvh = match ckpt.as_deref().and_then(|c| c.restore::<Bvh<D>>(PHASE_INDEX)) {
-        Some(mut bvh) => {
-            tracer.instant("checkpoint.restore: index");
-            // Snapshots never carry the derived wide layout; re-derive it
-            // to match this device's configured width.
-            bvh.ensure_width(device.bvh_width());
-            bvh
-        }
-        None => {
-            let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-            let bvh = Bvh::build_in(device, device.arena(), &bounds)?;
-            if let Some(c) = ckpt.as_deref_mut() {
-                c.record(PHASE_INDEX, &bvh);
-                checkpoint::persist(c, device);
-            }
-            bvh
-        }
-    };
+    // Phase 1: search index. Snapshots never carry the derived wide
+    // layout, so a restored tree re-derives it for this device's width.
+    let mut bvh = run.phase(PHASE_INDEX, || {
+        let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
+        Bvh::build_in(device, device.arena(), &bounds)
+    })?;
+    bvh.ensure_width(device.bvh_width());
     let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
-    drop(index_span);
-    let index_time = index_start.elapsed();
-    let after_index = device.counters().snapshot();
 
-    // A completed main phase supersedes preprocessing: its label state
-    // carries the (possibly lazily extended) core flags as well.
-    let restored_main = ckpt.as_deref().and_then(|c| c.restore::<LabelState>(PHASE_MAIN));
-
-    // Phase 2: preprocessing. Core counting is fused into the main
-    // kernel, so nothing launches here; the phase only seeds the fused
-    // kernel's lazy core state from restored checkpoints (a salvaged
-    // core-flag snapshot from the resilient ladder, or a completed main
-    // phase) and keeps the trace/phase-counter shape stable.
-    let preprocess_start = Instant::now();
-    let preprocess_span = tracer.phase("preprocess");
-    let (core, lazy) = if let Some(state) = &restored_main {
-        (CoreFlags::from_flags(&state.core), LazyCore::from_decided(&state.core))
-    } else if let Some(flags) =
-        ckpt.as_deref().and_then(|c| c.restore::<CoreSnapshot>(PHASE_PREPROCESS))
-    {
-        tracer.instant("checkpoint.restore: preprocess");
-        (CoreFlags::from_flags(&flags.0), LazyCore::from_decided(&flags.0))
-    } else {
-        (CoreFlags::new(n), LazyCore::new(n))
-    };
-    drop(preprocess_span);
-    let preprocess_time = preprocess_start.elapsed();
-    let after_preprocess = device.counters().snapshot();
+    // Phase 2: preprocessing, fused into the main kernel.
+    let (core, lazy) = run.lazy_core(n);
 
     // Phase 3: main (core counting + masked traversal fused with
     // union-find, one launch).
-    let main_start = Instant::now();
-    let main_span = tracer.phase("main");
-    let labels = if let Some(state) = restored_main {
-        tracer.instant("checkpoint.restore: main");
-        let mut labels = AtomicLabels::from_labels(state.labels);
-        labels.attach_counters(device.counters_arc());
-        labels
-    } else {
+    let state = run.phase(PHASE_MAIN, || {
         let labels = AtomicLabels::with_counters(n, device.counters_arc());
-        {
-            let bvh_ref = &bvh;
-            let core_ref = &core;
-            let lazy_ref = &lazy;
-            let labels_ref = &labels;
-            let counters = device.counters();
-            let masked = options.masked_traversal;
-            let early = options.early_termination;
-            // Decides a point's core status on first demand (exactly once
-            // per point, whichever thread asks first).
-            let ensure_core = |p: u32| -> bool {
-                lazy_ref.ensure(core_ref, p, || match minpts {
-                    0 => unreachable!("Params::new validates minpts >= 1"),
-                    // Every point is trivially core (its neighborhood
-                    // contains itself).
-                    1 => true,
-                    2 => unreachable!("minpts == 2 marks cores inline, never lazily"),
-                    _ => {
-                        let mut count = 0usize;
-                        let stats =
-                            bvh_ref.for_each_in_radius(&points[p as usize], eps, 0, |_, _| {
-                                count += 1;
-                                if early && count >= minpts {
-                                    ControlFlow::Break(())
-                                } else {
-                                    ControlFlow::Continue(())
-                                }
-                            });
-                        counters.add_nodes_visited(stats.nodes_visited);
-                        counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-                        counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-                        counters.add_distances(stats.distance_tests());
-                        count >= minpts
-                    }
-                })
-            };
-            device.try_launch_named("fdbscan.main_fused", n, |i| {
-                let i = i as u32;
-                if minpts != 2 {
-                    ensure_core(i);
-                }
-                let cutoff = if masked { bvh_ref.leaf_pos_of(i) + 1 } else { 0 };
-                let stats = bvh_ref.for_each_in_radius(&points[i as usize], eps, cutoff, |_, j| {
-                    if !masked && j == i {
-                        return ControlFlow::Continue(());
-                    }
-                    if minpts == 2 {
-                        // Any matched pair proves both endpoints core.
-                        core_ref.set(i);
-                        core_ref.set(j);
-                        labels_ref.union(i, j);
-                    } else {
-                        ensure_core(j);
-                        if options.star {
-                            resolve_pair_star(labels_ref, core_ref, i, j);
+        let counters = device.counters();
+        let masked = options.masked_traversal;
+        let early = options.early_termination;
+        let rule = PairRule::of(minpts, options.star);
+        // Decides a point's core status on first demand (exactly once
+        // per point, whichever thread asks first).
+        let ensure_core = |p: u32| -> bool {
+            lazy.ensure(&core, p, || match minpts {
+                0 => unreachable!("Params::new validates minpts >= 1"),
+                // Every point is trivially core (its neighborhood
+                // contains itself).
+                1 => true,
+                2 => unreachable!("minpts == 2 marks cores inline, never lazily"),
+                _ => {
+                    let mut count = 0usize;
+                    let stats = bvh.for_each_in_radius(&points[p as usize], eps, 0, |_, _| {
+                        count += 1;
+                        if early && count >= minpts {
+                            ControlFlow::Break(())
                         } else {
-                            resolve_pair(labels_ref, core_ref, i, j);
+                            ControlFlow::Continue(())
                         }
-                    }
-                    ControlFlow::Continue(())
-                });
-                counters.add_nodes_visited(stats.nodes_visited);
-                counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-                counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-                counters.add_distances(stats.distance_tests());
-                counters
-                    .neighbors_found
-                    .fetch_add(stats.leaf_hits, std::sync::atomic::Ordering::Relaxed);
-            })?;
-        }
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_MAIN, &LabelState { labels: labels.snapshot(), core: core.to_vec() });
-            checkpoint::persist(c, device);
-        }
-        labels
-    };
-    drop(main_span);
-    let main_time = main_start.elapsed();
-    let after_main = device.counters().snapshot();
+                    });
+                    stats.charge(counters);
+                    count >= minpts
+                }
+            })
+        };
+        device.try_launch_named("fdbscan.main_fused", n, |i| {
+            let i = i as u32;
+            if rule != PairRule::Connect {
+                ensure_core(i);
+            }
+            let cutoff = if masked { bvh.leaf_pos_of(i) + 1 } else { 0 };
+            let stats = bvh.for_each_in_radius(&points[i as usize], eps, cutoff, |_, j| {
+                if !masked && j == i {
+                    return ControlFlow::Continue(());
+                }
+                if rule != PairRule::Connect {
+                    ensure_core(j);
+                }
+                rule.resolve(&labels, &core, i, j);
+                ControlFlow::Continue(())
+            });
+            stats.charge(counters);
+            counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
+        })?;
+        Ok(LabelState { labels, core })
+    })?;
 
     // Phase 4: finalization.
-    let finalize_start = Instant::now();
-    let finalize_span = tracer.phase("finalize");
-    let clustering = match ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE)) {
-        Some(clustering) => {
-            tracer.instant("checkpoint.restore: finalize");
-            clustering
-        }
-        None => {
-            let clustering = finalize(device, &labels, &core);
-            if let Some(c) = ckpt {
-                c.record(PHASE_FINALIZE, &clustering);
-                checkpoint::persist(c, device);
-            }
-            clustering
-        }
-    };
-    drop(finalize_span);
-    let finalize_time = finalize_start.elapsed();
-    let after_finalize = device.counters().snapshot();
-
-    let stats = RunStats {
-        index_time,
-        preprocess_time,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed(),
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: after_preprocess.since(&after_index),
-            main: after_main.since(&after_preprocess),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: None,
-        attempts: 0,
-        request_id: None,
-    };
-    Ok((clustering, stats))
+    let clustering =
+        run.phase(PHASE_FINALIZE, || Ok(finalize(device, &state.labels, &state.core)))?;
+    Ok((clustering, run.finish()))
 }
 
 #[cfg(test)]

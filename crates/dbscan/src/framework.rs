@@ -205,6 +205,45 @@ pub fn resolve_pair_star(labels: &AtomicLabels, core: &CoreFlags, x: u32, y: u32
     }
 }
 
+/// How a kernel resolves a discovered close pair: the one dispatch every
+/// union-find main phase shares.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PairRule {
+    /// `minpts == 2` (Algorithm 3, line 2): any matched pair proves both
+    /// endpoints core, so mark both and union them.
+    Connect,
+    /// [`resolve_pair`]: union cores, claim borders.
+    Classic,
+    /// [`resolve_pair_star`]: DBSCAN* semantics, no border claims.
+    Star,
+}
+
+impl PairRule {
+    /// The rule for a run whose core flags are decided per pair (lazily,
+    /// or not at all for `minpts == 2`).
+    pub fn of(minpts: usize, star: bool) -> Self {
+        match (minpts, star) {
+            (2, _) => PairRule::Connect,
+            (_, true) => PairRule::Star,
+            _ => PairRule::Classic,
+        }
+    }
+
+    /// Resolves the close pair `(x, y)`.
+    #[inline]
+    pub fn resolve(self, labels: &AtomicLabels, core: &CoreFlags, x: u32, y: u32) {
+        match self {
+            PairRule::Connect => {
+                core.set(x);
+                core.set(y);
+                labels.union(x, y);
+            }
+            PairRule::Classic => resolve_pair(labels, core, x, y),
+            PairRule::Star => resolve_pair_star(labels, core, x, y),
+        }
+    }
+}
+
 /// Finalization (paper §4): flatten all union-find paths with a batched
 /// kernel, then relabel into compact cluster ids.
 pub fn finalize(device: &Device, labels: &AtomicLabels, core: &CoreFlags) -> Clustering {
@@ -345,6 +384,22 @@ mod tests {
         core.set(1);
         resolve_pair(&labels, &core, 0, 1); // non-core first argument
         assert_eq!(labels.find(0), 1);
+    }
+
+    #[test]
+    fn pair_rules_dispatch() {
+        assert_eq!(PairRule::of(2, true), PairRule::Connect);
+        assert_eq!(PairRule::of(5, true), PairRule::Star);
+        assert_eq!(PairRule::of(1, false), PairRule::Classic);
+        // Connect proves both endpoints core; Star never claims borders.
+        let labels = AtomicLabels::new(4);
+        let core = CoreFlags::new(4);
+        PairRule::Connect.resolve(&labels, &core, 0, 1);
+        assert!(core.get(0) && core.get(1) && labels.same_set(0, 1));
+        PairRule::Star.resolve(&labels, &core, 0, 2);
+        assert!(!labels.same_set(0, 2));
+        PairRule::Classic.resolve(&labels, &core, 0, 2);
+        assert!(labels.same_set(0, 2));
     }
 
     #[test]

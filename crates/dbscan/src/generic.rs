@@ -10,21 +10,20 @@
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
-use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
+use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::Point;
 use fdbscan_kdtree::KdTree;
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{
-    self, CoreSnapshot, LabelState, PHASE_FINALIZE, PHASE_MAIN, PHASE_PREPROCESS,
-};
-use crate::framework::{finalize, resolve_pair, resolve_pair_star, CoreFlags};
+use crate::checkpoint::{PHASE_FINALIZE, PHASE_MAIN, PHASE_PREPROCESS};
+use crate::framework::{finalize, CoreFlags, PairRule};
 use crate::index::SpatialIndex;
 use crate::labels::Clustering;
-use crate::stats::{PhaseCounters, RunStats};
+use crate::pipeline::{CallerIndex, Pipeline};
+use crate::stats::RunStats;
 use crate::{FdbscanOptions, Params};
 
-/// Checkpoint algorithm tag of [`fdbscan_on_index`] runs.
+/// Run span label of [`fdbscan_on_index`] runs.
 pub const GENERIC_ALGORITHM: &str = "fdbscan-generic";
 
 /// Runs the FDBSCAN phases over a prebuilt index.
@@ -39,190 +38,84 @@ pub fn fdbscan_on_index<const D: usize, I: SpatialIndex<D>>(
     options: FdbscanOptions,
     index_time: Duration,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    on_index_core(device, points, index, params, options, index_time, None)
-}
-
-/// [`fdbscan_on_index`], resuming from (and recording into) a
-/// checkpoint. The index itself is caller-provided, so the resumable
-/// boundaries are preprocess, main and finalize; the caller is
-/// responsible for rebuilding (or separately caching) its index.
-pub fn fdbscan_on_index_from<const D: usize, I: SpatialIndex<D>>(
-    device: &Device,
-    points: &[Point<D>],
-    index: &I,
-    params: Params,
-    options: FdbscanOptions,
-    index_time: Duration,
-    ckpt: &mut PipelineCheckpoint,
-) -> Result<(Clustering, RunStats), DeviceError> {
-    checkpoint::prepare(ckpt, GENERIC_ALGORITHM, points, params);
-    on_index_core(device, points, index, params, options, index_time, Some(ckpt))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn on_index_core<const D: usize, I: SpatialIndex<D>>(
-    device: &Device,
-    points: &[Point<D>],
-    index: &I,
-    params: Params,
-    options: FdbscanOptions,
-    index_time: Duration,
-    mut ckpt: Option<&mut PipelineCheckpoint>,
-) -> Result<(Clustering, RunStats), DeviceError> {
-    crate::validate_finite(points)?;
+    let caller = Some(CallerIndex::host_built(device, index_time));
+    let mut run = Pipeline::start(device, GENERIC_ALGORITHM, points, params, None, caller)?;
     let n = points.len();
     assert_eq!(index.size(), n, "index does not cover the point set");
     let Params { eps, minpts } = params;
-    let start = Instant::now();
-    let counters_before = device.counters().snapshot();
-    device.memory().reset_peak();
-
-    let tracer = device.tracer();
-    let _run_span = tracer.phase("fdbscan-generic");
 
     let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
     let _labels_mem = device.memory().reserve_array::<u32>(n)?;
     let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
     let _index_mem = device.memory().reserve(index.memory_bytes())?;
-    let after_index = device.counters().snapshot();
-
-    // A completed main phase supersedes preprocessing: its label state
-    // carries the (possibly lazily extended) core flags as well.
-    let restored_main = ckpt.as_deref().and_then(|c| c.restore::<LabelState>(PHASE_MAIN));
 
     // Preprocessing.
-    let preprocess_span = tracer.phase("preprocess");
-    let preprocess_start = Instant::now();
-    let core = if let Some(state) = &restored_main {
-        CoreFlags::from_flags(&state.core)
-    } else if let Some(flags) =
-        ckpt.as_deref().and_then(|c| c.restore::<CoreSnapshot>(PHASE_PREPROCESS))
-    {
-        tracer.instant("checkpoint.restore: preprocess");
-        CoreFlags::from_flags(&flags.0)
-    } else {
-        let core = CoreFlags::new(n);
-        match minpts {
-            0 => unreachable!("Params::new validates minpts >= 1"),
-            1 => {
-                let core_ref = &core;
-                device.try_launch_named("generic.mark_all_core", n, |i| core_ref.set(i as u32))?;
-            }
-            2 => {}
-            _ => {
-                let core_ref = &core;
-                let counters = device.counters();
-                let early = options.early_termination;
-                device.try_launch_named("generic.core_count", n, |i| {
-                    let mut count = 0usize;
-                    let stats = index.query_radius(&points[i], eps, 0, &mut |_, _| {
-                        count += 1;
-                        if early && count >= minpts {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    });
-                    if count >= minpts {
-                        core_ref.set(i as u32);
+    run.enter(PHASE_PREPROCESS);
+    let core = CoreFlags::new(n);
+    match minpts {
+        0 => unreachable!("Params::new validates minpts >= 1"),
+        1 => {
+            let core_ref = &core;
+            device.try_launch_named("generic.mark_all_core", n, |i| core_ref.set(i as u32))?;
+        }
+        2 => {}
+        _ => {
+            let core_ref = &core;
+            let counters = device.counters();
+            let early = options.early_termination;
+            device.try_launch_named("generic.core_count", n, |i| {
+                let mut count = 0usize;
+                let stats = index.query_radius(&points[i], eps, 0, &mut |_, _| {
+                    count += 1;
+                    if early && count >= minpts {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
                     }
-                    counters.add_nodes_visited(stats.nodes_visited);
-                    counters.add_distances(stats.distance_tests);
-                })?;
-            }
+                });
+                if count >= minpts {
+                    core_ref.set(i as u32);
+                }
+                counters.add_nodes_visited(stats.nodes_visited);
+                counters.add_distances(stats.distance_tests);
+            })?;
         }
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_PREPROCESS, &CoreSnapshot(core.to_vec()));
-            checkpoint::persist(c, device);
-        }
-        core
-    };
-    let preprocess_time = preprocess_start.elapsed();
-    drop(preprocess_span);
-    let after_preprocess = device.counters().snapshot();
+    }
 
     // Main phase.
-    let main_span = tracer.phase("main");
-    let main_start = Instant::now();
-    let labels = if let Some(state) = restored_main {
-        tracer.instant("checkpoint.restore: main");
-        let mut labels = AtomicLabels::from_labels(state.labels);
-        labels.attach_counters(device.counters_arc());
-        labels
-    } else {
-        let labels = AtomicLabels::with_counters(n, device.counters_arc());
-        main_phase(device, points, index, params, options, &labels, &core)?;
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.record(PHASE_MAIN, &LabelState { labels: labels.snapshot(), core: core.to_vec() });
-            checkpoint::persist(c, device);
-        }
-        labels
-    };
-    let main_time = main_start.elapsed();
-    drop(main_span);
-    let after_main = device.counters().snapshot();
+    run.enter(PHASE_MAIN);
+    let labels = AtomicLabels::with_counters(n, device.counters_arc());
+    let rule = PairRule::of(minpts, options.star);
+    main_phase(device, points, index, eps, rule, options, &labels, &core)?;
 
     // Finalization.
-    let finalize_span = tracer.phase("finalize");
-    let finalize_start = Instant::now();
-    let clustering = match ckpt.as_deref().and_then(|c| c.restore::<Clustering>(PHASE_FINALIZE)) {
-        Some(clustering) => {
-            tracer.instant("checkpoint.restore: finalize");
-            clustering
-        }
-        None => {
-            let clustering = finalize(device, &labels, &core);
-            if let Some(c) = ckpt {
-                c.record(PHASE_FINALIZE, &clustering);
-                checkpoint::persist(c, device);
-            }
-            clustering
-        }
-    };
-    let finalize_time = finalize_start.elapsed();
-    drop(finalize_span);
-    let after_finalize = device.counters().snapshot();
-
-    let stats = RunStats {
-        index_time,
-        preprocess_time,
-        main_time,
-        finalize_time,
-        total_time: start.elapsed() + index_time,
-        counters: after_finalize.since(&counters_before),
-        phase_counters: PhaseCounters {
-            index: after_index.since(&counters_before),
-            preprocess: after_preprocess.since(&after_index),
-            main: after_main.since(&after_preprocess),
-            finalize: after_finalize.since(&after_main),
-        },
-        peak_memory_bytes: device.memory().peak(),
-        dense: None,
-        attempts: 0,
-        request_id: None,
-    };
-    Ok((clustering, stats))
+    run.enter(PHASE_FINALIZE);
+    let clustering = finalize(device, &labels, &core);
+    Ok((clustering, run.finish()))
 }
 
 /// The main phase of Algorithm 3 over any index: one masked (or
 /// unmasked) radius query per point, fused with the union-find
-/// resolution. Exposed as a building block for the multi-minpts sweep
-/// ([`crate::sweep`]) and the distributed driver (`fdbscan-dist`), which
-/// supply their own label arrays and core flags.
+/// resolution `rule`. Exposed as a building block for the multi-minpts
+/// sweep ([`crate::sweep`]) and the distributed driver
+/// (`fdbscan-dist`), which supply their own label arrays and core flags
+/// and pass [`PairRule::Classic`] (or [`PairRule::Star`]) because their
+/// flags are already exact.
 ///
-/// Callers must have populated `core` before the launch unless
-/// `params.minpts <= 2` (lazy marking applies then).
+/// Callers must have populated `core` before the launch unless `rule`
+/// is [`PairRule::Connect`] (which marks cores per pair).
+#[allow(clippy::too_many_arguments)]
 pub fn main_phase<const D: usize, I: SpatialIndex<D>>(
     device: &Device,
     points: &[Point<D>],
     index: &I,
-    params: Params,
+    eps: f32,
+    rule: PairRule,
     options: FdbscanOptions,
     labels: &AtomicLabels,
     core: &CoreFlags,
 ) -> Result<(), DeviceError> {
     let n = points.len();
-    let Params { eps, minpts } = params;
     let counters = device.counters();
     let masked = options.masked_traversal;
     device.try_launch_named("generic.pair_resolution", n, |i| {
@@ -232,15 +125,7 @@ pub fn main_phase<const D: usize, I: SpatialIndex<D>>(
             if !masked && j == i {
                 return ControlFlow::Continue(());
             }
-            if minpts == 2 {
-                core.set(i);
-                core.set(j);
-                labels.union(i, j);
-            } else if options.star {
-                resolve_pair_star(labels, core, i, j);
-            } else {
-                resolve_pair(labels, core, i, j);
-            }
+            rule.resolve(labels, core, i, j);
             ControlFlow::Continue(())
         });
         counters.add_nodes_visited(stats.nodes_visited);

@@ -16,15 +16,17 @@ use std::time::{Duration, Instant};
 
 use fdbscan_bvh::Bvh;
 use fdbscan_device::shared::SharedMut;
-use fdbscan_device::{CountersSnapshot, Device, DeviceError, MemoryReservation};
+use fdbscan_device::{Device, DeviceError, MemoryReservation};
 use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::framework::{finalize, CoreFlags};
+use crate::checkpoint::{PHASE_FINALIZE, PHASE_MAIN, PHASE_PREPROCESS};
+use crate::framework::{finalize, CoreFlags, PairRule};
 use crate::generic::main_phase;
 use crate::index::build_bvh_index;
 use crate::labels::Clustering;
-use crate::stats::{PhaseCounters, RunStats};
+use crate::pipeline::Pipeline;
+use crate::stats::RunStats;
 use crate::{FdbscanOptions, Params};
 
 /// Precomputed state for sweeping `minpts` at a fixed `eps`.
@@ -66,10 +68,7 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
                 });
                 // SAFETY: one writer per index.
                 unsafe { counts_view.write(i, count) };
-                counters.add_nodes_visited(stats.nodes_visited);
-                counters.add_wide_nodes_visited(stats.wide_nodes_visited);
-                counters.add_wide_leaf_lanes(stats.wide_leaf_lanes);
-                counters.add_distances(stats.distance_tests());
+                stats.charge(counters);
             })?;
         }
         Ok(Self { device, points, eps, bvh, counts, setup_time: start.elapsed(), _memory: memory })
@@ -105,76 +104,32 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
         options: FdbscanOptions,
     ) -> Result<(Clustering, RunStats), DeviceError> {
         assert!(minpts >= 1, "minpts must be at least 1");
-        let n = self.points.len();
-        let start = Instant::now();
-        let counters_before = self.device.counters().snapshot();
-        let _labels_mem = self.device.memory().reserve_array::<u32>(n)?;
-
-        let labels = AtomicLabels::with_counters(n, self.device.counters_arc());
-        let core = CoreFlags::new(n);
+        let (device, points) = (self.device, self.points);
+        let n = points.len();
+        let params = Params::new(self.eps, minpts);
+        let mut run = Pipeline::start(device, "fdbscan-sweep", points, params, None, None)?;
 
         // Core flags directly from the precomputed counts — the
-        // amortized replacement for the preprocessing traversal. (Also
-        // covers minpts <= 2: counts are exact, so lazy marking is not
-        // needed.)
-        let tracer = self.device.tracer();
-        let run_span = tracer.phase("fdbscan-sweep");
-        let preprocess_span = tracer.phase("preprocess");
-        let preprocess_start = Instant::now();
-        {
-            let counts_ref = &self.counts;
-            let core_ref = &core;
-            self.device.try_launch_named("sweep.core_flags", n, |i| {
-                if counts_ref[i] as usize >= minpts {
-                    core_ref.set(i as u32);
-                }
-            })?;
-        }
-        let preprocess_time = preprocess_start.elapsed();
-        drop(preprocess_span);
-        let after_preprocess = self.device.counters().snapshot();
+        // amortized replacement for the preprocessing traversal.
+        run.enter(PHASE_PREPROCESS);
+        let _labels_mem = device.memory().reserve_array::<u32>(n)?;
+        let labels = AtomicLabels::with_counters(n, device.counters_arc());
+        let core = CoreFlags::new(n);
+        device.try_launch_named("sweep.core_flags", n, |i| {
+            if self.counts[i] as usize >= minpts {
+                core.set(i as u32);
+            }
+        })?;
 
-        let main_span = tracer.phase("main");
-        let main_start = Instant::now();
-        let params = Params::new(self.eps, minpts.max(3));
-        // Force the non-lazy resolution path: core flags are exact here,
-        // so even minpts <= 2 must use resolve_pair (hence max(3) in the
-        // params passed to the kernel — it only selects the branch; the
-        // actual minpts semantics live in the core flags).
-        main_phase(self.device, self.points, &self.bvh, params, options, &labels, &core)?;
-        let main_time = main_start.elapsed();
-        drop(main_span);
-        let after_main = self.device.counters().snapshot();
+        // Core flags are exact here, so even minpts <= 2 resolves pairs
+        // from the flags rather than marking cores per pair.
+        run.enter(PHASE_MAIN);
+        let rule = if options.star { PairRule::Star } else { PairRule::Classic };
+        main_phase(device, points, &self.bvh, self.eps, rule, options, &labels, &core)?;
 
-        let finalize_span = tracer.phase("finalize");
-        let finalize_start = Instant::now();
-        let clustering = finalize(self.device, &labels, &core);
-        let finalize_time = finalize_start.elapsed();
-        drop(finalize_span);
-        let after_finalize = self.device.counters().snapshot();
-        drop(run_span);
-
-        Ok((
-            clustering,
-            RunStats {
-                index_time: Duration::ZERO,
-                preprocess_time,
-                main_time,
-                finalize_time,
-                total_time: start.elapsed(),
-                counters: after_finalize.since(&counters_before),
-                phase_counters: PhaseCounters {
-                    index: CountersSnapshot::default(),
-                    preprocess: after_preprocess.since(&counters_before),
-                    main: after_main.since(&after_preprocess),
-                    finalize: after_finalize.since(&after_main),
-                },
-                peak_memory_bytes: self.device.memory().peak(),
-                dense: None,
-                attempts: 0,
-                request_id: None,
-            },
-        ))
+        run.enter(PHASE_FINALIZE);
+        let clustering = finalize(device, &labels, &core);
+        Ok((clustering, run.finish()))
     }
 }
 

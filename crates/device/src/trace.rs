@@ -42,7 +42,7 @@ use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -488,17 +488,18 @@ impl Tracer {
     }
 
     /// Opens a phase span; the returned guard records the span (and its
-    /// duration histogram) when dropped. No-op when disabled.
+    /// duration histogram) when dropped or finished. Records nothing when
+    /// disabled, but [`PhaseSpan::finish`] still measures.
     pub fn phase<'t>(&'t self, label: &'static str) -> PhaseSpan<'t> {
-        if !self.enabled() {
-            return PhaseSpan { tracer: None, label, start: None };
-        }
-        self.phase_stack.lock().push(label);
-        PhaseSpan { tracer: Some(self), label, start: Some(Instant::now()) }
+        let tracer = self.enabled().then(|| {
+            self.phase_stack.lock().push(label);
+            self
+        });
+        PhaseSpan { tracer, label, start: Instant::now() }
     }
 
-    fn end_phase(&self, label: &'static str, start: Instant) {
-        let end = Instant::now();
+    /// Records a phase span and returns its recorded duration.
+    fn end_phase(&self, label: &'static str, start: Instant, end: Instant) -> u64 {
         let path = {
             let mut stack = self.phase_stack.lock();
             // Pop up to and including this label (defensive against a
@@ -519,8 +520,10 @@ impl Tracer {
             kernel: None,
             request_id: current_request_id(),
         };
-        self.histogram(Cow::Borrowed(label)).record(record.duration_ns());
+        let duration_ns = record.duration_ns();
+        self.histogram(Cow::Borrowed(label)).record(duration_ns);
         self.events.lock().push(record);
+        duration_ns
     }
 
     /// Records one kernel launch span. No-op when disabled.
@@ -745,17 +748,33 @@ impl std::fmt::Debug for Tracer {
 /// RAII guard for a phase span; records the span when dropped.
 #[must_use = "the phase span ends when this guard is dropped"]
 pub struct PhaseSpan<'t> {
-    /// `None` when the tracer was disabled at open time.
+    /// `None` when the tracer was disabled at open time, or once the
+    /// span has been recorded.
     tracer: Option<&'t Tracer>,
     label: &'static str,
-    start: Option<Instant>,
+    start: Instant,
+}
+
+impl PhaseSpan<'_> {
+    /// Ends the span now and returns its duration: exactly the recorded
+    /// span's [`SpanRecord::duration_ns`] when tracing is on, and the
+    /// same clock's reading when it is off.
+    pub fn finish(mut self) -> Duration {
+        self.end()
+    }
+
+    fn end(&mut self) -> Duration {
+        let end = Instant::now();
+        match self.tracer.take() {
+            Some(tracer) => Duration::from_nanos(tracer.end_phase(self.label, self.start, end)),
+            None => end.saturating_duration_since(self.start),
+        }
+    }
 }
 
 impl Drop for PhaseSpan<'_> {
     fn drop(&mut self) {
-        if let (Some(tracer), Some(start)) = (self.tracer, self.start) {
-            tracer.end_phase(self.label, start);
-        }
+        self.end();
     }
 }
 
@@ -785,6 +804,21 @@ mod tests {
         }
         assert_eq!(tracer.event_count(), 0);
         assert!(tracer.histogram_summaries().is_empty());
+    }
+
+    #[test]
+    fn finished_phase_reports_its_recorded_duration() {
+        let tracer = Tracer::new(true);
+        let elapsed = tracer.phase("main").finish();
+        let events = tracer.events();
+        assert_eq!(events.len(), 1, "finish records the span once");
+        assert_eq!(elapsed.as_nanos() as u64, events[0].duration_ns());
+        // With tracing off the span still measures, and records nothing.
+        let off = Tracer::new(false);
+        let span = off.phase("main");
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(span.finish() >= Duration::from_millis(1));
+        assert_eq!(off.event_count(), 0);
     }
 
     #[test]

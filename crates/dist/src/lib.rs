@@ -85,7 +85,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fdbscan::framework::CoreFlags;
+use fdbscan::framework::{CoreFlags, PairRule};
 use fdbscan::generic::main_phase;
 use fdbscan::index::build_bvh_index;
 use fdbscan::labels::Clustering;
@@ -559,18 +559,15 @@ fn run_distributed<const D: usize>(
                                         }
                                     }
                                     let local_labels = AtomicLabels::new(local_n);
-                                    // minpts <= 2 would trigger lazy core
-                                    // marking in `main_phase`, which is
-                                    // wrong here (cores were computed
-                                    // globally); force the flag-driven
-                                    // path — the value only selects the
-                                    // branch.
-                                    let branch_params = Params::new(eps, minpts.max(3));
+                                    // Cores were computed globally, so
+                                    // pairs resolve from the flags even
+                                    // at minpts <= 2.
                                     main_phase(
                                         rank_device,
                                         local_points,
                                         &bvh,
-                                        branch_params,
+                                        eps,
+                                        PairRule::Classic,
                                         FdbscanOptions::default(),
                                         &local_labels,
                                         &local_core,

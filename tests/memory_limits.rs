@@ -2,10 +2,13 @@
 //! graph scales with edges and runs out of memory; the two-phase
 //! framework's memory stays linear in n and survives the same budget.
 
-use fdbscan::baselines::gdbscan;
-use fdbscan::{fdbscan, fdbscan_densebox, Params};
+use fdbscan::baselines::gdbscan::GDBSCAN_ALGORITHM;
+use fdbscan::baselines::{gdbscan, gdbscan_run_from};
+use fdbscan::fdbscan_impl::FDBSCAN_ALGORITHM;
+use fdbscan::{checkpoint_for, fdbscan, fdbscan_densebox, fdbscan_run_from, Params, PHASE_INDEX};
 use fdbscan_data::Dataset2;
-use fdbscan_device::{Device, DeviceConfig, DeviceError};
+use fdbscan_device::{Device, DeviceConfig, DeviceError, PipelineCheckpoint};
+use fdbscan_geom::Point2;
 
 /// A deliberately small "device" (scaled-down V100) for OOM testing.
 fn budgeted(bytes: usize) -> Device {
@@ -91,4 +94,42 @@ fn failed_run_releases_all_memory() {
     // And a tree algorithm still fits.
     let (c, _) = fdbscan(&device, &points, Params::new(0.05, 20)).unwrap();
     assert!(c.num_clusters > 0);
+}
+
+#[test]
+fn restored_index_is_charged_like_a_built_one() {
+    // A run resumed from its index checkpoint hits the budget exactly
+    // where a fresh run does: the restored graph / tree is reserved as if
+    // it had been built.
+    let points = vec![Point2::new([0.0, 0.0]); 2000];
+    let params = Params::new(1.0, 5);
+    // G-DBSCAN: 512 KiB holds the points but not the ~16 MB edge lists.
+    // FDBSCAN: 64 KiB holds the points, labels and flags but not the tree.
+    for (algorithm, budget) in [(GDBSCAN_ALGORITHM, 1 << 19), (FDBSCAN_ALGORITHM, 64 << 10)] {
+        let run = |device: &Device, ckpt: &mut PipelineCheckpoint| {
+            if algorithm == GDBSCAN_ALGORITHM {
+                gdbscan_run_from(device, &points, params, ckpt)
+            } else {
+                fdbscan_run_from(device, &points, params, Default::default(), ckpt)
+            }
+        };
+        let limited = || Device::new(DeviceConfig::sequential().with_memory_budget(budget));
+        let oom = |result: Result<_, DeviceError>| match result {
+            Err(DeviceError::OutOfMemory { requested, .. }) => requested,
+            Err(e) => panic!("{algorithm}: expected OOM, got {e}"),
+            Ok(_) => panic!("{algorithm}: expected OOM, the run fit the budget"),
+        };
+
+        let mut ckpt = checkpoint_for(algorithm, &points, params);
+        run(&Device::new(DeviceConfig::sequential()), &mut ckpt).unwrap();
+        let phases = ckpt.phase_names();
+        let keep = phases.iter().position(|p| *p == PHASE_INDEX).unwrap() + 1;
+        ckpt.truncate_to(keep);
+
+        let fresh = oom(run(&limited(), &mut checkpoint_for(algorithm, &points, params)));
+        let resumed = oom(run(&limited(), &mut ckpt));
+        if algorithm == GDBSCAN_ALGORITHM {
+            assert_eq!(resumed, fresh, "the resumed run must fail on the same edge lists");
+        }
+    }
 }

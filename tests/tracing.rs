@@ -2,8 +2,10 @@
 //! recorded by real algorithm runs, the disabled-sink guarantee, the
 //! Chrome exporter's JSON, and histogram bucketing.
 
-use fdbscan::baselines::gdbscan;
-use fdbscan::{fdbscan, fdbscan_densebox, run_resilient, Params, ResiliencePolicy};
+use fdbscan::baselines::{cuda_dclust, gdbscan};
+use fdbscan::{
+    fdbscan, fdbscan_densebox, run_resilient, MinptsSweep, Params, ResiliencePolicy, RunStats,
+};
 use fdbscan_device::{json, Device, DeviceConfig, Histogram, SpanKind, TraceFormat};
 use fdbscan_geom::Point2;
 use proptest::prelude::*;
@@ -83,6 +85,60 @@ fn densebox_and_gdbscan_record_their_own_phase_trees() {
     }
     assert!(events.iter().any(|e| e.kind == SpanKind::Kernel && e.label == "densebox.main_fused"));
     assert!(events.iter().any(|e| e.kind == SpanKind::Kernel && e.label == "gdbscan.bfs_level"));
+}
+
+#[test]
+fn run_stats_phase_times_are_their_span_durations() {
+    // One clock: every RunStats phase time is its phase span's recorded
+    // duration (zero for a phase the algorithm does not have), and the
+    // total is the run span's.
+    let device = Device::new(DeviceConfig::sequential().with_tracing());
+    let points = random_points(400, 4.0, 11);
+    let params = Params::new(0.3, 5);
+    let sweep = MinptsSweep::new(&device, &points, params.eps).unwrap();
+    let runs: [(&str, &dyn Fn() -> RunStats); 5] = [
+        ("fdbscan", &|| fdbscan(&device, &points, params).unwrap().1),
+        ("fdbscan-densebox", &|| fdbscan_densebox(&device, &points, params).unwrap().1),
+        ("g-dbscan", &|| gdbscan(&device, &points, params).unwrap().1),
+        ("cuda-dclust", &|| cuda_dclust(&device, &points, params).unwrap().1),
+        ("fdbscan-sweep", &|| sweep.run(params.minpts).unwrap().1),
+    ];
+    for (root, run) in runs {
+        device.tracer().clear();
+        let stats = run();
+        let events = device.tracer().events();
+        let span_ns = |label: &str| {
+            events
+                .iter()
+                .find(|e| e.kind == SpanKind::Phase && e.label == label)
+                .map_or(0, |e| e.duration_ns())
+        };
+        assert_eq!(stats.total_time.as_nanos() as u64, span_ns(root), "{root}: total");
+        for (phase, time) in [
+            ("index", stats.index_time),
+            ("preprocess", stats.preprocess_time),
+            ("main", stats.main_time),
+            ("finalize", stats.finalize_time),
+        ] {
+            assert_eq!(time.as_nanos() as u64, span_ns(phase), "{root}: {phase}");
+        }
+    }
+}
+
+#[test]
+fn failed_run_closes_its_spans_innermost_first() {
+    // G-DBSCAN runs out of memory inside its index phase: the spans it
+    // leaves open must close innermost first, so an enclosing span (the
+    // resilient ladder's, say) keeps its place on the phase stack.
+    let device = Device::new(DeviceConfig::sequential().with_tracing().with_memory_budget(1 << 19));
+    let points = vec![Point2::new([0.0, 0.0]); 2000];
+    let outer = device.tracer().phase("outer");
+    gdbscan(&device, &points, Params::new(1.0, 5)).unwrap_err();
+    assert_eq!(device.tracer().current_path(), "outer");
+    drop(outer);
+    let events = device.tracer().events();
+    let index = events.iter().find(|e| e.label == "index").expect("index span recorded");
+    assert_eq!(index.path, "outer/g-dbscan");
 }
 
 #[test]
