@@ -11,9 +11,9 @@
 //! Counters are collected on a **sequential** device
 //! ([`fdbscan_device::DeviceConfig::sequential`]): DenseBox's same-set
 //! short-circuit makes distance counts depend on union timing, so only
-//! the single-worker schedule is run-to-run reproducible. Wall times are
-//! recorded per phase for inspection but never guarded — they are
-//! machine-dependent.
+//! the single-worker schedule is run-to-run reproducible. Wall time is
+//! machine-dependent and is not recorded here; the `perfbench`
+//! benchmark measures it.
 //!
 //! Regenerate the checked-in baseline with:
 //!
@@ -31,25 +31,16 @@ use fdbscan_device::{Device, DeviceConfig};
 
 use crate::Algo;
 
-/// Schema tag of the document [`HotpathsReport::write`] produces. `v2`
-/// added the wide-traversal counters and the `/wide` matrix cases.
-pub const HOTPATHS_SCHEMA: &str = "fdbscan.bench_hotpaths.v2";
+/// Schema tag of the document [`HotpathsReport::write`] produces.
+pub const HOTPATHS_SCHEMA: &str = "fdbscan.bench_hotpaths.v3";
 
 /// Dataset seed shared by every case, so the matrix is one deterministic
 /// function of this file.
 pub const HOTPATHS_SEED: u64 = 42;
 
 /// The work counters the regression gate guards, in serialization order.
-/// The wide counters are zero on binary-layout cases by construction;
-/// on `/wide` cases they pin how much of the traversal actually ran
-/// through the batched path.
-pub const GUARDED_COUNTERS: [&str; 5] = [
-    "kernel_launches",
-    "distance_computations",
-    "bvh_nodes_visited",
-    "wide_nodes_visited",
-    "wide_leaf_lanes",
-];
+pub const GUARDED_COUNTERS: [&str; 3] =
+    ["kernel_launches", "distance_computations", "bvh_nodes_visited"];
 
 /// Phase keys of the per-phase launch breakdown, in serialization order.
 pub const PHASE_KEYS: [&str; 4] = ["index", "preprocess", "main", "finalize"];
@@ -65,26 +56,20 @@ pub struct HotpathCase {
     pub n: usize,
     /// DBSCAN parameters.
     pub params: Params,
-    /// Run with the wide (BVH8) layout instead of the binary rope.
-    pub wide: bool,
 }
 
 impl HotpathCase {
-    /// Stable identifier (`algorithm/dataset`, plus a `/wide` suffix on
-    /// wide-layout cases), the join key between a fresh run and the
-    /// checked-in baseline.
+    /// Stable identifier (`algorithm/dataset`), the join key between a
+    /// fresh run and the checked-in baseline.
     pub fn id(&self) -> String {
-        let suffix = if self.wide { "/wide" } else { "" };
-        format!("{}/{}{suffix}", self.algo.name(), self.dataset)
+        format!("{}/{}", self.algo.name(), self.dataset)
     }
 }
 
 /// The fixed matrix: all four algorithms over the three 2-D families,
-/// plus the two tree-based algorithms over the 3-D cosmology snapshot —
-/// and every tree-based cell repeated on the wide (BVH8) layout, so a
-/// regression in either traversal path is caught independently. Sizes
-/// are modest so the suite stays cheap in debug builds; the counters
-/// are exact, not sampled, so small n still pins the hot path.
+/// plus the two tree-based algorithms over the 3-D cosmology snapshot.
+/// Sizes are modest so the suite stays cheap in debug builds; the
+/// counters are exact, not sampled, so small n still pins the hot path.
 pub fn hotpath_matrix() -> Vec<HotpathCase> {
     let mut cases = Vec::new();
     for kind in Dataset2::ALL {
@@ -94,41 +79,32 @@ pub fn hotpath_matrix() -> Vec<HotpathCase> {
             Dataset2::RoadNetwork => Params::new(0.08, 20),
         };
         for algo in Algo::ALL {
-            cases.push(HotpathCase { algo, dataset: kind.name(), n: 2000, params, wide: false });
-        }
-        for algo in Algo::TREE {
-            cases.push(HotpathCase { algo, dataset: kind.name(), n: 2000, params, wide: true });
+            cases.push(HotpathCase { algo, dataset: kind.name(), n: 2000, params });
         }
     }
     let cosmo_eps = crate::scaled_cosmo_eps(4000);
-    for wide in [false, true] {
-        for algo in Algo::TREE {
-            cases.push(HotpathCase {
-                algo,
-                dataset: "cosmology",
-                n: 4000,
-                params: Params::new(cosmo_eps, 5),
-                wide,
-            });
-        }
+    for algo in Algo::TREE {
+        cases.push(HotpathCase {
+            algo,
+            dataset: "cosmology",
+            n: 4000,
+            params: Params::new(cosmo_eps, 5),
+        });
     }
     cases
 }
 
-/// Work counters and wall times of one executed case.
+/// Work counters of one executed case.
 #[derive(Clone, Debug)]
 pub struct HotpathRecord {
     /// The matrix cell this record measured.
     pub case: HotpathCase,
     /// Guarded totals, keyed like [`GUARDED_COUNTERS`].
-    pub work: [(&'static str, u64); 5],
+    pub work: [(&'static str, u64); 3],
     /// Per-phase (index, preprocess, main, finalize) kernel launches —
     /// recorded so a fusion regression that moves launches between
     /// phases is visible, guarded via the total.
     pub phase_launches: [u64; 4],
-    /// Unguarded wall-clock milliseconds per phase
-    /// (total, index, preprocess, main, finalize).
-    pub wall_ms: [f64; 5],
 }
 
 impl HotpathRecord {
@@ -141,21 +117,12 @@ impl HotpathRecord {
                 ("kernel_launches", c.kernel_launches),
                 ("distance_computations", c.distance_computations),
                 ("bvh_nodes_visited", c.bvh_nodes_visited),
-                ("wide_nodes_visited", c.wide_nodes_visited),
-                ("wide_leaf_lanes", c.wide_leaf_lanes),
             ],
             phase_launches: [
                 p.index.kernel_launches,
                 p.preprocess.kernel_launches,
                 p.main.kernel_launches,
                 p.finalize.kernel_launches,
-            ],
-            wall_ms: [
-                stats.total_time.as_secs_f64() * 1e3,
-                stats.index_time.as_secs_f64() * 1e3,
-                stats.preprocess_time.as_secs_f64() * 1e3,
-                stats.main_time.as_secs_f64() * 1e3,
-                stats.finalize_time.as_secs_f64() * 1e3,
             ],
         }
     }
@@ -175,15 +142,6 @@ impl HotpathRecord {
                     PHASE_KEYS.iter().zip(self.phase_launches).map(|(&k, v)| (k, Json::U64(v))),
                 ),
             ),
-            (
-                "wall_ms",
-                Json::obj(
-                    ["total", "index", "preprocess", "main", "finalize"]
-                        .iter()
-                        .zip(self.wall_ms)
-                        .map(|(&k, v)| (k, Json::F64(v))),
-                ),
-            ),
         ])
     }
 }
@@ -201,10 +159,7 @@ pub struct HotpathsReport {
 pub fn collect_hotpaths() -> HotpathsReport {
     let mut records = Vec::new();
     for case in hotpath_matrix() {
-        // Width pinned per cell so the ambient `FDBSCAN_BVH_WIDTH`
-        // cannot skew a baseline or a gate run.
-        let width = if case.wide { 8 } else { 2 };
-        let device = Device::new(DeviceConfig::sequential().with_bvh_width(width));
+        let device = Device::new(DeviceConfig::sequential());
         let stats = if case.dataset == "cosmology" {
             let points = default_snapshot(case.n, HOTPATHS_SEED);
             case.algo.run3(&device, &points, case.params)
@@ -310,15 +265,11 @@ mod tests {
     #[test]
     fn matrix_is_fixed_and_ids_unique() {
         let matrix = hotpath_matrix();
-        assert_eq!(matrix.len(), 22, "3 datasets x (4 algos + 2 wide) + cosmology x 2 x 2 layouts");
+        assert_eq!(matrix.len(), 14, "3 datasets x 4 algos + cosmology x 2");
         let mut ids: Vec<String> = matrix.iter().map(|c| c.id()).collect();
         ids.sort();
         ids.dedup();
-        assert_eq!(ids.len(), 22, "case ids must be unique join keys");
-        assert_eq!(matrix.iter().filter(|c| c.wide).count(), 8, "every tree cell has a wide twin");
-        for case in matrix.iter().filter(|c| c.wide) {
-            assert!(case.id().ends_with("/wide"), "wide cases must be distinguishable join keys");
-        }
+        assert_eq!(ids.len(), 14, "case ids must be unique join keys");
     }
 
     #[test]

@@ -102,7 +102,6 @@ impl<const D: usize> Bvh<D> {
                 leaf_lo: SoaPoints::new(),
                 leaf_hi: SoaPoints::new(),
                 scene: Aabb::empty(),
-                wide: None,
             });
         }
         assert!(n < (1usize << 31), "primitive count exceeds NodeRef range");
@@ -168,7 +167,6 @@ impl<const D: usize> Bvh<D> {
                 leaf_lo,
                 leaf_hi,
                 scene,
-                wide: None,
             });
         }
 
@@ -318,7 +316,7 @@ impl<const D: usize> Bvh<D> {
             })?;
         }
 
-        let mut bvh = Self {
+        Ok(Self {
             internal_bounds,
             children,
             ranges,
@@ -330,12 +328,7 @@ impl<const D: usize> Bvh<D> {
             leaf_lo: SoaPoints::from_dim_major(lo_flat, n),
             leaf_hi: SoaPoints::from_dim_major(hi_flat, n),
             scene,
-            wide: None,
-        };
-        // Host-side wide derivation when the device selects width 8: no
-        // extra launch, so the build stays exactly three kernels.
-        bvh.ensure_width(device.bvh_width());
-        Ok(bvh)
+        })
     }
 
     /// Recomputes the derived traversal structures — rope skip links and

@@ -62,11 +62,9 @@ pub mod knn;
 pub mod node;
 pub mod snapshot;
 pub mod traverse;
-pub mod wide;
 
 pub use node::{NodeRef, LEAF_FLAG};
 pub use traverse::QueryStats;
-pub use wide::WideBvh;
 
 use fdbscan_geom::{Aabb, SoaPoints};
 
@@ -99,9 +97,6 @@ pub struct Bvh<const D: usize> {
     pub(crate) leaf_hi: SoaPoints<D>,
     /// Bounds of the whole scene.
     pub(crate) scene: Aabb<D>,
-    /// Optional wide (BVH8) layout derived from the binary arrays by
-    /// [`Bvh::ensure_width`]; never serialized (snapshots re-derive it).
-    pub(crate) wide: Option<wide::WideBvh<D>>,
 }
 
 impl<const D: usize> Bvh<D> {
@@ -151,6 +146,5 @@ impl<const D: usize> Bvh<D> {
             + self.leaf_skip.len() * std::mem::size_of::<NodeRef>()
             + self.leaf_lo.memory_bytes()
             + self.leaf_hi.memory_bytes()
-            + self.wide.as_ref().map_or(0, |w| w.memory_bytes())
     }
 }

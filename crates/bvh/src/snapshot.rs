@@ -106,7 +106,6 @@ impl<const D: usize> Checkpointable for Bvh<D> {
             leaf_lo: fdbscan_geom::SoaPoints::new(),
             leaf_hi: fdbscan_geom::SoaPoints::new(),
             scene: scene[0],
-            wide: None,
         };
         // Ropes and SoA corners are derived data: not serialized (the
         // snapshot format predates them), rebuilt on restore instead.

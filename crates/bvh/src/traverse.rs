@@ -39,12 +39,6 @@ pub struct QueryStats {
     pub contained_hits: u64,
     /// Whether the callback terminated the traversal early.
     pub terminated_early: bool,
-    /// Wide (BVH8) nodes classified with one 8-lane kernel call each.
-    /// Zero on the binary rope path.
-    pub wide_nodes_visited: u64,
-    /// 8-wide lane batches spent scanning wide leaf runs. Zero on the
-    /// binary rope path.
-    pub wide_leaf_lanes: u64,
 }
 
 impl QueryStats {
@@ -57,15 +51,12 @@ impl QueryStats {
     }
 
     /// Charges this query's traversal work to the device counters: node
-    /// visits, wide-node and wide-lane batches, and
-    /// [`QueryStats::distance_tests`]. A caller whose callback counts its
-    /// own distance tests (box primitives) overrides `leaf_hits` with
-    /// that count and `contained_hits` with zero first.
+    /// visits and [`QueryStats::distance_tests`]. A caller whose callback
+    /// counts its own distance tests (box primitives) overrides
+    /// `leaf_hits` with that count and `contained_hits` with zero first.
     #[inline]
     pub fn charge(&self, counters: &Counters) {
         counters.add_nodes_visited(self.nodes_visited);
-        counters.add_wide_nodes_visited(self.wide_nodes_visited);
-        counters.add_wide_leaf_lanes(self.wide_leaf_lanes);
         counters.add_distances(self.distance_tests());
     }
 }
@@ -143,14 +134,6 @@ impl<const D: usize> Bvh<D> {
             return stats;
         }
 
-        // Wide dispatch: same pre-checks, same hit set, lane-parallel
-        // node tests (see `wide::WideBvh`). Selected per device via
-        // `FDBSCAN_BVH_WIDTH` / `DeviceConfig::with_bvh_width`.
-        if let Some(wide) = &self.wide {
-            self.wide_walk(wide, center, eps_sq, cutoff, &mut stats, &mut callback);
-            return stats;
-        }
-
         let mut node = self.children[0][0];
         while node != NodeRef::NONE {
             if node.is_leaf() {
@@ -203,7 +186,7 @@ impl<const D: usize> Bvh<D> {
     /// Containment fast path: fires the callback for every leaf in the
     /// sorted range `[first, last]` at or above `cutoff`. Returns `true`
     /// if the callback broke out.
-    pub(crate) fn emit_range<F>(
+    fn emit_range<F>(
         &self,
         first: u32,
         last: u32,
@@ -361,20 +344,11 @@ mod tests {
     #[test]
     fn charge_books_traversal_work() {
         let counters = Counters::default();
-        let stats = QueryStats {
-            nodes_visited: 7,
-            leaf_hits: 5,
-            contained_hits: 2,
-            wide_nodes_visited: 3,
-            wide_leaf_lanes: 4,
-            ..Default::default()
-        };
+        let stats =
+            QueryStats { nodes_visited: 7, leaf_hits: 5, contained_hits: 2, ..Default::default() };
         stats.charge(&counters);
         let c = counters.snapshot();
-        assert_eq!(
-            (c.bvh_nodes_visited, c.distance_computations, c.wide_nodes_visited, c.wide_leaf_lanes),
-            (7, 3, 3, 4)
-        );
+        assert_eq!((c.bvh_nodes_visited, c.distance_computations), (7, 3));
     }
 
     fn brute_force(points: &[Point<2>], center: &Point<2>, eps: f32) -> Vec<u32> {
@@ -560,16 +534,6 @@ mod tests {
     /// * identical callback counts,
     /// * the rope walk never visits more nodes than the stack walk.
     fn assert_matches_stack_reference(bvh: &Bvh<2>, center: &Point<2>, eps: f32, cutoff: u32) {
-        // This helper pins the *binary rope* against the stack reference
-        // (its visit-count bound is rope-specific), so force the binary
-        // path even when FDBSCAN_BVH_WIDTH selected wide at build time.
-        // Wide-vs-binary equivalence is pinned in `wide::tests`.
-        let bvh = {
-            let mut b = bvh.clone();
-            b.ensure_width(2);
-            b
-        };
-        let bvh = &bvh;
         let mut rope_hits = Vec::new();
         let rope = bvh.for_each_in_radius(center, eps, cutoff, |pos, payload| {
             rope_hits.push((pos, payload));

@@ -127,7 +127,7 @@ fn densebox_core<const D: usize>(
     // needs to carry the grid and the tree. The grid is reserved before
     // the tree is built, on both paths.
     let (mut grid_mem, mut mixed) = (None, None);
-    let DenseIndex { grid, mut bvh } = run.phase(PHASE_INDEX, || {
+    let DenseIndex { grid, bvh } = run.phase(PHASE_INDEX, || {
         let grid = match prebuilt {
             Some(grid) => grid,
             None => DenseGrid::build_in(device, device.arena(), points, eps, minpts)?,
@@ -143,9 +143,6 @@ fn densebox_core<const D: usize>(
         None => device.memory().reserve(grid.memory_bytes())?,
     };
     let refs = mixed.unwrap_or_else(|| grid.mixed_primitives(points)).refs;
-    // Snapshots never carry the derived wide layout; re-derive it to
-    // match this device's configured width.
-    bvh.ensure_width(device.bvh_width());
     let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
 
     // Phase 2: preprocessing, fused into the main kernel.

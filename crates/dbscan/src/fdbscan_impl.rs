@@ -125,13 +125,11 @@ pub(crate) fn fdbscan_core<const D: usize>(
     let _labels_mem = device.memory().reserve_array::<u32>(n)?;
     let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
 
-    // Phase 1: search index. Snapshots never carry the derived wide
-    // layout, so a restored tree re-derives it for this device's width.
-    let mut bvh = run.phase(PHASE_INDEX, || {
+    // Phase 1: search index.
+    let bvh = run.phase(PHASE_INDEX, || {
         let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
         Bvh::build_in(device, device.arena(), &bounds)
     })?;
-    bvh.ensure_width(device.bvh_width());
     let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
 
     // Phase 2: preprocessing, fused into the main kernel.

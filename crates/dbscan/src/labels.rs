@@ -305,9 +305,7 @@ mod tests {
                             return (labels, core);
                         }
                         for i in 0..core.len() {
-                            if core[i] {
-                                labels[i] = roots[root_choice[i] % roots.len()];
-                            } else if claimed[i] {
+                            if core[i] || claimed[i] {
                                 labels[i] = roots[root_choice[i] % roots.len()];
                             }
                         }
@@ -342,19 +340,21 @@ mod tests {
                 }
                 prop_assert!(used.iter().all(|&u| u));
                 // Classes and assignments are consistent.
-                for i in 0..c.len() {
-                    match c.classes[i] {
+                for ((class, &is_core), &assignment) in
+                    c.classes.iter().zip(&core).zip(&c.assignments)
+                {
+                    match class {
                         PointClass::Core => {
-                            prop_assert!(core[i]);
-                            prop_assert!(c.assignments[i] >= 0);
+                            prop_assert!(is_core);
+                            prop_assert!(assignment >= 0);
                         }
                         PointClass::Border => {
-                            prop_assert!(!core[i]);
-                            prop_assert!(c.assignments[i] >= 0);
+                            prop_assert!(!is_core);
+                            prop_assert!(assignment >= 0);
                         }
                         PointClass::Noise => {
-                            prop_assert!(!core[i]);
-                            prop_assert_eq!(c.assignments[i], NOISE);
+                            prop_assert!(!is_core);
+                            prop_assert_eq!(assignment, NOISE);
                         }
                     }
                 }

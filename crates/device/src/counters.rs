@@ -23,11 +23,6 @@ pub struct Counters {
     pub distance_computations: AtomicU64,
     /// BVH nodes visited across all traversals.
     pub bvh_nodes_visited: AtomicU64,
-    /// Wide (BVH8) nodes classified by the 8-lane traversal kernel
-    /// (one increment covers all eight child tests of a node).
-    pub wide_nodes_visited: AtomicU64,
-    /// 8-wide lane batches spent scanning wide leaf runs.
-    pub wide_leaf_lanes: AtomicU64,
     /// `Union` operations executed (successful or not).
     pub unions: AtomicU64,
     /// `Find` root lookups executed.
@@ -70,8 +65,6 @@ impl Counters {
         self.kernel_launches.store(0, Ordering::Relaxed);
         self.distance_computations.store(0, Ordering::Relaxed);
         self.bvh_nodes_visited.store(0, Ordering::Relaxed);
-        self.wide_nodes_visited.store(0, Ordering::Relaxed);
-        self.wide_leaf_lanes.store(0, Ordering::Relaxed);
         self.unions.store(0, Ordering::Relaxed);
         self.finds.store(0, Ordering::Relaxed);
         self.label_cas.store(0, Ordering::Relaxed);
@@ -104,30 +97,12 @@ impl Counters {
         }
     }
 
-    /// Adds `n` to the wide-node counter.
-    #[inline]
-    pub fn add_wide_nodes_visited(&self, n: u64) {
-        if n > 0 {
-            self.wide_nodes_visited.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `n` to the wide leaf-lane-batch counter.
-    #[inline]
-    pub fn add_wide_leaf_lanes(&self, n: u64) {
-        if n > 0 {
-            self.wide_leaf_lanes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Takes a plain-value snapshot of all counters.
     pub fn snapshot(&self) -> CountersSnapshot {
         CountersSnapshot {
             kernel_launches: self.kernel_launches.load(Ordering::Relaxed),
             distance_computations: self.distance_computations.load(Ordering::Relaxed),
             bvh_nodes_visited: self.bvh_nodes_visited.load(Ordering::Relaxed),
-            wide_nodes_visited: self.wide_nodes_visited.load(Ordering::Relaxed),
-            wide_leaf_lanes: self.wide_leaf_lanes.load(Ordering::Relaxed),
             unions: self.unions.load(Ordering::Relaxed),
             finds: self.finds.load(Ordering::Relaxed),
             label_cas: self.label_cas.load(Ordering::Relaxed),
@@ -155,10 +130,6 @@ pub struct CountersSnapshot {
     pub distance_computations: u64,
     /// BVH nodes visited across all traversals.
     pub bvh_nodes_visited: u64,
-    /// Wide (BVH8) nodes classified by the 8-lane traversal kernel.
-    pub wide_nodes_visited: u64,
-    /// 8-wide lane batches spent scanning wide leaf runs.
-    pub wide_leaf_lanes: u64,
     /// `Union` operations executed (successful or not).
     pub unions: u64,
     /// `Find` root lookups executed.
@@ -199,8 +170,6 @@ impl CountersSnapshot {
                 .distance_computations
                 .saturating_sub(earlier.distance_computations),
             bvh_nodes_visited: self.bvh_nodes_visited.saturating_sub(earlier.bvh_nodes_visited),
-            wide_nodes_visited: self.wide_nodes_visited.saturating_sub(earlier.wide_nodes_visited),
-            wide_leaf_lanes: self.wide_leaf_lanes.saturating_sub(earlier.wide_leaf_lanes),
             unions: self.unions.saturating_sub(earlier.unions),
             finds: self.finds.saturating_sub(earlier.finds),
             label_cas: self.label_cas.saturating_sub(earlier.label_cas),

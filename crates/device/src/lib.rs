@@ -107,12 +107,6 @@ pub struct DeviceConfig {
     /// (the default), tracing is enabled iff `FDBSCAN_TRACE` is set (see
     /// [`trace::Tracer::from_env`]).
     pub tracing: bool,
-    /// BVH branching factor the tree index derives for traversal: `2`
-    /// keeps the binary rope layout (the oracle path), `8` additionally
-    /// collapses the tree into wide nodes whose children are tested by
-    /// one SIMD lane kernel per step. Defaults from `FDBSCAN_BVH_WIDTH`
-    /// (`2`/`binary` or `8`/`wide`); unset or unrecognized = binary.
-    pub bvh_width: usize,
 }
 
 impl Default for DeviceConfig {
@@ -127,19 +121,7 @@ impl Default for DeviceConfig {
             fault_plan: None,
             kernel_timeout: None,
             tracing: false,
-            bvh_width: bvh_width_from_env().unwrap_or(2),
         }
-    }
-}
-
-/// Parses `FDBSCAN_BVH_WIDTH`. Unset or unrecognized values yield
-/// `None` (binary default) rather than an error, matching the lenient
-/// `FDBSCAN_BACKEND` convention.
-fn bvh_width_from_env() -> Option<usize> {
-    match std::env::var("FDBSCAN_BVH_WIDTH").ok()?.trim().to_ascii_lowercase().as_str() {
-        "2" | "binary" => Some(2),
-        "8" | "wide" => Some(8),
-        _ => None,
     }
 }
 
@@ -211,12 +193,11 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the BVH branching factor explicitly (overriding any
-    /// `FDBSCAN_BVH_WIDTH` environment selection). Only widths `2`
-    /// (binary ropes) and `8` (SIMD wide nodes) exist.
-    pub fn with_bvh_width(mut self, width: usize) -> Self {
-        assert!(width == 2 || width == 8, "BVH width must be 2 or 8, got {width}");
-        self.bvh_width = width;
+    /// Asserts the BVH branching factor is `2`, the binary LBVH every
+    /// traversal uses, and sets nothing. Kept so callers that pin the
+    /// layout explicitly keep compiling.
+    pub fn with_bvh_width(self, width: usize) -> Self {
+        assert_eq!(width, 2, "BVH width must be 2 (the binary LBVH)");
         self
     }
 
@@ -271,7 +252,6 @@ pub struct Device {
     launch_ordinal: Arc<AtomicU64>,
     fault_plan: Option<Arc<FaultPlan>>,
     kernel_timeout: Option<Duration>,
-    bvh_width: usize,
     tracer: Arc<Tracer>,
     /// Per-request cancellation token (see [`Device::with_cancel`]).
     /// `None` on a freshly constructed device; attached per clone, so
@@ -309,7 +289,6 @@ impl Device {
             launch_ordinal: Arc::new(AtomicU64::new(0)),
             fault_plan,
             kernel_timeout: config.kernel_timeout,
-            bvh_width: config.bvh_width,
             cancel: None,
             tracer: Arc::new({
                 let tracer = Tracer::from_env();
@@ -373,12 +352,6 @@ impl Device {
     /// The configured kernel watchdog timeout, if any.
     pub fn kernel_timeout(&self) -> Option<Duration> {
         self.kernel_timeout
-    }
-
-    /// The BVH branching factor traversals on this device should use
-    /// (`2` = binary ropes, `8` = SIMD wide nodes).
-    pub fn bvh_width(&self) -> usize {
-        self.bvh_width
     }
 
     /// A clone of this device with a per-request [`CancelToken`]
@@ -1285,25 +1258,9 @@ mod tests {
     }
 
     #[test]
-    fn bvh_width_builder_and_accessor() {
-        // The unpinned default follows FDBSCAN_BVH_WIDTH (the CI sweep
-        // axis); without it the layout is binary.
-        let ambient = match std::env::var("FDBSCAN_BVH_WIDTH").as_deref() {
-            Ok("8") | Ok("wide") => 8,
-            _ => 2,
-        };
-        assert_eq!(Device::new(DeviceConfig::sequential()).bvh_width(), ambient);
-        // Explicit pins beat the environment in both directions.
-        let wide = Device::new(DeviceConfig::sequential().with_bvh_width(8));
-        assert_eq!(wide.bvh_width(), 8);
-        assert_eq!(wide.clone().bvh_width(), 8, "clones keep the width");
-        assert_eq!(Device::new(DeviceConfig::sequential().with_bvh_width(2)).bvh_width(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "BVH width must be 2 or 8")]
+    #[should_panic(expected = "BVH width must be 2")]
     fn bvh_width_rejects_unsupported_widths() {
-        let _ = DeviceConfig::sequential().with_bvh_width(4);
+        let _ = DeviceConfig::sequential().with_bvh_width(8);
     }
 
     #[test]

@@ -246,9 +246,6 @@ pub struct WorkerPool {
     handles: Vec<std::thread::JoinHandle<()>>,
     /// Launches currently executing (occupancy gauge for telemetry).
     active: AtomicUsize,
-    /// `FDBSCAN_POOL_CHUNK` override for the per-pull claim size, read
-    /// once at pool construction. `None` = auto-tune per launch.
-    chunk_override: Option<usize>,
 }
 
 /// Upper bound on the auto-tuned claim size: large enough to amortize
@@ -295,11 +292,7 @@ impl WorkerPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        let chunk_override = std::env::var("FDBSCAN_POOL_CHUNK")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0);
-        Self { sender, handles, active: AtomicUsize::new(0), chunk_override }
+        Self { sender, handles, active: AtomicUsize::new(0) }
     }
 
     /// Number of worker threads.
@@ -351,8 +344,7 @@ impl WorkerPool {
             >(kernel as *const _)
         };
         let participants = self.handles.len() + 1;
-        let chunk =
-            self.chunk_override.unwrap_or_else(|| auto_chunk(n.div_ceil(block), participants));
+        let chunk = auto_chunk(n.div_ceil(block), participants);
         let job = Arc::new(Job {
             kernel: erased,
             n,

@@ -168,8 +168,8 @@ mod tests {
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     s.spawn(|| {
-                        for i in 0..8 {
-                            atomics[i].fetch_add(1000, Ordering::Relaxed);
+                        for a in atomics.iter() {
+                            a.fetch_add(1000, Ordering::Relaxed);
                         }
                     });
                 }

@@ -234,63 +234,6 @@ fn corrupt(why: &str) -> SnapshotError {
     SnapshotError::Corrupt(why.to_string())
 }
 
-/// A counters snapshot is itself checkpointable — recorded so a
-/// resumed run can report cumulative work across the interrupted and
-/// resumed halves.
-impl Checkpointable for crate::CountersSnapshot {
-    const KIND: &'static str = "device.counters";
-
-    fn to_snapshot(&self) -> Json {
-        Json::obj([
-            ("kernel_launches", Json::U64(self.kernel_launches)),
-            ("distance_computations", Json::U64(self.distance_computations)),
-            ("bvh_nodes_visited", Json::U64(self.bvh_nodes_visited)),
-            ("wide_nodes_visited", Json::U64(self.wide_nodes_visited)),
-            ("wide_leaf_lanes", Json::U64(self.wide_leaf_lanes)),
-            ("unions", Json::U64(self.unions)),
-            ("finds", Json::U64(self.finds)),
-            ("label_cas", Json::U64(self.label_cas)),
-            ("neighbors_found", Json::U64(self.neighbors_found)),
-            ("dense_box_scans", Json::U64(self.dense_box_scans)),
-            ("reservations", Json::U64(self.reservations)),
-            ("batched_stages", Json::U64(self.batched_stages)),
-            ("failed_launches", Json::U64(self.failed_launches)),
-            ("injected_oom", Json::U64(self.injected_oom)),
-            ("injected_panics", Json::U64(self.injected_panics)),
-            ("injected_stalls", Json::U64(self.injected_stalls)),
-            ("injected_rank_faults", Json::U64(self.injected_rank_faults)),
-            ("injected_message_faults", Json::U64(self.injected_message_faults)),
-            ("injected_rank_deaths", Json::U64(self.injected_rank_deaths)),
-        ])
-    }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            kernel_launches: req_u64(snapshot, "kernel_launches")?,
-            distance_computations: req_u64(snapshot, "distance_computations")?,
-            bvh_nodes_visited: req_u64(snapshot, "bvh_nodes_visited")?,
-            // Wide counters postdate the snapshot format: absent in
-            // checkpoints written before the wide layout means zero.
-            wide_nodes_visited: req_u64(snapshot, "wide_nodes_visited").unwrap_or(0),
-            wide_leaf_lanes: req_u64(snapshot, "wide_leaf_lanes").unwrap_or(0),
-            unions: req_u64(snapshot, "unions")?,
-            finds: req_u64(snapshot, "finds")?,
-            label_cas: req_u64(snapshot, "label_cas")?,
-            neighbors_found: req_u64(snapshot, "neighbors_found")?,
-            dense_box_scans: req_u64(snapshot, "dense_box_scans")?,
-            reservations: req_u64(snapshot, "reservations")?,
-            batched_stages: req_u64(snapshot, "batched_stages")?,
-            failed_launches: req_u64(snapshot, "failed_launches")?,
-            injected_oom: req_u64(snapshot, "injected_oom")?,
-            injected_panics: req_u64(snapshot, "injected_panics")?,
-            injected_stalls: req_u64(snapshot, "injected_stalls")?,
-            injected_rank_faults: req_u64(snapshot, "injected_rank_faults")?,
-            injected_message_faults: req_u64(snapshot, "injected_message_faults")?,
-            injected_rank_deaths: req_u64(snapshot, "injected_rank_deaths")?,
-        })
-    }
-}
-
 /// Named phase outputs of one pipeline run, in completion order.
 ///
 /// A checkpoint is created empty with the run's `algorithm` name and an
@@ -979,17 +922,5 @@ mod tests {
         let parsed = RunManifest::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, manifest);
         assert_eq!(parsed.eps(), 0.05);
-    }
-
-    #[test]
-    fn counters_snapshot_round_trips() {
-        let snap = crate::CountersSnapshot {
-            kernel_launches: 3,
-            distance_computations: 1000,
-            ..Default::default()
-        };
-        let restored = crate::CountersSnapshot::from_snapshot(&snap.to_snapshot()).unwrap();
-        assert_eq!(restored.kernel_launches, 3);
-        assert_eq!(restored.distance_computations, 1000);
     }
 }

@@ -162,7 +162,7 @@ mod tests {
         let d = decompose(&points, &[0, 1, 2, 3]);
         assert_eq!(d.axis, 0);
         assert_eq!(d.slabs.len(), 4);
-        let mut seen = vec![false; 100];
+        let mut seen = [false; 100];
         for slab in &d.slabs {
             for &id in &slab.owned {
                 assert!(!seen[id as usize], "point owned twice");

@@ -224,107 +224,9 @@ pub fn for_each_within<const D: usize>(
     }
 }
 
-/// Classifies [`LANES`] axis-aligned boxes (the child slots of one wide
-/// BVH node, dimension-major SoA corners) against the query ball
-/// `center, eps_sq` in one vectorized pass. Returns
-/// `(overlap, contained)` lane bitmasks: bit `l` of `overlap` is set iff
-/// box `l` intersects the ball (its min squared distance is
-/// `<= eps_sq`), bit `l` of `contained` iff the ball covers the whole
-/// box (its max squared distance is `<= eps_sq`).
-///
-/// Both tests are **bit-identical** to the scalar [`Aabb::dist_sq`] /
-/// [`Aabb::max_dist_sq`] decisions: each lane forms the same
-/// per-dimension deltas (the branch-free clamp
-/// `max(lo-c, 0, c-hi)` equals the branchy delta in value for every
-/// finite input, and squaring erases the sign of a negative zero),
-/// squares, and accumulates them in the same dimension order. Empty
-/// slots encoded as inverted boxes (`lo = +inf`, `hi = -inf`)
-/// self-reject on both masks for any finite center.
-///
-/// [`Aabb::dist_sq`]: crate::Aabb::dist_sq
-/// [`Aabb::max_dist_sq`]: crate::Aabb::max_dist_sq
-#[inline]
-pub fn classify_lane_boxes<const D: usize>(
-    lo: &[[f32; LANES]; D],
-    hi: &[[f32; LANES]; D],
-    center: &Point<D>,
-    eps_sq: f32,
-) -> (u8, u8) {
-    let mut d2 = [0.0f32; LANES];
-    let mut m2 = [0.0f32; LANES];
-    for d in 0..D {
-        let c = center[d];
-        for l in 0..LANES {
-            let near = (lo[d][l] - c).max(0.0).max(c - hi[d][l]);
-            d2[l] += near * near;
-            let far = (c - lo[d][l]).abs().max((hi[d][l] - c).abs());
-            m2[l] += far * far;
-        }
-    }
-    let mut overlap = 0u8;
-    let mut contained = 0u8;
-    for l in 0..LANES {
-        overlap |= ((d2[l] <= eps_sq) as u8) << l;
-        contained |= ((m2[l] <= eps_sq) as u8) << l;
-    }
-    (overlap, contained)
-}
-
-/// Calls `hit(i)` for every box `i in first..last` of the dimension-major
-/// corner arrays whose squared distance to `center` is `<= eps_sq`, in
-/// ascending index order — the leaf-run body of the wide traversal.
-/// Accepts exactly the boxes the scalar clamp test ([`Aabb::dist_sq`]
-/// with the same accumulation order) accepts; point leaves stored as
-/// zero-volume boxes (`lo == hi`) reduce to the plain point distance.
-///
-/// [`Aabb::dist_sq`]: crate::Aabb::dist_sq
-#[inline]
-pub fn for_each_box_within<const D: usize>(
-    lo: &SoaPoints<D>,
-    hi: &SoaPoints<D>,
-    first: usize,
-    last: usize,
-    center: &Point<D>,
-    eps_sq: f32,
-    mut hit: impl FnMut(usize),
-) {
-    debug_assert!(last <= lo.len() && lo.len() == hi.len());
-    let mut base = first;
-    while base + LANES <= last {
-        let mut d2 = [0.0f32; LANES];
-        for d in 0..D {
-            let c = center[d];
-            let los = &lo.dim(d)[base..base + LANES];
-            let his = &hi.dim(d)[base..base + LANES];
-            for l in 0..LANES {
-                let near = (los[l] - c).max(0.0).max(c - his[l]);
-                d2[l] += near * near;
-            }
-        }
-        for (l, &v) in d2.iter().enumerate() {
-            if v <= eps_sq {
-                hit(base + l);
-            }
-        }
-        base += LANES;
-    }
-    for i in base..last {
-        let mut acc = 0.0f32;
-        for d in 0..D {
-            let c = center[d];
-            let near = (lo.coord(d, i) - c).max(0.0).max(c - hi.coord(d, i));
-            acc += near * near;
-        }
-        if acc <= eps_sq {
-            hit(i);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aabb::Aabb;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -383,111 +285,7 @@ mod tests {
         assert_eq!(count_within(&soa, &center, eps_sq), expected.len());
     }
 
-    fn random_boxes<const D: usize>(n: usize, seed: u64) -> Vec<Aabb<D>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let mut min = [0.0f32; D];
-                let mut max = [0.0f32; D];
-                for d in 0..D {
-                    let a = rng.gen_range(-10.0f32..10.0);
-                    let b = a + rng.gen_range(0.0f32..5.0);
-                    min[d] = a;
-                    max[d] = b;
-                }
-                Aabb::from_corners(Point::new(min), Point::new(max))
-            })
-            .collect()
-    }
-
-    fn lane_corners<const D: usize>(boxes: &[Aabb<D>]) -> ([[f32; LANES]; D], [[f32; LANES]; D]) {
-        // Unfilled slots stay at the inverted-box sentinel.
-        let mut lo = [[f32::INFINITY; LANES]; D];
-        let mut hi = [[f32::NEG_INFINITY; LANES]; D];
-        for (l, b) in boxes.iter().enumerate().take(LANES) {
-            for d in 0..D {
-                lo[d][l] = b.min[d];
-                hi[d][l] = b.max[d];
-            }
-        }
-        (lo, hi)
-    }
-
-    #[test]
-    fn empty_lane_slots_self_reject() {
-        let (lo, hi) = lane_corners::<2>(&[]);
-        let (overlap, contained) = classify_lane_boxes(&lo, &hi, &Point::new([0.0, 0.0]), f32::MAX);
-        assert_eq!(overlap, 0, "inverted boxes must fail the overlap test");
-        assert_eq!(contained, 0, "inverted boxes must fail the containment test");
-    }
-
     proptest! {
-        #[test]
-        fn classify_matches_scalar_box_tests_2d(
-            seed in any::<u64>(),
-            filled in 0usize..(LANES + 1),
-            eps in 0.01f32..20.0,
-        ) {
-            let boxes = random_boxes::<2>(filled, seed);
-            let (lo, hi) = lane_corners(&boxes);
-            let center = Point::new([1.0, -2.0]);
-            let eps_sq = eps * eps;
-            let (overlap, contained) = classify_lane_boxes(&lo, &hi, &center, eps_sq);
-            for (l, b) in boxes.iter().enumerate() {
-                prop_assert_eq!(overlap >> l & 1 == 1, b.dist_sq(&center) <= eps_sq);
-                prop_assert_eq!(contained >> l & 1 == 1, b.max_dist_sq(&center) <= eps_sq);
-            }
-            for l in filled..LANES {
-                prop_assert_eq!(overlap >> l & 1, 0);
-                prop_assert_eq!(contained >> l & 1, 0);
-            }
-        }
-
-        #[test]
-        fn classify_matches_scalar_box_tests_3d(
-            seed in any::<u64>(),
-            filled in 0usize..(LANES + 1),
-            eps in 0.01f32..20.0,
-        ) {
-            let boxes = random_boxes::<3>(filled, seed);
-            let (lo, hi) = lane_corners(&boxes);
-            let center = Point::new([0.3, 1.7, -0.4]);
-            let eps_sq = eps * eps;
-            let (overlap, contained) = classify_lane_boxes(&lo, &hi, &center, eps_sq);
-            for (l, b) in boxes.iter().enumerate() {
-                prop_assert_eq!(overlap >> l & 1 == 1, b.dist_sq(&center) <= eps_sq);
-                prop_assert_eq!(contained >> l & 1 == 1, b.max_dist_sq(&center) <= eps_sq);
-            }
-        }
-
-        #[test]
-        fn box_runs_match_scalar_accept_set(
-            seed in any::<u64>(),
-            n in 0usize..60,
-            degenerate in any::<bool>(),
-            eps in 0.01f32..20.0,
-        ) {
-            // `degenerate` collapses every box to a point (lo == hi), the
-            // shape point-leaf runs take in the wide BVH.
-            let mut boxes = random_boxes::<2>(n, seed);
-            if degenerate {
-                for b in &mut boxes {
-                    b.max = b.min;
-                }
-            }
-            let lo = SoaPoints::from_points(&boxes.iter().map(|b| b.min).collect::<Vec<_>>());
-            let hi = SoaPoints::from_points(&boxes.iter().map(|b| b.max).collect::<Vec<_>>());
-            let center = Point::new([0.5, -0.5]);
-            let eps_sq = eps * eps;
-            let first = n / 3;
-            let expected: Vec<usize> = (first..n)
-                .filter(|&i| boxes[i].dist_sq(&center) <= eps_sq)
-                .collect();
-            let mut got = Vec::new();
-            for_each_box_within(&lo, &hi, first, n, &center, eps_sq, |i| got.push(i));
-            prop_assert_eq!(got, expected);
-        }
-
         #[test]
         fn lanes_match_scalar_accept_set_2d(
             seed in any::<u64>(),

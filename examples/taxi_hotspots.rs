@@ -37,7 +37,7 @@ fn main() {
     println!("\nhotspots found: {}", clusters.num_clusters);
     let mut ranked: Vec<(usize, usize)> =
         clusters.cluster_sizes().into_iter().enumerate().collect();
-    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1));
+    ranked.sort_unstable_by_key(|&(_, size)| std::cmp::Reverse(size));
     for (rank, (id, size)) in ranked.iter().take(8).enumerate() {
         // Centroid of the hotspot.
         let mut cx = 0.0f64;

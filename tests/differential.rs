@@ -21,24 +21,15 @@
 //! sweep several independent batches.
 //!
 //! Every case runs on **both execution backends** — the sequential
-//! in-order engine and the threaded SIMD pool — and on **both BVH
-//! layouts** (binary rope, wide BVH8), and each combination must match
-//! the oracle independently. A divergence names the backend and layout
-//! in the replay recipe, so a lane-kernel, scheduling or wide-collapse
-//! bug replays on exactly the engine that produced it.
-//!
-//! On the sequential engine the suite additionally pins the wide layout
-//! to **bit-identical labels** against the binary run of the same case:
-//! the wide walk promises the binary callback order, so with a
-//! deterministic schedule even first-writer-wins border ties must
-//! resolve identically. (The threaded engine resolves those ties by
-//! thread timing, so across layouts it only promises oracle
-//! equivalence, same as across worker counts.)
+//! in-order engine and the threaded SIMD pool — and each must match the
+//! oracle independently. A divergence names the backend in the replay
+//! recipe, so a lane-kernel or scheduling bug replays on exactly the
+//! engine that produced it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fdbscan::baselines::{cuda_dclust, gdbscan};
-use fdbscan::labels::{assert_core_equivalent, Clustering};
+use fdbscan::labels::assert_core_equivalent;
 use fdbscan::seq::dbscan_classic;
 use fdbscan::verify::assert_valid_clustering;
 use fdbscan::{fdbscan, fdbscan_densebox, Params};
@@ -52,18 +43,12 @@ fn diff_seed_offset() -> u64 {
     std::env::var("FDBSCAN_DIFF_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
 }
 
-/// Both execution backends crossed with both BVH layouts, each with the
-/// small block size that forces multi-block launches even on the tiny
-/// differential datasets. Widths are pinned explicitly so the ambient
-/// `FDBSCAN_BVH_WIDTH` cannot silently halve the suite's coverage.
-fn backends() -> [(&'static str, Device); 4] {
-    let seq = || DeviceConfig::sequential().with_block_size(32);
-    let thr = || DeviceConfig::default().with_workers(3).with_block_size(32);
+/// Both execution backends, each with the small block size that forces
+/// multi-block launches even on the tiny differential datasets.
+fn backends() -> [(&'static str, Device); 2] {
     [
-        ("sequential", Device::new(seq().with_bvh_width(2))),
-        ("sequential+wide8", Device::new(seq().with_bvh_width(8))),
-        ("threaded", Device::new(thr().with_bvh_width(2))),
-        ("threaded+wide8", Device::new(thr().with_bvh_width(8))),
+        ("sequential", Device::new(DeviceConfig::sequential().with_block_size(32))),
+        ("threaded", Device::new(DeviceConfig::default().with_workers(3).with_block_size(32))),
     ]
 }
 
@@ -102,9 +87,6 @@ fn dataset(family: &str, n: usize, seed: u64) -> Vec<Point2> {
 /// with the full replay recipe on divergence.
 fn check_case(family: &str, seed: u64, points: &[Point2], params: Params) {
     let oracle = dbscan_classic(points, params);
-    // Per-algo labels from the sequential binary runs, the baseline the
-    // sequential wide runs must reproduce bit for bit.
-    let mut seq_binary: Vec<(&str, Clustering)> = Vec::new();
     for (backend, dev) in backends() {
         let runs: [(&str, Box<dyn Fn() -> _>); 4] = [
             ("fdbscan", Box::new(|| fdbscan(&dev, points, params))),
@@ -117,38 +99,21 @@ fn check_case(family: &str, seed: u64, points: &[Point2], params: Params) {
                 let (got, _) = run().unwrap_or_else(|e| panic!("run failed: {e}"));
                 assert_core_equivalent(&oracle, &got);
                 assert_valid_clustering(points, &got, params);
-                if backend == "sequential+wide8" {
-                    let (_, baseline) =
-                        seq_binary.iter().find(|(a, _)| *a == algo).expect("binary ran first");
-                    assert_eq!(
-                        baseline, &got,
-                        "wide labels must be bit-identical to the binary \
-                         layout on the sequential engine"
-                    );
-                }
-                got
             }));
-            match outcome {
-                Ok(got) => {
-                    if backend == "sequential" {
-                        seq_binary.push((algo, got));
-                    }
-                }
-                Err(payload) => {
-                    let detail = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "<non-string panic>".to_string());
-                    panic!(
-                        "differential failure: algo={algo} backend={backend} family={family} \
-                         seed={seed} n={} eps={} minpts={} FDBSCAN_DIFF_SEED={}\n{detail}",
-                        points.len(),
-                        params.eps,
-                        params.minpts,
-                        diff_seed_offset(),
-                    );
-                }
+            if let Err(payload) = outcome {
+                let detail = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_else(|| "<non-string panic>".to_string());
+                panic!(
+                    "differential failure: algo={algo} backend={backend} family={family} \
+                     seed={seed} n={} eps={} minpts={} FDBSCAN_DIFF_SEED={}\n{detail}",
+                    points.len(),
+                    params.eps,
+                    params.minpts,
+                    diff_seed_offset(),
+                );
             }
         }
     }
