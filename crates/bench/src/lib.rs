@@ -3,12 +3,9 @@
 //! Shared harness for regenerating the paper's figures.
 //!
 //! Every quantitative artefact of the evaluation section (Fig. 4 panels
-//! a–i, Fig. 6, Fig. 7, and the in-text structural claims) has:
-//!
-//! * a mode of the `figures` binary that prints the full series as a
-//!   table (`cargo run -p fdbscan-bench --release --bin figures -- <id>`),
-//! * a Criterion bench over a reduced configuration
-//!   (`cargo bench -p fdbscan-bench --bench <name>`).
+//! a–i, Fig. 6, Fig. 7, and the in-text structural claims) has a mode of
+//! the `figures` binary that prints the full series as a table
+//! (`cargo run -p fdbscan-bench --release --bin figures -- <id>`).
 //!
 //! This library holds the parameter tables (the paper's values, §5.1 and
 //! §5.2, with sizes scaled by `--scale`), the algorithm dispatch, and the

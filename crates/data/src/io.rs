@@ -15,7 +15,8 @@ use fdbscan_geom::Point;
 pub enum CsvError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A line had the wrong number of fields or a non-numeric field.
+    /// A line had the wrong number of fields, or a field that is not a
+    /// finite `f32` (`NaN`, `inf` and out-of-range values included).
     Parse {
         /// 1-based line number of the offending row.
         line: usize,
@@ -60,10 +61,12 @@ pub fn load_csv<const D: usize>(path: &Path) -> Result<Vec<Point<D>>, CsvError> 
         }
         let mut coords = [0.0f32; D];
         for (c, field) in coords.iter_mut().zip(&fields) {
-            *c = field.parse().map_err(|e| CsvError::Parse {
-                line: lineno + 1,
-                message: format!("bad number {field:?}: {e}"),
-            })?;
+            let parsed = match field.parse::<f32>() {
+                Ok(value) if value.is_finite() => Ok(value),
+                Ok(_) => Err(format!("non-finite number {field:?}")),
+                Err(e) => Err(format!("bad number {field:?}: {e}")),
+            };
+            *c = parsed.map_err(|message| CsvError::Parse { line: lineno + 1, message })?;
         }
         points.push(Point::new(coords));
     }
@@ -133,6 +136,18 @@ mod tests {
         std::fs::write(&path, "1.0,zebra\n").unwrap();
         let err = load_csv::<2>(&path).unwrap_err();
         assert!(err.to_string().contains("zebra"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_text_is_rejected_with_line() {
+        // `f32::from_str` accepts all of these, and rounds 1e39 to inf.
+        let path = tmp("nonfinite.csv");
+        for text in ["NaN", "inf", "-inf", "infinity", "1e39"] {
+            std::fs::write(&path, format!("1.0,2.0\n# comment\n3.0,{text}\n")).unwrap();
+            let err = load_csv::<2>(&path).unwrap_err();
+            assert!(matches!(err, CsvError::Parse { line: 3, .. }), "{text}: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

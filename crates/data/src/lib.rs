@@ -45,7 +45,7 @@ pub use cosmology::cosmology_like;
 pub use sample::subsample;
 pub use synth2d::{ngsim_like, porto_taxi_like, road_network_like, Dataset2};
 
-use fdbscan_geom::{Point, SoaPoints};
+use fdbscan_geom::Point;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Uniformly random points in `[0, extent]^D`.
@@ -60,27 +60,6 @@ pub fn uniform<const D: usize>(n: usize, extent: f32, seed: u64) -> Vec<Point<D>
             Point::new(coords)
         })
         .collect()
-}
-
-/// [`uniform`], generated straight into the dimension-major device
-/// layout ([`SoaPoints`]) with no array-of-structures intermediate.
-/// Bit-identical coordinates to `uniform` with the same seed.
-pub fn uniform_soa<const D: usize>(n: usize, extent: f32, seed: u64) -> SoaPoints<D> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = vec![0.0f32; D * n];
-    // Draw in the same per-point order as `uniform`, scatter dim-major.
-    for i in 0..n {
-        for (d, lane) in data.chunks_exact_mut(n).enumerate() {
-            debug_assert!(d < D);
-            lane[i] = rng.gen_range(0.0..extent);
-        }
-    }
-    SoaPoints::from_dim_major(data, n)
-}
-
-/// Converts any generated dataset to the dimension-major device layout.
-pub fn to_soa<const D: usize>(points: &[Point<D>]) -> SoaPoints<D> {
-    SoaPoints::from_points(points)
 }
 
 /// `k` isotropic Gaussian blobs plus a uniform noise floor, in
@@ -146,17 +125,6 @@ mod tests {
     fn uniform_is_deterministic_per_seed() {
         assert_eq!(uniform::<3>(100, 1.0, 7), uniform::<3>(100, 1.0, 7));
         assert_ne!(uniform::<3>(100, 1.0, 7), uniform::<3>(100, 1.0, 8));
-    }
-
-    #[test]
-    fn uniform_soa_matches_uniform_bit_for_bit() {
-        let aos = uniform::<3>(257, 2.5, 11);
-        let soa = uniform_soa::<3>(257, 2.5, 11);
-        assert_eq!(soa.len(), aos.len());
-        for (i, p) in aos.iter().enumerate() {
-            assert_eq!(soa.get(i), *p, "point {i}");
-        }
-        assert_eq!(to_soa(&aos), soa);
     }
 
     #[test]

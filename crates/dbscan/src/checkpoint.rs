@@ -18,9 +18,7 @@
 //!   runs its kernels when restoration fails (missing phase, kind
 //!   mismatch, undecodable data — all treated as "recompute"),
 //! * an algorithm or fingerprint mismatch resets the checkpoint: stale
-//!   state is discarded, never resumed,
-//! * with `FDBSCAN_CKPT_DIR` set, the checkpoint is additionally
-//!   persisted (best-effort) after every completed phase.
+//!   state is discarded, never resumed.
 
 use fdbscan_device::json::Json;
 use fdbscan_device::snapshot::{

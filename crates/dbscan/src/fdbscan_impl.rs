@@ -97,7 +97,7 @@ pub fn fdbscan_with<const D: usize>(
 /// the moment it completes, so on a kernel fault the caller's
 /// checkpoint retains every phase finished before the fault. A
 /// checkpoint whose algorithm or input fingerprint does not match this
-/// run is reset to empty first (see [`crate::checkpoint::prepare`]).
+/// run (see [`crate::checkpoint_for`]) is reset to empty first.
 pub fn fdbscan_run_from<const D: usize>(
     device: &Device,
     points: &[Point<D>],

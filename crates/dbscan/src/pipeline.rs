@@ -63,14 +63,10 @@ pub(crate) struct Recorder<'a> {
 }
 
 impl Recorder<'_> {
-    /// Records `artifact` under `phase` and persists the checkpoint
-    /// (best-effort: a failed write becomes a tracer instant, never a run
-    /// failure). No-op without a checkpoint.
+    /// Records `artifact` under `phase`. No-op without a checkpoint.
     pub(crate) fn record<A: Checkpointable>(&mut self, phase: &str, artifact: &A) {
-        let Some(ckpt) = self.ckpt.as_deref_mut() else { return };
-        ckpt.record(phase, artifact);
-        if let Err(e) = ckpt.persist() {
-            self.device.tracer().instant(format!("checkpoint.persist_failed: {e}"));
+        if let Some(ckpt) = self.ckpt.as_deref_mut() {
+            ckpt.record(phase, artifact);
         }
     }
 

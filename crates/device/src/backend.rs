@@ -84,11 +84,6 @@ impl Backend {
         }
     }
 
-    /// `true` for [`Backend::Sequential`].
-    pub fn is_sequential(&self) -> bool {
-        matches!(self, Backend::Sequential)
-    }
-
     /// Stable short name (`"sequential"` / `"threaded"`) for logs,
     /// replay recipes, and bench records.
     pub fn name(&self) -> &'static str {

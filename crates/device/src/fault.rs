@@ -25,10 +25,7 @@
 //! reservation, so only stepping down to a smaller algorithm helps.
 //!
 //! The `seed` does not perturb anything by itself; it labels the
-//! scenario and drives [`FaultPlan::derive_ordinal`], which maps
-//! `(seed, salt)` to a pseudo-random but fully reproducible ordinal —
-//! the way fuzz harnesses pick "a random reservation" without giving up
-//! replayability.
+//! scenario, and travels with the plan through its JSON form.
 //!
 //! Every injection is counted in [`crate::Counters`]
 //! (`injected_oom` / `injected_panics` / `injected_stalls` /
@@ -423,19 +420,6 @@ impl FaultPlan {
             rank_deaths: rank_deaths.collect(),
         })
     }
-
-    /// Deterministically derives an ordinal in `0..bound` from the plan
-    /// seed and a caller-chosen `salt` (SplitMix64). Lets a fuzzing
-    /// harness target "a random reservation of run #salt" while staying
-    /// replayable from `(seed, salt)` alone.
-    pub fn derive_ordinal(&self, salt: u64, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be nonzero");
-        let mut z = self.seed ^ salt.wrapping_mul(0x9e3779b97f4a7c15);
-        z = z.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        (z ^ (z >> 31)) % bound
-    }
 }
 
 #[cfg(test)]
@@ -485,18 +469,6 @@ mod tests {
         assert!(plan.rank_fails(2, 1));
         assert!(!plan.rank_fails(2, 2));
         assert!(!plan.rank_fails(1, 0));
-    }
-
-    #[test]
-    fn derived_ordinals_are_reproducible_and_bounded() {
-        let plan = FaultPlan::new(99);
-        let a = plan.derive_ordinal(0, 17);
-        assert_eq!(a, plan.derive_ordinal(0, 17), "same inputs, same ordinal");
-        assert!(a < 17);
-        // Different salts should (generically) land elsewhere.
-        let spread: std::collections::HashSet<u64> =
-            (0..32).map(|salt| plan.derive_ordinal(salt, 1_000_000)).collect();
-        assert!(spread.len() > 16, "derivation must actually spread");
     }
 
     #[test]

@@ -418,11 +418,6 @@ impl Device {
         &self.tracer
     }
 
-    /// A shareable handle to the trace sink.
-    pub fn tracer_arc(&self) -> Arc<Tracer> {
-        Arc::clone(&self.tracer)
-    }
-
     /// Number of launches started over this device's lifetime (both
     /// fallible and panicking APIs). Unlike counters, never reset — this
     /// is the ordinal space [`FaultPlan`] launch faults are addressed in.
@@ -655,24 +650,8 @@ impl Device {
     }
 
     /// Fallible parallel reduction over the index space `0..n` (see
-    /// [`Device::reduce`] for the `combine` contract). On failure the
-    /// partial accumulator is discarded.
-    pub fn try_reduce<T, M, C>(
-        &self,
-        n: usize,
-        identity: T,
-        map: M,
-        combine: C,
-    ) -> Result<T, DeviceError>
-    where
-        T: Send + Sync + Clone,
-        M: Fn(usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync + Send,
-    {
-        self.try_reduce_named("unnamed", n, identity, map, combine)
-    }
-
-    /// [`Device::try_reduce`] with a kernel label.
+    /// [`Device::reduce`] for the `combine` contract), under a kernel
+    /// label. On failure the partial accumulator is discarded.
     pub fn try_reduce_named<T, M, C>(
         &self,
         label: &'static str,
@@ -740,7 +719,7 @@ impl Device {
     /// commutative (block partials are combined in nondeterministic
     /// order). `identity` is the identity of `combine`. Panics on kernel
     /// panic or watchdog timeout; recoverable callers should prefer
-    /// [`Device::try_reduce`].
+    /// [`Device::try_reduce_named`].
     pub fn reduce<T, M, C>(&self, n: usize, identity: T, map: M, combine: C) -> T
     where
         T: Send + Sync + Clone,
@@ -925,7 +904,7 @@ mod tests {
         }
         assert_eq!(device.counters().snapshot().failed_launches, 1);
         // Device fully usable afterwards.
-        let sum = device.try_reduce(100, 0u64, |i| i as u64, |a, b| a + b).unwrap();
+        let sum = device.try_reduce_named("sum", 100, 0u64, |i| i as u64, |a, b| a + b).unwrap();
         assert_eq!(sum, 99 * 100 / 2);
         assert_eq!(device.launches_started(), 3);
     }

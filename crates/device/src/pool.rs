@@ -434,108 +434,6 @@ impl WorkerPool {
         }
         Ok(Some(LaunchProfile { busy: vec![busy], blocks_pulled: vec![pulled] }))
     }
-
-    /// Executes `kernel` once per block of `block` consecutive indices
-    /// covering `0..n`. Blocks the calling thread (which participates)
-    /// until the whole index space has been executed. Panics if any kernel
-    /// invocation panicked; the panic message names the kernel via
-    /// `label`.
-    pub fn parallel_for_blocks(
-        &self,
-        label: &str,
-        n: usize,
-        block: usize,
-        kernel: &(dyn Fn(Range<usize>) + Sync),
-    ) {
-        match self.try_parallel_for_blocks(n, block, None, false, kernel) {
-            Ok(_) => {}
-            Err(LaunchFailure::Panicked { payload }) => {
-                panic!("kernel '{label}' panicked during launch: {payload}")
-            }
-            // Unreachable with `deadline: None`, but keep a defined
-            // behavior rather than an unreachable!().
-            Err(LaunchFailure::TimedOut { elapsed }) => {
-                panic!("kernel '{label}' launch timed out after {elapsed:?}")
-            }
-        }
-    }
-
-    /// Per-index launch (a thin wrapper over [`Self::parallel_for_blocks`]).
-    pub fn parallel_for(
-        &self,
-        label: &str,
-        n: usize,
-        block: usize,
-        kernel: &(dyn Fn(usize) + Sync),
-    ) {
-        self.parallel_for_blocks(label, n, block, &|range: Range<usize>| {
-            for i in range {
-                kernel(i);
-            }
-        });
-    }
-
-    /// Fallible block-parallel reduction (see [`Self::parallel_reduce`]
-    /// for the combine contract). On failure the partial accumulator is
-    /// discarded.
-    pub(crate) fn try_parallel_reduce<T, M, C>(
-        &self,
-        n: usize,
-        block: usize,
-        deadline: Option<Instant>,
-        identity: T,
-        map: &M,
-        combine: &C,
-    ) -> Result<T, LaunchFailure>
-    where
-        T: Send + Sync + Clone,
-        M: Fn(usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync + Send,
-    {
-        if n == 0 {
-            return Ok(identity);
-        }
-        let accumulator: Mutex<T> = Mutex::new(identity.clone());
-        self.try_parallel_for_blocks(n, block, deadline, false, &|range: Range<usize>| {
-            let mut local = identity.clone();
-            for i in range {
-                local = combine(local, map(i));
-            }
-            let mut acc = accumulator.lock();
-            let current = acc.clone();
-            *acc = combine(current, local);
-        })?;
-        Ok(accumulator.into_inner())
-    }
-
-    /// Block-parallel reduction. `combine` must be associative and
-    /// commutative; block partials are merged in completion order, one
-    /// lock acquisition per block. Panics (naming `label`) on kernel
-    /// panic.
-    pub fn parallel_reduce<T, M, C>(
-        &self,
-        label: &str,
-        n: usize,
-        block: usize,
-        identity: T,
-        map: &M,
-        combine: &C,
-    ) -> T
-    where
-        T: Send + Sync + Clone,
-        M: Fn(usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync + Send,
-    {
-        match self.try_parallel_reduce(n, block, None, identity, map, combine) {
-            Ok(value) => value,
-            Err(LaunchFailure::Panicked { payload }) => {
-                panic!("kernel '{label}' panicked during launch: {payload}")
-            }
-            Err(LaunchFailure::TimedOut { elapsed }) => {
-                panic!("kernel '{label}' launch timed out after {elapsed:?}")
-            }
-        }
-    }
 }
 
 impl Drop for WorkerPool {
@@ -553,13 +451,20 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
 
+    /// Unmeasured, deadline-free launch that must succeed.
+    fn launch(pool: &WorkerPool, n: usize, block: usize, kernel: &(dyn Fn(Range<usize>) + Sync)) {
+        pool.try_parallel_for_blocks(n, block, None, false, kernel).expect("launch failed");
+    }
+
     #[test]
     fn pool_with_zero_workers_runs_on_caller() {
         let pool = WorkerPool::new(0);
         let caller = std::thread::current().id();
         let ran_on = Mutex::new(Vec::new());
-        pool.parallel_for("test", 100, 8, &|_| {
-            ran_on.lock().push(std::thread::current().id());
+        launch(&pool, 100, 8, &|range| {
+            for _ in range {
+                ran_on.lock().push(std::thread::current().id());
+            }
         });
         let ids = ran_on.into_inner();
         assert_eq!(ids.len(), 100);
@@ -571,9 +476,11 @@ mod tests {
         let pool = WorkerPool::new(4);
         let seen = Mutex::new(std::collections::HashSet::new());
         // Slow-ish kernel so workers actually pick up blocks.
-        pool.parallel_for("test", 4096, 16, &|_| {
-            std::thread::yield_now();
-            seen.lock().insert(std::thread::current().id());
+        launch(&pool, 4096, 16, &|range| {
+            for _ in range {
+                std::thread::yield_now();
+                seen.lock().insert(std::thread::current().id());
+            }
         });
         // At least the caller ran; with 4 workers usually more, but on a
         // single-core machine the caller may legitimately drain everything,
@@ -586,8 +493,8 @@ mod tests {
         let pool = WorkerPool::new(2);
         for round in 0..50 {
             let count = AtomicUsize::new(0);
-            pool.parallel_for("test", round * 17 + 1, 4, &|_| {
-                count.fetch_add(1, Ordering::Relaxed);
+            launch(&pool, round * 17 + 1, 4, &|range| {
+                count.fetch_add(range.len(), Ordering::Relaxed);
             });
             assert_eq!(count.load(Ordering::Relaxed), round * 17 + 1);
         }
@@ -597,8 +504,8 @@ mod tests {
     fn block_larger_than_n() {
         let pool = WorkerPool::new(2);
         let count = AtomicUsize::new(0);
-        pool.parallel_for("test", 3, 1000, &|_| {
-            count.fetch_add(1, Ordering::Relaxed);
+        launch(&pool, 3, 1000, &|range| {
+            count.fetch_add(range.len(), Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 3);
     }
@@ -607,7 +514,7 @@ mod tests {
     fn blocks_partition_index_space() {
         let pool = WorkerPool::new(2);
         let covered = Mutex::new(vec![false; 1000]);
-        pool.parallel_for_blocks("test", 1000, 37, &|range| {
+        launch(&pool, 1000, 37, &|range| {
             assert!(range.len() <= 37);
             let mut covered = covered.lock();
             for i in range {
@@ -619,16 +526,9 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums_u128() {
-        let pool = WorkerPool::new(3);
-        let got = pool.parallel_reduce("sum", 10_000, 64, 0u128, &|i| i as u128, &|a, b| a + b);
-        assert_eq!(got, 9999u128 * 10_000 / 2);
-    }
-
-    #[test]
     fn drop_joins_workers() {
         let pool = WorkerPool::new(3);
-        pool.parallel_for("test", 10, 1, &|_| {});
+        launch(&pool, 10, 1, &|_| {});
         drop(pool); // must not hang
     }
 
@@ -648,8 +548,8 @@ mod tests {
         }
         // The pool must stay usable after the failed launch.
         let count = AtomicUsize::new(0);
-        pool.parallel_for("test", 50, 4, &|_| {
-            count.fetch_add(1, Ordering::Relaxed);
+        launch(&pool, 50, 4, &|range| {
+            count.fetch_add(range.len(), Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 50);
     }
@@ -673,7 +573,7 @@ mod tests {
         assert!(matches!(err, LaunchFailure::TimedOut { .. }));
         assert_eq!(executed.load(Ordering::Relaxed), 0, "no block may run past cancel");
         // And the pool still works.
-        pool.parallel_for("test", 10, 1, &|_| {});
+        launch(&pool, 10, 1, &|_| {});
     }
 
     #[test]
@@ -700,41 +600,6 @@ mod tests {
         }
         let ran = executed.load(Ordering::Relaxed);
         assert!(ran > 0 && ran < 100, "should cancel partway, ran {ran}");
-    }
-
-    #[test]
-    fn try_reduce_propagates_failure() {
-        let pool = WorkerPool::new(1);
-        let err = pool
-            .try_parallel_reduce(
-                100,
-                4,
-                None,
-                0u64,
-                &|i| {
-                    if i == 7 {
-                        panic!("reduce kernel fault");
-                    }
-                    i as u64
-                },
-                &|a, b| a + b,
-            )
-            .unwrap_err();
-        assert!(matches!(err, LaunchFailure::Panicked { .. }));
-        // Reduce still works afterwards.
-        let got = pool.parallel_reduce("sum", 100, 4, 0u64, &|i| i as u64, &|a, b| a + b);
-        assert_eq!(got, 99 * 100 / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "kernel 'faulty' panicked during launch: original message")]
-    fn infallible_launch_reraises_with_label_and_payload() {
-        let pool = WorkerPool::new(0);
-        pool.parallel_for("faulty", 10, 1, &|i| {
-            if i == 3 {
-                panic!("original message");
-            }
-        });
     }
 
     #[test]
@@ -844,7 +709,7 @@ mod tests {
         // exceed the block size.
         let pool = WorkerPool::new(2);
         let covered = Mutex::new(vec![false; 9973]);
-        pool.parallel_for_blocks("test", 9973, 8, &|range| {
+        launch(&pool, 9973, 8, &|range| {
             assert!(range.len() <= 8);
             let mut covered = covered.lock();
             for i in range {
@@ -862,7 +727,7 @@ mod tests {
         // (the in-order replay property fault recovery depends on).
         let pool = WorkerPool::new(0);
         let order = Mutex::new(Vec::new());
-        pool.parallel_for_blocks("test", 4096, 8, &|range| {
+        launch(&pool, 4096, 8, &|range| {
             order.lock().push(range);
         });
         let ranges = order.into_inner();
@@ -878,7 +743,7 @@ mod tests {
         // sub-block start aligned for that to stay true.
         let pool = WorkerPool::new(2);
         let starts = Mutex::new(Vec::new());
-        pool.parallel_for_blocks("test", 5000, 8, &|range| {
+        launch(&pool, 5000, 8, &|range| {
             starts.lock().push(range.start);
         });
         assert!(starts.into_inner().into_iter().all(|s| s % 8 == 0));

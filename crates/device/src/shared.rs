@@ -6,11 +6,11 @@
 //!
 //! * [`SharedMut`] — a `Sync` view over `&mut [T]` permitting unsafe
 //!   disjoint writes from many threads (the caller proves disjointness),
-//! * [`as_atomic_u32`] / [`as_atomic_u64`] — reinterpret an exclusive
-//!   integer slice as a slice of atomics, for label arrays and counters.
+//! * [`as_atomic_u32`] — reinterpret an exclusive `u32` slice as a slice
+//!   of atomics, for label arrays and counters.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::atomic::AtomicU32;
 
 /// A shared-mutable view over a slice, for kernels whose threads write
 /// disjoint elements.
@@ -70,13 +70,6 @@ impl<'a, T> SharedMut<'a, T> {
     {
         *self.cells[i].get()
     }
-
-    /// Returns a raw pointer to element `i` (same contract as
-    /// [`SharedMut::write`] applies to any use of the pointer).
-    #[inline]
-    pub fn as_ptr(&self, i: usize) -> *mut T {
-        self.cells[i].get()
-    }
 }
 
 /// Reinterprets an exclusive `u32` slice as atomics.
@@ -87,12 +80,6 @@ impl<'a, T> SharedMut<'a, T> {
 pub fn as_atomic_u32(slice: &mut [u32]) -> &[AtomicU32] {
     // SAFETY: layout-compatible per std docs; uniqueness from `&mut`.
     unsafe { &*(slice as *mut [u32] as *const [AtomicU32]) }
-}
-
-/// Reinterprets an exclusive `u64` slice as atomics (see [`as_atomic_u32`]).
-pub fn as_atomic_u64(slice: &mut [u64]) -> &[AtomicU64] {
-    // SAFETY: layout-compatible per std docs; uniqueness from `&mut`.
-    unsafe { &*(slice as *mut [u64] as *const [AtomicU64]) }
 }
 
 #[cfg(test)]
@@ -143,21 +130,6 @@ mod tests {
             atomics[1].fetch_add(40, Ordering::Relaxed);
         }
         assert_eq!(data, vec![1, 42, 3]);
-    }
-
-    #[test]
-    fn atomic_u64_view_cas() {
-        let mut data = vec![5u64];
-        {
-            let atomics = as_atomic_u64(&mut data);
-            assert!(atomics[0]
-                .compare_exchange(5, 10, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok());
-            assert!(atomics[0]
-                .compare_exchange(5, 20, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err());
-        }
-        assert_eq!(data[0], 10);
     }
 
     #[test]

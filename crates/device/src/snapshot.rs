@@ -16,8 +16,8 @@
 //! * a byte format with a length + FNV-1a checksum header
 //!   ([`PipelineCheckpoint::to_bytes`]) so a truncated or corrupted
 //!   checkpoint is *detected and discarded* instead of resumed;
-//! * an optional on-disk store keyed by the `FDBSCAN_CKPT_DIR`
-//!   environment variable;
+//! * an on-disk store ([`PipelineCheckpoint::save_to_dir`] /
+//!   [`PipelineCheckpoint::load_from_dir`]) with atomic writes;
 //! * [`RunManifest`] — the companion record (seed, params, fault plan,
 //!   per-phase content hashes) that makes a failed run replayable
 //!   bit-for-bit on a sequential device.
@@ -75,8 +75,8 @@ impl std::error::Error for SnapshotError {}
 /// Atomically replaces `path` with `bytes`: write a uniquely named
 /// temporary sibling, then rename over the target. The tmp name mixes
 /// the process id with a process-wide sequence number so concurrent
-/// writers (service requests checkpointing into one `FDBSCAN_CKPT_DIR`)
-/// never share a tmp file; a kill mid-write leaves at worst a stray
+/// writers (several runs saving into one directory) never share a tmp
+/// file; a kill mid-write leaves at worst a stray
 /// `.tmp`, never a torn target for resume to trip over.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -359,11 +359,6 @@ impl PipelineCheckpoint {
         self.phases.truncate(keep);
     }
 
-    /// Removes the recorded output of phase `name`, if any.
-    pub fn remove_phase(&mut self, name: &str) {
-        self.phases.retain(|p| p.name != name);
-    }
-
     /// The checkpoint as a JSON tree.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -476,9 +471,9 @@ impl PipelineCheckpoint {
     }
 
     /// Writes the checkpoint into `dir` (created if missing) under its
-    /// canonical file name, atomically (unique temporary file + rename,
-    /// see [`write_atomic`]) so a crash mid-write leaves either the old
-    /// checkpoint or none, even with concurrent writers in one dir.
+    /// canonical file name, atomically (unique temporary file + rename)
+    /// so a crash mid-write leaves either the old checkpoint or none,
+    /// even with concurrent writers in one dir.
     pub fn save_to_dir(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
         let path = dir.join(self.file_name());
@@ -510,31 +505,6 @@ impl PipelineCheckpoint {
                 Ok(None)
             }
         }
-    }
-
-    /// The checkpoint directory configured via `FDBSCAN_CKPT_DIR`, if
-    /// any.
-    pub fn env_dir() -> Option<PathBuf> {
-        std::env::var_os("FDBSCAN_CKPT_DIR").map(PathBuf::from)
-    }
-
-    /// Persists the checkpoint to the `FDBSCAN_CKPT_DIR` directory.
-    /// Returns the written path, or `None` when the variable is unset
-    /// (persistence is opt-in). IO errors are reported, not swallowed.
-    pub fn persist(&self) -> Result<Option<PathBuf>, SnapshotError> {
-        match Self::env_dir() {
-            Some(dir) => self.save_to_dir(&dir).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Loads a persisted checkpoint from `FDBSCAN_CKPT_DIR`, if the
-    /// variable is set and a valid checkpoint for `(algorithm,
-    /// fingerprint)` exists. Corrupt files are discarded (see
-    /// [`PipelineCheckpoint::load_from_dir`]).
-    pub fn load_persisted(algorithm: &str, fingerprint: u64) -> Option<Self> {
-        let dir = Self::env_dir()?;
-        Self::load_from_dir(&dir, algorithm, fingerprint).ok().flatten()
     }
 }
 
@@ -660,9 +630,9 @@ impl RunManifest {
     }
 
     /// Writes the manifest into `dir` as `<run_id>.manifest.json`,
-    /// atomically (see [`write_atomic`]) — a manifest is what makes a
-    /// failed run replayable, so it gets the same torn-write protection
-    /// as the checkpoint it accompanies.
+    /// atomically (unique temporary file + rename) — a manifest is what
+    /// makes a failed run replayable, so it gets the same torn-write
+    /// protection as the checkpoint it accompanies.
     pub fn save_to_dir(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
         let path = dir.join(format!("{}.manifest.json", self.run_id));

@@ -44,13 +44,6 @@ pub struct Decomposition {
     pub slabs: Vec<Slab>,
 }
 
-impl Decomposition {
-    /// The slab owned by `rank`, if it has one.
-    pub fn slab_of(&self, rank: usize) -> Option<&Slab> {
-        self.slabs.iter().find(|s| s.rank == rank)
-    }
-}
-
 /// Picks the widest axis of the bounding box. `total_cmp`: even though
 /// inputs are validated, subtracting two infinities (possible on future
 /// unvalidated paths) yields NaN, and `partial_cmp(...).unwrap()` would

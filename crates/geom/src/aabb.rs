@@ -124,12 +124,6 @@ impl<const D: usize> Aabb<D> {
         acc
     }
 
-    /// Returns `true` if the ball `center, radius` intersects the box.
-    #[inline]
-    pub fn intersects_ball(&self, center: &Point<D>, radius: f32) -> bool {
-        self.dist_sq(center) <= radius * radius
-    }
-
     /// Squared distance from `p` to the *farthest* corner of the box.
     ///
     /// This is the node containment test of the stackless radius query:
@@ -229,13 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn ball_intersection_boundary() {
-        let b = Aabb::from_corners(Point::new([0.0, 0.0]), Point::new([1.0, 1.0]));
-        assert!(b.intersects_ball(&Point::new([2.0, 0.5]), 1.0));
-        assert!(!b.intersects_ball(&Point::new([2.1, 0.5]), 1.0));
-    }
-
-    #[test]
     fn center_and_extents() {
         let b = Aabb::from_corners(Point::new([0.0, 2.0]), Point::new([4.0, 6.0]));
         assert_eq!(b.center(), Point::new([2.0, 4.0]));
@@ -295,6 +282,18 @@ mod tests {
             #[test]
             fn dist_sq_zero_iff_contained(b in arb_box(), p in arb_point()) {
                 prop_assert_eq!(b.dist_sq(&p) == 0.0, b.contains(&p));
+            }
+
+            #[test]
+            fn point_aabb_lower_bounds_member_distance(
+                a in arb_point(), b in arb_point(), q in arb_point()
+            ) {
+                // The box distance is a lower bound on the distance to any
+                // contained point — the property the BVH pruning relies on.
+                let bx = Aabb::from_points([a, b].iter());
+                let to_box = bx.dist_sq(&q);
+                prop_assert!(to_box <= q.dist_sq(&a) + 1e-2);
+                prop_assert!(to_box <= q.dist_sq(&b) + 1e-2);
             }
 
             #[test]

@@ -18,22 +18,20 @@
 //! * [`simd`] — explicit lane-width (8 × f32) distance kernels over the
 //!   SoA slices, bit-identical to the scalar accept set, for the
 //!   threaded device backend's inner loops,
-//! * distance helpers (point–point and point–box) used by radius queries,
-//!   including the early-exit [`dist_sq_within`] specialised for 2-D/3-D.
+//! * the distances radius queries test: point–point ([`Point::dist_sq`])
+//!   and point–box ([`Aabb::dist_sq`]).
 //!
 //! Everything here is `no_std`-style plain data: flat arrays of `f32`,
 //! no heap indirection, no trait objects — matching how the data lives in
 //! GPU device memory in the original implementation (ArborX).
 
 pub mod aabb;
-pub mod metric;
 pub mod morton;
 pub mod point;
 pub mod simd;
 pub mod soa;
 
 pub use aabb::Aabb;
-pub use metric::{dist, dist_point_aabb_sq, dist_sq, dist_sq_within};
 pub use point::Point;
 pub use soa::SoaPoints;
 

@@ -192,4 +192,31 @@ mod tests {
         assert_eq!(Point::<2>::dim(), 2);
         assert_eq!(Point::<3>::dim(), 3);
     }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_point() -> impl Strategy<Value = Point<2>> {
+            (-1000.0f32..1000.0, -1000.0f32..1000.0).prop_map(|(x, y)| Point::new([x, y]))
+        }
+
+        proptest! {
+            #[test]
+            fn triangle_inequality(a in arb_point(), b in arb_point(), c in arb_point()) {
+                // Allow small floating-point slack.
+                prop_assert!(a.dist(&c) <= a.dist(&b) + b.dist(&c) + 1e-3);
+            }
+
+            #[test]
+            fn symmetry(a in arb_point(), b in arb_point()) {
+                prop_assert_eq!(a.dist_sq(&b), b.dist_sq(&a));
+            }
+
+            #[test]
+            fn dist_nonnegative(a in arb_point(), b in arb_point()) {
+                prop_assert!(a.dist_sq(&b) >= 0.0);
+            }
+        }
+    }
 }

@@ -34,17 +34,6 @@ pub enum OverloadReason {
     },
 }
 
-impl OverloadReason {
-    /// A stable machine-readable cause label, used as the `cause` label
-    /// value of the `fdbscan_requests_shed_total` metric family.
-    pub fn cause_label(&self) -> &'static str {
-        match self {
-            OverloadReason::QueueFull { .. } => "queue_full",
-            OverloadReason::MemoryPressure { .. } => "memory_pressure",
-        }
-    }
-}
-
 impl fmt::Display for OverloadReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

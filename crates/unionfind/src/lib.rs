@@ -99,13 +99,6 @@ impl AtomicLabels {
         Self { labels: labels.into_iter().map(AtomicU32::new).collect(), counters: None }
     }
 
-    /// Attaches an operation counter after construction (used when
-    /// restoring from a snapshot, where the counters are not known at
-    /// decode time).
-    pub fn attach_counters(&mut self, counters: Arc<Counters>) {
-        self.counters = Some(counters);
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -246,21 +239,6 @@ impl AtomicLabels {
         });
     }
 
-    /// Absorbs a batch of union edges — the "merge log" of another
-    /// forest (e.g. a distributed rank's local trees translated to
-    /// global ids). Returns how many edges merged two distinct sets.
-    ///
-    /// This is the mergeable-forest primitive of the distributed merge:
-    /// because [`AtomicLabels::union`] hooks the larger root under the
-    /// smaller, the root of every tree is its smallest member, so the
-    /// **flattened** labels after absorbing any permutation (or
-    /// replayed duplicate) of the same edge multiset are bit-identical.
-    /// A merge coordinator can therefore crash and a successor can
-    /// replay the logs from scratch to the same global labeling.
-    pub fn absorb_edges(&self, edges: &[(u32, u32)]) -> usize {
-        edges.iter().filter(|&&(a, b)| self.union(a, b)).count()
-    }
-
     /// Host-side finalization: returns the canonical (smallest-member)
     /// representative of every element without launching a device
     /// kernel and without mutating the structure. The device-kernel
@@ -310,8 +288,7 @@ impl std::fmt::Debug for AtomicLabels {
 }
 
 /// Union-find parents checkpoint as their plain parent array. The
-/// restored structure carries no counters; attach them with
-/// [`AtomicLabels::attach_counters`] after decoding.
+/// restored structure carries no counters.
 impl fdbscan_device::Checkpointable for AtomicLabels {
     const KIND: &'static str = "unionfind.labels";
 
@@ -399,19 +376,25 @@ mod tests {
     }
 
     #[test]
-    fn absorb_edges_is_idempotent_and_order_independent() {
+    fn union_replay_is_idempotent_and_order_independent() {
+        // `union` hooks the larger root under the smaller, so every root
+        // is its set's smallest member: any permutation or replay of one
+        // edge multiset canonicalizes to bit-identical labels.
+        let absorb = |uf: &AtomicLabels, edges: &[(u32, u32)]| {
+            edges.iter().filter(|&&(a, b)| uf.union(a, b)).count()
+        };
         let device = Device::new(DeviceConfig::default().with_workers(2));
         let edges = vec![(4u32, 7u32), (1, 2), (7, 1), (9, 8), (3, 3)];
         let forward = AtomicLabels::new(10);
-        assert_eq!(forward.absorb_edges(&edges), 4, "(3,3) merges nothing");
+        assert_eq!(absorb(&forward, &edges), 4, "(3,3) merges nothing");
 
         // Reversed order + a full replay of the log: same partition,
         // and — after canonicalization — bit-identical labels.
         let reversed = AtomicLabels::new(10);
         let mut rev = edges.clone();
         rev.reverse();
-        reversed.absorb_edges(&rev);
-        assert_eq!(reversed.absorb_edges(&edges), 0, "replay is idempotent");
+        absorb(&reversed, &rev);
+        assert_eq!(absorb(&reversed, &edges), 0, "replay is idempotent");
         assert_eq!(forward.canonicalize(), reversed.canonicalize());
 
         // The host-side canonical form agrees with the device flatten.
@@ -472,12 +455,6 @@ mod tests {
                 assert_eq!(uf.same_set(i, j), restored.same_set(i, j), "pair ({i},{j})");
             }
         }
-        // A restored structure keeps working (and can count again).
-        let counters = Arc::new(Counters::default());
-        let mut restored = restored;
-        restored.attach_counters(Arc::clone(&counters));
-        restored.union(1, 2);
-        assert_eq!(counters.snapshot().unions, 1);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!
 //! ```sh
 //! cargo run --release -p fdbscan --example replay_run
-//!
-//! # Keep the checkpoint + manifest files around for inspection:
-//! FDBSCAN_CKPT_DIR=/tmp/fdbscan-ckpt cargo run --release -p fdbscan --example replay_run
 //! ```
+//!
+//! The checkpoint and manifest files stay in `fdbscan-replay` under the
+//! system temporary directory for inspection.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -36,8 +36,7 @@ fn dataset(seed: u64) -> Vec<Point2> {
 }
 
 fn main() {
-    let dir = PipelineCheckpoint::env_dir()
-        .unwrap_or_else(|| std::env::temp_dir().join("fdbscan-replay"));
+    let dir = std::env::temp_dir().join("fdbscan-replay");
     let points = dataset(DATA_SEED);
     let params = Params::new(0.15, 5);
 
