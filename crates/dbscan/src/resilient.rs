@@ -1,15 +1,21 @@
 //! Graceful degradation under device faults.
 //!
-//! The paper's scaling study (Fig. 4(h)) shows G-DBSCAN dropping out of
-//! the comparison at scale: its edge-list memory is quadratic in dense
-//! regions and the allocation simply fails. A production pipeline cannot
-//! stop there — it steps down to an algorithm with a smaller footprint
-//! and keeps going. [`run_resilient`] encodes that ladder:
+//! [`run_resilient`] runs DBSCAN on a ladder of algorithms ordered by
+//! decreasing device footprint and steps down a rung when one cannot
+//! finish:
 //!
 //! ```text
-//! G-DBSCAN  ──OOM──▶  FDBSCAN-DenseBox  ──OOM──▶  FDBSCAN  ──OOM──▶  sequential
-//! (O(edges))          (linear, grid+tree)         (linear, tree)     (host, O(1) device)
+//! [G-DBSCAN ──OOM──▶]  FDBSCAN-DenseBox  ──OOM──▶  FDBSCAN  ──OOM──▶  sequential
+//!  (O(edges), opt-in)  (linear, grid+tree)         (linear, tree)     (host, O(1) device)
 //! ```
+//!
+//! By default a run starts on FDBSCAN-DenseBox, the paper's algorithm.
+//! G-DBSCAN, the paper's baseline, loses to it on time (§5, Fig. 4), and
+//! its edge-list memory is quadratic in dense regions: at scale the
+//! allocation simply fails (Fig. 4(h)). It stays on the ladder as an
+//! opt-in first rung (`ResiliencePolicy { start: LadderLevel::GDbscan,
+//! .. }`) for callers that want the baseline and its out-of-memory
+//! step-down.
 //!
 //! * **Out-of-memory** steps down immediately: the footprint is a
 //!   property of the algorithm, so retrying the same level cannot help.
@@ -59,11 +65,12 @@ use crate::seq::dbscan_classic;
 use crate::stats::RunStats;
 use crate::Params;
 
-/// One rung of the degradation ladder, ordered fastest/most-fragile
-/// first.
+/// One rung of the degradation ladder, ordered by decreasing device
+/// footprint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LadderLevel {
-    /// G-DBSCAN: `O(edges)` device memory, the paper's OOM case.
+    /// G-DBSCAN: `O(edges)` device memory, the paper's OOM case. Only
+    /// reached as an explicit [`ResiliencePolicy::start`].
     GDbscan,
     /// FDBSCAN-DenseBox: linear memory (grid + mixed-primitive tree).
     DenseBox,
@@ -111,7 +118,8 @@ impl std::fmt::Display for LadderLevel {
 /// Retry/degradation policy for [`run_resilient`].
 #[derive(Clone, Copy, Debug)]
 pub struct ResiliencePolicy {
-    /// The rung to start from. Defaults to the top ([`LadderLevel::GDbscan`]).
+    /// The rung to start from. Defaults to [`LadderLevel::DenseBox`];
+    /// [`LadderLevel::GDbscan`] opts into the quadratic-memory baseline.
     pub start: LadderLevel,
     /// How many times a *transient* failure (panic, timeout, injected
     /// fault) retries the same level before stepping down. OOM never
@@ -124,7 +132,7 @@ pub struct ResiliencePolicy {
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
-        Self { start: LadderLevel::GDbscan, max_transient_retries: 2, preflight: true }
+        Self { start: LadderLevel::DenseBox, max_transient_retries: 2, preflight: true }
     }
 }
 
@@ -201,20 +209,19 @@ pub fn estimate_densebox_bytes<const D: usize>(n: usize) -> usize {
 
 /// Predicted device footprint of G-DBSCAN in bytes: points, CSR
 /// offsets, and the edge lists, with the edge count extrapolated from
-/// the average degree of at most 128 evenly-strided sample points
-/// (brute force, `O(samples * n)` — cheap next to the graph build it
-/// guards).
+/// the average degree of at most 128 sample points spread evenly over
+/// the whole input (brute force, `O(samples * n)` — cheap next to the
+/// graph build it guards).
 pub fn estimate_gdbscan_bytes<const D: usize>(points: &[Point<D>], eps: f32) -> usize {
     let n = points.len();
     if n == 0 {
         return 0;
     }
     let samples = n.min(128);
-    let stride = n / samples;
     let eps_sq = eps * eps;
     let mut neighbors = 0u64;
     for s in 0..samples {
-        let q = &points[s * stride];
+        let q = &points[s * n / samples];
         neighbors +=
             points.iter().filter(|p| p.dist_sq(q) <= eps_sq).count().saturating_sub(1) as u64;
     }
@@ -229,16 +236,16 @@ pub fn estimate_gdbscan_bytes<const D: usize>(points: &[Point<D>], eps: f32) -> 
 /// for anything else the sequential oracle is the backstop.
 ///
 /// ```
-/// use fdbscan::{run_resilient, Params, ResiliencePolicy};
+/// use fdbscan::{run_resilient, LadderLevel, Params, ResiliencePolicy};
 /// use fdbscan_device::{Device, DeviceConfig};
 /// use fdbscan_geom::Point2;
 ///
-/// // A budget that G-DBSCAN's dense adjacency graph busts.
+/// // Start on G-DBSCAN, under a budget its dense adjacency graph busts.
 /// let device = Device::new(DeviceConfig::default().with_memory_budget(1 << 19));
 /// let points = vec![Point2::new([0.0, 0.0]); 2000];
+/// let policy = ResiliencePolicy { start: LadderLevel::GDbscan, ..Default::default() };
 /// let (clustering, _stats, report) =
-///     run_resilient(&device, &points, Params::new(1.0, 5), ResiliencePolicy::default())
-///         .unwrap();
+///     run_resilient(&device, &points, Params::new(1.0, 5), policy).unwrap();
 /// assert_eq!(clustering.num_clusters, 1);
 /// assert!(report.degraded());
 /// ```
@@ -452,6 +459,11 @@ mod tests {
             .collect()
     }
 
+    /// A ladder that starts on the opt-in G-DBSCAN rung.
+    fn from_gdbscan() -> ResiliencePolicy {
+        ResiliencePolicy { start: LadderLevel::GDbscan, ..Default::default() }
+    }
+
     #[test]
     fn healthy_device_stays_on_first_level() {
         let device = Device::new(DeviceConfig::default().with_workers(2));
@@ -459,7 +471,7 @@ mod tests {
         let params = Params::new(0.3, 4);
         let (c, _, report) =
             run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
-        assert_eq!(report.completed, Some(LadderLevel::GDbscan));
+        assert_eq!(report.completed, Some(LadderLevel::DenseBox));
         assert!(!report.degraded());
         assert_eq!(report.runs(), 1);
         assert_valid_clustering(&points, &c, params);
@@ -472,8 +484,7 @@ mod tests {
         let points = vec![Point2::new([0.0, 0.0]); 2000];
         let params = Params::new(1.0, 5);
         let device = Device::new(DeviceConfig::default().with_memory_budget(1 << 19));
-        let (c, _, report) =
-            run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
+        let (c, _, report) = run_resilient(&device, &points, params, from_gdbscan()).unwrap();
         assert!(report.degraded());
         assert_ne!(report.completed, Some(LadderLevel::GDbscan));
         assert_eq!(c.num_clusters, 1);
@@ -486,8 +497,7 @@ mod tests {
         let points = vec![Point2::new([0.0, 0.0]); 2000];
         let device = Device::new(DeviceConfig::default().with_memory_budget(1 << 19));
         let (_, _, report) =
-            run_resilient(&device, &points, Params::new(1.0, 5), ResiliencePolicy::default())
-                .unwrap();
+            run_resilient(&device, &points, Params::new(1.0, 5), from_gdbscan()).unwrap();
         assert!(matches!(
             report.attempts[0],
             Attempt { level: LadderLevel::GDbscan, outcome: AttemptOutcome::Skipped { .. } }
@@ -520,8 +530,7 @@ mod tests {
         assert_eq!(device.arena().held_bytes(), held, "warm-up not reproducible");
         assert!(estimated > budget - held, "arena bytes would not matter");
 
-        let (c, _, report) =
-            run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
+        let (c, _, report) = run_resilient(&device, &points, params, from_gdbscan()).unwrap();
         assert_eq!(report.completed, Some(LadderLevel::GDbscan));
         assert!(!report.degraded(), "rung was skipped despite reclaimable arena bytes");
         let oracle = dbscan_classic(&points, params);
@@ -538,7 +547,7 @@ mod tests {
         let device = Device::new(DeviceConfig::default().with_workers(2).with_fault_plan(plan));
         let (c, _, report) =
             run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
-        assert_eq!(report.completed, Some(LadderLevel::GDbscan));
+        assert_eq!(report.completed, Some(LadderLevel::DenseBox));
         assert!(!report.degraded());
         assert_eq!(report.runs(), 2, "one failure + one successful retry");
         assert!(matches!(
@@ -635,7 +644,7 @@ mod tests {
         // Disable pre-flight so G-DBSCAN actually runs its degree pass
         // (recording core flags) before the edge reservation ooms.
         let device = Device::new(DeviceConfig::sequential().with_memory_budget(1 << 19));
-        let policy = ResiliencePolicy { preflight: false, ..Default::default() };
+        let policy = ResiliencePolicy { preflight: false, ..from_gdbscan() };
         let (c, stats, report) = run_resilient(&device, &points, params, policy).unwrap();
         assert!(matches!(
             report.attempts[0].outcome,
@@ -706,7 +715,7 @@ mod tests {
         // (other requests) keeps working.
         let (c, _, report) =
             run_resilient(&base, &points, params, ResiliencePolicy::default()).unwrap();
-        assert_eq!(report.completed, Some(LadderLevel::GDbscan));
+        assert_eq!(report.completed, Some(LadderLevel::DenseBox));
         assert_valid_clustering(&points, &c, params);
     }
 
@@ -722,5 +731,37 @@ mod tests {
         let points = vec![Point2::new([0.0, 0.0]); 2000];
         let g_est = estimate_gdbscan_bytes(&points, 1.0);
         assert!(g_est > 4 * est, "dense-blob graph estimate {g_est} should dwarf {est}");
+    }
+
+    #[test]
+    fn gdbscan_estimate_samples_the_whole_input() {
+        // At n = 255 each of the 128 samples stands for almost two
+        // points: a sampler that stops at the first 128 points misjudges
+        // any input whose prefix and suffix differ in density.
+        let spread = |i: usize| Point2::new([10.0 + 2.0 * i as f32, 0.0]);
+        let blob = |x: f32| Point2::new([x, -10.0]);
+        // A dense prefix, then singletons: a prefix-only sample
+        // over-estimates the bytes 1.93x.
+        let dense_then_sparse: Vec<Point2> =
+            (0..255).map(|i| if i < 128 { blob(0.0) } else { spread(i) }).collect();
+        // A dense prefix, singletons, then a dense suffix past index 128.
+        let dense_sparse_dense: Vec<Point2> = (0..255)
+            .map(|i| match i {
+                0..64 => blob(0.0),
+                64..128 => spread(i),
+                _ => blob(-50.0),
+            })
+            .collect();
+        for points in [dense_then_sparse, dense_sparse_dense] {
+            let eps = 1.0;
+            let edges: usize = points
+                .iter()
+                .map(|q| points.iter().filter(|p| p.dist_sq(q) <= eps * eps).count() - 1)
+                .sum();
+            let exact = std::mem::size_of_val(&points[..]) + (points.len() + 1) * 8 + edges * 4;
+            let est = estimate_gdbscan_bytes(&points, eps);
+            let ratio = est as f64 / exact as f64;
+            assert!((0.75..=1.25).contains(&ratio), "estimate {est} B vs exact {exact} B");
+        }
     }
 }

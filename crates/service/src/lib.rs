@@ -68,7 +68,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    use fdbscan::{LadderLevel, Params, ResiliencePolicy};
+    use fdbscan::{Attempt, AttemptOutcome, LadderLevel, Params, ResiliencePolicy};
     use fdbscan_device::{CancelToken, Device, DeviceConfig, FaultPlan};
     use fdbscan_geom::Point2;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -82,6 +82,35 @@ mod tests {
 
     fn service(device: Device) -> ClusterService {
         ClusterService::new(device, ServiceConfig::default())
+    }
+
+    /// A request that holds its permit long enough for the next request
+    /// to arrive while it runs. It starts on the quadratic G-DBSCAN
+    /// rung: on the default DenseBox rung the same points finish about
+    /// ten times sooner, which would shrink the race window these tests
+    /// rely on.
+    fn slow_request(n: usize, seed: u64) -> ClusterRequest<2> {
+        let policy = ResiliencePolicy { start: LadderLevel::GDbscan, ..Default::default() };
+        ClusterRequest::new(random_points(n, 2.0, seed), Params::new(0.1, 4)).with_policy(policy)
+    }
+
+    #[test]
+    fn default_request_runs_on_densebox_in_one_attempt() {
+        // A budgeted device turns on the ladder's preflight; a healthy
+        // default request must neither run nor skip G-DBSCAN on the way.
+        let device =
+            Device::new(DeviceConfig::default().with_workers(2).with_memory_budget(64 << 20));
+        let service = service(device);
+        let points = random_points(2000, 5.0, 10);
+        let response = service.execute(ClusterRequest::new(points, Params::new(0.3, 4))).unwrap();
+        let first_try =
+            Attempt { level: LadderLevel::DenseBox, outcome: AttemptOutcome::Succeeded };
+        assert_eq!(response.report.attempts, vec![first_try]);
+        assert_eq!(response.report.completed, Some(LadderLevel::DenseBox));
+        assert_eq!(response.stats.attempts, 1);
+        // The request's scratch went back to the device with it.
+        assert_eq!(service.device().arena().held_bytes(), 0);
+        assert_eq!(service.device().memory().in_use(), 0);
     }
 
     #[test]
@@ -148,8 +177,7 @@ mod tests {
             Device::new(DeviceConfig::default().with_workers(1)),
             ServiceConfig::default().with_max_concurrency(1).with_queue_depth(4),
         );
-        let slow =
-            service.submit(ClusterRequest::new(random_points(6000, 2.0, 20), Params::new(0.1, 4)));
+        let slow = service.submit(slow_request(6000, 20));
         while service.gate().running() == 0 {
             std::thread::yield_now();
         }
@@ -202,8 +230,7 @@ mod tests {
             device,
             ServiceConfig::default().with_max_concurrency(1).with_queue_depth(0),
         );
-        let slow =
-            service.submit(ClusterRequest::new(random_points(4000, 2.0, 6), Params::new(0.1, 4)));
+        let slow = service.submit(slow_request(4000, 6));
         // Wait until the slow request actually holds the permit.
         while service.gate().running() == 0 {
             std::thread::yield_now();

@@ -434,6 +434,11 @@ impl ClusterService {
         // Chrome trace of the shared device can be filtered per request.
         let scope = fdbscan_device::trace::request_scope(request_id);
         let result = run_resilient(&device, &request.points, request.params, request.policy);
+        // The arena pools by exact buffer length, and DenseBox sizes its
+        // tree scratch by the input's sparse points plus dense cells:
+        // pooled across requests of varying inputs, the scratch would
+        // grow by one set per distinct input. Release it with the request.
+        self.inner.device.arena().trim();
         drop(scope);
         metrics.exec.observe_duration(exec_started.elapsed());
         drop(inflight);

@@ -360,13 +360,16 @@ fn checkpointing_adds_no_device_work() {
 
 #[test]
 fn ladder_recovers_from_seeded_transient_faults() {
-    // Panic at several launch ordinals spread through the schedule; the
-    // ladder's checkpointed retry must recover to the oracle clustering
-    // without degrading off the first rung.
+    // Panic at the first, middle and last launch of a clean run's
+    // schedule; the ladder's checkpointed retry must recover to the
+    // oracle clustering without degrading off the first rung.
     let points = dataset(chaos_seed());
     let params = Params::new(0.3, 4);
     let oracle = dbscan_classic(&points, params);
-    for ordinal in [1u64, 7, 23] {
+    let probe = sequential();
+    run_resilient(&probe, &points, params, ResiliencePolicy::default()).unwrap();
+    let launches = probe.counters().snapshot().kernel_launches;
+    for ordinal in [0, launches / 2, launches - 1] {
         let plan = FaultPlan::new(chaos_seed()).with_kernel_panic_at(ordinal, 0);
         let device = Device::new(DeviceConfig::sequential().with_fault_plan(plan));
         let (c, _, report) =

@@ -196,9 +196,10 @@ fn ladder_recovers_oracle_clustering_on_gdbscan_oom_config() {
     let points = Dataset2::PortoTaxi.generate(4096, 42);
     let params = Params::new(0.05, 1000);
     let device = Device::new(DeviceConfig::default().with_workers(2).with_memory_budget(4 << 20));
+    // G-DBSCAN is an opt-in first rung; the default starts on DenseBox.
+    let policy = ResiliencePolicy { start: LadderLevel::GDbscan, ..Default::default() };
 
-    let (clustering, _, report) =
-        run_resilient(&device, &points, params, ResiliencePolicy::default()).unwrap();
+    let (clustering, _, report) = run_resilient(&device, &points, params, policy).unwrap();
 
     assert!(report.degraded(), "G-DBSCAN must not have produced the result");
     assert_ne!(report.completed, Some(LadderLevel::GDbscan));

@@ -4,7 +4,8 @@
 
 use fdbscan::baselines::{cuda_dclust, gdbscan};
 use fdbscan::{
-    fdbscan, fdbscan_densebox, run_resilient, MinptsSweep, Params, ResiliencePolicy, RunStats,
+    fdbscan, fdbscan_densebox, run_resilient, LadderLevel, MinptsSweep, Params, ResiliencePolicy,
+    RunStats,
 };
 use fdbscan_device::{json, Device, DeviceConfig, Histogram, SpanKind, TraceFormat};
 use fdbscan_geom::Point2;
@@ -184,14 +185,14 @@ fn chrome_export_round_trips_through_json_parse() {
 
 #[test]
 fn resilient_ladder_emits_degradation_instants() {
-    // A budget G-DBSCAN's dense adjacency graph busts: the ladder skips
-    // or fails it and degrades to a linear algorithm.
+    // Start on G-DBSCAN under a budget its dense adjacency graph busts:
+    // the ladder skips or fails it and degrades to a linear algorithm.
     let device = Device::new(
         DeviceConfig::default().with_workers(2).with_memory_budget(1 << 19).with_tracing(),
     );
     let points = vec![Point2::new([0.0, 0.0]); 2000];
-    let (_, _, report) =
-        run_resilient(&device, &points, Params::new(1.0, 5), ResiliencePolicy::default()).unwrap();
+    let policy = ResiliencePolicy { start: LadderLevel::GDbscan, ..Default::default() };
+    let (_, _, report) = run_resilient(&device, &points, Params::new(1.0, 5), policy).unwrap();
     assert!(report.degraded());
 
     let events = device.tracer().events();
