@@ -5,16 +5,18 @@
 //!
 //! 1. **index** — build a linear BVH over the points,
 //! 2. **main** — one kernel fusing core determination with pair
-//!    resolution. Each thread first decides its own point's core status
-//!    via [`crate::framework::LazyCore`] (an early-terminating counting traversal, run
-//!    exactly once per point no matter how many pairs touch it), then
-//!    runs the *index-masked* traversal (cutoff = its own sorted-leaf
-//!    position + 1, Fig. 1) so each close pair is discovered exactly
-//!    once, resolving it per Algorithm 3 (union for core–core, CAS
-//!    border claim otherwise) after lazily deciding the partner's core
-//!    status. `minpts <= 2` needs no counting at all (Algorithm 3 line
-//!    2): with `minpts == 2` any matched pair proves both endpoints
-//!    core, and with `minpts == 1` every point is core.
+//!    resolution, launched in tree order: thread `pos` takes the point
+//!    at sorted leaf `pos`, so consecutive threads query neighbouring
+//!    parts of the tree. Each thread first decides its point's core
+//!    status via [`crate::framework::LazyCore`] (an early-terminating
+//!    counting traversal, run exactly once per point no matter how many
+//!    pairs touch it), then runs the *index-masked* traversal (cutoff =
+//!    `pos + 1`, Fig. 1) so each close pair is discovered exactly once,
+//!    resolving it per Algorithm 3 (union for core–core, CAS border
+//!    claim otherwise) after lazily deciding the partner's core status.
+//!    `minpts <= 2` needs no counting at all (Algorithm 3 line 2): with
+//!    `minpts == 2` any matched pair proves both endpoints core, and
+//!    with `minpts == 1` every point is core.
 //! 3. **finalization** — flatten the union-find and relabel.
 //!
 //! The separate preprocessing kernel of the unfused formulation is gone —
@@ -167,12 +169,13 @@ pub(crate) fn fdbscan_core<const D: usize>(
                 }
             })
         };
-        device.try_launch_named("fdbscan.main_fused", n, |i| {
-            let i = i as u32;
+        device.try_launch_named("fdbscan.main_fused", n, |pos| {
+            let pos = pos as u32;
+            let i = bvh.leaf_payload(pos);
             if rule != PairRule::Connect {
                 ensure_core(i);
             }
-            let cutoff = if masked { bvh.leaf_pos_of(i) + 1 } else { 0 };
+            let cutoff = if masked { pos + 1 } else { 0 };
             let stats = bvh.for_each_in_radius(&points[i as usize], eps, cutoff, |_, j| {
                 if !masked && j == i {
                     return ControlFlow::Continue(());

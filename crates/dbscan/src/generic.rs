@@ -63,9 +63,10 @@ pub fn fdbscan_on_index<const D: usize, I: SpatialIndex<D>>(
             let core_ref = &core;
             let counters = device.counters();
             let early = options.early_termination;
-            device.try_launch_named("generic.core_count", n, |i| {
+            device.try_launch_named("generic.core_count", n, |pos| {
+                let i = index.id_at(pos as u32);
                 let mut count = 0usize;
-                let stats = index.query_radius(&points[i], eps, 0, &mut |_, _| {
+                let stats = index.query_radius(&points[i as usize], eps, 0, &mut |_, _| {
                     count += 1;
                     if early && count >= minpts {
                         ControlFlow::Break(())
@@ -74,10 +75,9 @@ pub fn fdbscan_on_index<const D: usize, I: SpatialIndex<D>>(
                     }
                 });
                 if count >= minpts {
-                    core_ref.set(i as u32);
+                    core_ref.set(i);
                 }
-                counters.add_nodes_visited(stats.nodes_visited);
-                counters.add_distances(stats.distance_tests);
+                stats.charge(counters);
             })?;
         }
     }
@@ -96,8 +96,11 @@ pub fn fdbscan_on_index<const D: usize, I: SpatialIndex<D>>(
 
 /// The main phase of Algorithm 3 over any index: one masked (or
 /// unmasked) radius query per point, fused with the union-find
-/// resolution `rule`. Exposed as a building block for the multi-minpts
-/// sweep ([`crate::sweep`]) and the distributed driver
+/// resolution `rule`. The launch runs in index-position order (see
+/// [`SpatialIndex::id_at`]): launch index `pos` queries point
+/// `index.id_at(pos)` with cutoff `pos + 1`, while `labels` and `core`
+/// stay indexed by point id. Exposed as a building block for the
+/// multi-minpts sweep ([`crate::sweep`]) and the distributed driver
 /// (`fdbscan-dist`), which supply their own label arrays and core flags
 /// and pass [`PairRule::Classic`] (or [`PairRule::Star`]) because their
 /// flags are already exact.
@@ -118,9 +121,10 @@ pub fn main_phase<const D: usize, I: SpatialIndex<D>>(
     let n = points.len();
     let counters = device.counters();
     let masked = options.masked_traversal;
-    device.try_launch_named("generic.pair_resolution", n, |i| {
-        let i = i as u32;
-        let cutoff = if masked { index.position_of(i) + 1 } else { 0 };
+    device.try_launch_named("generic.pair_resolution", n, |pos| {
+        let pos = pos as u32;
+        let i = index.id_at(pos);
+        let cutoff = if masked { pos + 1 } else { 0 };
         let stats = index.query_radius(&points[i as usize], eps, cutoff, &mut |_, j| {
             if !masked && j == i {
                 return ControlFlow::Continue(());
@@ -128,8 +132,7 @@ pub fn main_phase<const D: usize, I: SpatialIndex<D>>(
             rule.resolve(labels, core, i, j);
             ControlFlow::Continue(())
         });
-        counters.add_nodes_visited(stats.nodes_visited);
-        counters.add_distances(stats.distance_tests);
+        stats.charge(counters);
     })
 }
 

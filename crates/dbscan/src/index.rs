@@ -11,6 +11,7 @@
 use std::ops::ControlFlow;
 
 use fdbscan_bvh::Bvh;
+use fdbscan_device::Counters;
 use fdbscan_geom::{Aabb, Point};
 use fdbscan_kdtree::KdTree;
 
@@ -23,19 +24,35 @@ pub struct IndexStats {
     pub distance_tests: u64,
 }
 
+impl IndexStats {
+    /// Charges this query's work to the device counters: node visits
+    /// and distance tests.
+    #[inline]
+    pub fn charge(&self, counters: &Counters) {
+        counters.add_nodes_visited(self.nodes_visited);
+        counters.add_distances(self.distance_tests);
+    }
+}
+
 /// A search index over a point set, as required by the FDBSCAN framework.
 ///
-/// Contract: `query_radius` invokes the callback **exactly once per point
-/// within `eps` of `center`** whose index position is `>= cutoff`, passing
-/// `(index_position, original_id)`. The callback may return `Break` to
-/// stop this query.
+/// Every indexed point has an index position in `0..size()`, its place in
+/// the tree's traversal order. Contract: `query_radius` invokes the
+/// callback **exactly once per point within `eps` of `center`** whose
+/// index position is `>= cutoff`, passing `(index_position,
+/// original_id)`. The callback may return `Break` to stop this query.
 pub trait SpatialIndex<const D: usize>: Sync {
     /// Number of indexed points.
     fn size(&self) -> usize;
 
-    /// Index position (traversal order) of original point `id`; positions
-    /// order the masked traversal's pair deduplication.
-    fn position_of(&self, id: u32) -> u32;
+    /// Original id of the point at index position `pos`.
+    ///
+    /// Contract: a bijection from `0..size()` onto the point ids
+    /// `0..size()`. Per-point kernels launch in position order: launch
+    /// index `pos` runs the query of point `id_at(pos)` and masks it with
+    /// cutoff `pos + 1`, so each close pair is seen once and consecutive
+    /// launches walk neighbouring parts of the tree.
+    fn id_at(&self, pos: u32) -> u32;
 
     /// Radius query; see the trait-level contract.
     fn query_radius(
@@ -57,8 +74,8 @@ impl<const D: usize> SpatialIndex<D> for Bvh<D> {
         self.len()
     }
 
-    fn position_of(&self, id: u32) -> u32 {
-        self.leaf_pos_of(id)
+    fn id_at(&self, pos: u32) -> u32 {
+        self.leaf_payload(pos)
     }
 
     fn query_radius(
@@ -82,8 +99,8 @@ impl<const D: usize> SpatialIndex<D> for KdTree<D> {
         self.len()
     }
 
-    fn position_of(&self, id: u32) -> u32 {
-        self.leaf_pos_of(id)
+    fn id_at(&self, pos: u32) -> u32 {
+        self.leaf_payload(pos)
     }
 
     fn query_radius(
@@ -154,17 +171,13 @@ mod tests {
         let points = random_points(300, 7);
         let bvh = build_bvh_index(&device, &points);
         let kd = KdTree::build(&points);
-        for id in 0..300u32 {
-            let _ = SpatialIndex::<2>::position_of(&bvh, id);
-            let _ = kd.position_of(id);
-        }
-        let mut bvh_positions: Vec<u32> =
-            (0..300).map(|id| SpatialIndex::<2>::position_of(&bvh, id)).collect();
-        bvh_positions.sort_unstable();
-        assert!(bvh_positions.iter().enumerate().all(|(i, &p)| p == i as u32));
-        let mut kd_positions: Vec<u32> = (0..300).map(|id| kd.position_of(id)).collect();
-        kd_positions.sort_unstable();
-        assert!(kd_positions.iter().enumerate().all(|(i, &p)| p == i as u32));
+        let mut bvh_ids: Vec<u32> =
+            (0..300).map(|pos| SpatialIndex::<2>::id_at(&bvh, pos)).collect();
+        bvh_ids.sort_unstable();
+        assert!(bvh_ids.iter().enumerate().all(|(i, &id)| id == i as u32));
+        let mut kd_ids: Vec<u32> = (0..300).map(|pos| kd.id_at(pos)).collect();
+        kd_ids.sort_unstable();
+        assert!(kd_ids.iter().enumerate().all(|(i, &id)| id == i as u32));
     }
 
     #[test]

@@ -150,6 +150,24 @@ pub fn validate_finite<const D: usize>(points: &[Point<D>]) -> Result<(), Device
     }
 }
 
+/// Validates that an input of `n` points fits the index width.
+///
+/// Tree positions and union-find labels are `u32`, and the BVH flags its
+/// leaf references in the top bit, so an input must hold fewer than
+/// 2^31 points. All public clustering entry points call this next to
+/// [`validate_finite`], so an oversized input gets
+/// [`DeviceError::InvalidInput`] instead of reaching an `assert!` in a
+/// substrate crate.
+pub fn validate_len(n: usize) -> Result<(), DeviceError> {
+    const LIMIT: usize = 1 << 31;
+    if n >= LIMIT {
+        return Err(DeviceError::InvalidInput {
+            reason: format!("{n} points exceed the index width (at most {} points)", LIMIT - 1),
+        });
+    }
+    Ok(())
+}
+
 /// DBSCAN parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Params {
@@ -215,6 +233,17 @@ mod tests {
         points[2].coords[0] = 0.0;
         points[3].coords[1] = 0.0;
         assert_eq!(find_non_finite(&points), None);
+    }
+
+    #[test]
+    fn validate_len_rejects_inputs_past_the_index_width() {
+        assert!(validate_len((1 << 31) - 1).is_ok());
+        match validate_len(1 << 31) {
+            Err(DeviceError::InvalidInput { reason }) => {
+                assert!(reason.contains("2147483648 points"), "reason: {reason}");
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl<'a> Pipeline<'a> {
         mut ckpt: Option<&'a mut PipelineCheckpoint>,
         caller: Option<CallerIndex>,
     ) -> Result<Self, DeviceError> {
+        crate::validate_len(points.len())?;
         crate::validate_finite(points)?;
         if let Some(c) = ckpt.as_deref_mut() {
             checkpoint::prepare(c, algorithm, points, params);

@@ -255,6 +255,7 @@ pub fn run_resilient<const D: usize>(
     params: Params,
     policy: ResiliencePolicy,
 ) -> Result<(Clustering, RunStats, ResilienceReport), DeviceError> {
+    crate::validate_len(points.len())?;
     crate::validate_finite(points)?;
     let tracer = device.tracer();
     let _ladder_span = tracer.phase("resilient");

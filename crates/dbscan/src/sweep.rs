@@ -45,6 +45,7 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
     /// non-terminating traversal per point).
     pub fn new(device: &'a Device, points: &'a [Point<D>], eps: f32) -> Result<Self, DeviceError> {
         assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
+        crate::validate_len(points.len())?;
         crate::validate_finite(points)?;
         let start = Instant::now();
         let n = points.len();
@@ -60,13 +61,15 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
             let counts_view = SharedMut::new(&mut counts);
             let bvh_ref = &bvh;
             let counters = device.counters();
-            device.try_launch_named("sweep.full_count", n, |i| {
+            device.try_launch_named("sweep.full_count", n, |pos| {
+                let i = bvh_ref.leaf_payload(pos as u32) as usize;
                 let mut count = 0u32;
                 let stats = bvh_ref.for_each_in_radius(&points[i], eps, 0, |_, _| {
                     count += 1;
                     ControlFlow::Continue(())
                 });
-                // SAFETY: one writer per index.
+                // SAFETY: one writer per index (`leaf_payload` is a
+                // bijection on `0..n`).
                 unsafe { counts_view.write(i, count) };
                 stats.charge(counters);
             })?;

@@ -230,6 +230,7 @@ fn run_distributed<const D: usize>(
     config: &DistConfig<'_>,
     recovery: &RecoveryLog,
 ) -> Result<(Clustering, DistStats), DistError> {
+    fdbscan::validate_len(points.len())?;
     fdbscan::validate_finite(points)?;
     let root = &devices[0];
     // Rank/message faults are driven by the root device's plan (the

@@ -65,8 +65,6 @@ pub struct KdTree<const D: usize> {
     points: Vec<Point<D>>,
     /// `payload[pos]` = original index of the point at tree position `pos`.
     payload: Vec<u32>,
-    /// Inverse of `payload`.
-    positions: Vec<u32>,
 }
 
 impl<const D: usize> KdTree<D> {
@@ -77,11 +75,7 @@ impl<const D: usize> KdTree<D> {
         let mut nodes = Vec::new();
         let root = if n == 0 { 0 } else { build_recursive(input, &mut order, 0, &mut nodes) };
         let points: Vec<Point<D>> = order.iter().map(|&i| input[i as usize]).collect();
-        let mut positions = vec![0u32; n];
-        for (pos, &id) in order.iter().enumerate() {
-            positions[id as usize] = pos as u32;
-        }
-        Self { nodes, root, points, payload: order, positions }
+        Self { nodes, root, points, payload: order }
     }
 
     /// Number of points.
@@ -100,16 +94,10 @@ impl<const D: usize> KdTree<D> {
         self.payload[pos as usize]
     }
 
-    /// Tree position of original point `id`.
-    #[inline]
-    pub fn leaf_pos_of(&self, id: u32) -> u32 {
-        self.positions[id as usize]
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
-            + self.points.len() * (std::mem::size_of::<Point<D>>() + 8)
+            + self.points.len() * (std::mem::size_of::<Point<D>>() + 4)
     }
 
     /// Invokes `callback(tree_pos, original_id)` for every point within
@@ -251,9 +239,9 @@ mod tests {
     fn payload_is_permutation() {
         let points = random_points(500, 1);
         let tree = KdTree::build(&points);
-        for id in 0..500u32 {
-            assert_eq!(tree.leaf_payload(tree.leaf_pos_of(id)), id);
-        }
+        let mut ids: Vec<u32> = (0..500).map(|pos| tree.leaf_payload(pos)).collect();
+        ids.sort_unstable();
+        assert!(ids.iter().enumerate().all(|(i, &id)| id == i as u32));
     }
 
     #[test]
@@ -276,8 +264,8 @@ mod tests {
         let tree = KdTree::build(&points);
         let eps = 10.0;
         let mut pairs = std::collections::HashSet::new();
-        for id in 0..points.len() as u32 {
-            let pos = tree.leaf_pos_of(id);
+        for pos in 0..points.len() as u32 {
+            let id = tree.leaf_payload(pos);
             tree.for_each_in_radius(&points[id as usize], eps, pos + 1, |_, other| {
                 let key = (id.min(other), id.max(other));
                 assert!(pairs.insert(key), "pair {key:?} seen twice");
@@ -364,7 +352,11 @@ mod tests {
             let query = query % n;
             let points = random_points(n, seed);
             let tree = KdTree::build(&points);
-            let pos = tree.leaf_pos_of(query as u32);
+            let mut pos_of = vec![0u32; n];
+            for pos in 0..n as u32 {
+                pos_of[tree.leaf_payload(pos) as usize] = pos;
+            }
+            let pos = pos_of[query];
             let mut got = Vec::new();
             tree.for_each_in_radius(&points[query], eps, pos + 1, |_, id| {
                 got.push(id);
@@ -373,7 +365,7 @@ mod tests {
             got.sort_unstable();
             let mut expected: Vec<u32> = brute_force(&points, &points[query], eps)
                 .into_iter()
-                .filter(|&other| tree.leaf_pos_of(other) > pos)
+                .filter(|&other| pos_of[other as usize] > pos)
                 .collect();
             expected.sort_unstable();
             prop_assert_eq!(got, expected);

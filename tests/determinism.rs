@@ -1,12 +1,15 @@
 //! Determinism guarantees: cluster *membership* is a pure function of
 //! (points, params) — independent of worker count, block size, thread
-//! scheduling and algorithm choice. (Internal label values and union
-//! order may differ; the compact relabeling hides them.)
+//! scheduling and algorithm choice, and on the sequential backend
+//! FDBSCAN's partition (border ties included) is independent of the
+//! input order. (Internal label values and union order may differ; the
+//! compact relabeling hides them.)
 
 use fdbscan::labels::assert_core_equivalent;
-use fdbscan::{fdbscan, fdbscan_densebox, Clustering, Params};
+use fdbscan::{fdbscan, fdbscan_densebox, Clustering, Params, PointClass, NOISE};
 use fdbscan_data::Dataset2;
 use fdbscan_device::{Device, DeviceConfig};
+use fdbscan_geom::Point2;
 
 fn membership_fingerprint(c: &Clustering) -> Vec<(i64, usize)> {
     // Cluster sizes per id plus the noise count form a
@@ -79,4 +82,41 @@ fn dataset_generation_is_reproducible_end_to_end() {
     let (b, _) = fdbscan(&device, &Dataset2::PortoTaxi.generate(1500, 99), params).unwrap();
     assert_eq!(a.assignments, b.assignments);
     assert_eq!(a.classes, b.classes);
+}
+
+/// Each point's smallest fellow member (itself included), or `None` for
+/// noise: the partition with cluster numbering factored out.
+fn smallest_member(assignments: &[i64]) -> Vec<Option<usize>> {
+    let mut first = std::collections::HashMap::new();
+    for (i, &a) in assignments.iter().enumerate() {
+        first.entry(a).or_insert(i);
+    }
+    assignments.iter().map(|a| (*a != NOISE).then(|| first[a])).collect()
+}
+
+#[test]
+fn fdbscan_border_ties_do_not_depend_on_input_order() {
+    // Ten copies, 10 apart in y, of two five-point clusters with one
+    // point 0.3 from each: every copy has one border tie. The sequential
+    // main kernel runs in tree order, so which cluster wins a tie cannot
+    // depend on where the points sit in the input.
+    let mut points = Vec::new();
+    for copy in 0..10 {
+        let y = 10.0 * copy as f32;
+        let xs =
+            (0..5).map(|k| 0.1 * k as f32).chain([0.7]).chain((0..5).map(|k| 1.0 + 0.1 * k as f32));
+        points.extend(xs.map(|x| Point2::new([x, y])));
+    }
+    let params = Params::new(0.35, 4);
+    let device = Device::new(DeviceConfig::sequential());
+    let (forward, _) = fdbscan(&device, &points, params).unwrap();
+    let reversed: Vec<Point2> = points.iter().rev().copied().collect();
+    let (backward, _) = fdbscan(&device, &reversed, params).unwrap();
+
+    let n = points.len();
+    let backward_assignments: Vec<i64> = (0..n).map(|i| backward.assignments[n - 1 - i]).collect();
+    let borders = forward.classes.iter().filter(|&&c| c == PointClass::Border).count();
+    assert_eq!(borders, 10, "each copy's middle point is a border tie");
+    assert_eq!(forward.num_clusters, 20);
+    assert_eq!(smallest_member(&forward.assignments), smallest_member(&backward_assignments));
 }

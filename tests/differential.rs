@@ -32,7 +32,7 @@ use fdbscan::baselines::{cuda_dclust, gdbscan};
 use fdbscan::labels::assert_core_equivalent;
 use fdbscan::seq::dbscan_classic;
 use fdbscan::verify::assert_valid_clustering;
-use fdbscan::{fdbscan, fdbscan_densebox, Params};
+use fdbscan::{fdbscan, fdbscan_densebox, fdbscan_kdtree, Params};
 use fdbscan_data::{blobs, uniform};
 use fdbscan_device::{Device, DeviceConfig};
 use fdbscan_geom::Point2;
@@ -88,9 +88,10 @@ fn dataset(family: &str, n: usize, seed: u64) -> Vec<Point2> {
 fn check_case(family: &str, seed: u64, points: &[Point2], params: Params) {
     let oracle = dbscan_classic(points, params);
     for (backend, dev) in backends() {
-        let runs: [(&str, Box<dyn Fn() -> _>); 4] = [
+        let runs: [(&str, Box<dyn Fn() -> _>); 5] = [
             ("fdbscan", Box::new(|| fdbscan(&dev, points, params))),
             ("fdbscan-densebox", Box::new(|| fdbscan_densebox(&dev, points, params))),
+            ("fdbscan-kdtree", Box::new(|| fdbscan_kdtree(&dev, points, params))),
             ("g-dbscan", Box::new(|| gdbscan(&dev, points, params))),
             ("cuda-dclust", Box::new(|| cuda_dclust(&dev, points, params))),
         ];
