@@ -12,6 +12,11 @@
 //!   sorted-leaf range with *no* per-leaf distance tests (counted in
 //!   [`QueryStats::contained_hits`]).
 //!
+//! The query centre is any [`QueryCenter`]: a point, or a box (a dense
+//! cell querying its neighbouring leaves). Both tests sum its per-axis
+//! gaps and spans, so a point query does exactly the `f32` operations of
+//! [`fdbscan_geom::Aabb::dist_sq`] and [`fdbscan_geom::Aabb::max_dist_sq`].
+//!
 //! Per-leaf distance tests stride the dimension-major SoA corner arrays
 //! and exit early once the partial sum exceeds `eps²`; accepted values
 //! are bit-identical to the array-of-structures [`fdbscan_geom::Aabb`]
@@ -20,7 +25,7 @@
 use std::ops::ControlFlow;
 
 use fdbscan_device::Counters;
-use fdbscan_geom::Point;
+use fdbscan_geom::{Point, QueryCenter};
 
 use crate::node::NodeRef;
 use crate::Bvh;
@@ -63,25 +68,27 @@ impl QueryStats {
 
 impl<const D: usize> Bvh<D> {
     /// Invokes `callback(leaf_pos, payload)` for every leaf whose bounds
-    /// intersect the ball `center ± eps`, skipping all leaves with sorted
-    /// position `< cutoff` (the index mask of paper Fig. 1; pass `0` for
-    /// an unmasked query).
+    /// lie within `eps` of `center` (a point, or a box: within `eps` of
+    /// some point of it), skipping all leaves with sorted position
+    /// `< cutoff` (the index mask of paper Fig. 1; pass `0` for an
+    /// unmasked query).
     ///
     /// The callback may return [`ControlFlow::Break`] to terminate this
     /// query's traversal early (used to stop counting at `minpts`).
     ///
-    /// For point leaves, the bounds test is already the exact
-    /// `dist <= eps` test, so the callback only fires on true neighbors.
-    /// For box leaves (dense cells) the callback receives candidates and
-    /// performs its own membership scan.
-    pub fn for_each_in_radius<F>(
+    /// For a point centre and point leaves, the bounds test is already
+    /// the exact `dist <= eps` test, so the callback only fires on true
+    /// neighbors. For box leaves (dense cells), or a box centre, the
+    /// callback receives candidates and performs its own membership scan.
+    pub fn for_each_in_radius<C, F>(
         &self,
-        center: &Point<D>,
+        center: &C,
         eps: f32,
         cutoff: u32,
         mut callback: F,
     ) -> QueryStats
     where
+        C: QueryCenter<D>,
         F: FnMut(u32, u32) -> ControlFlow<()>,
     {
         self.for_each_in_radius_flagged(center, eps, cutoff, |pos, payload, _| {
@@ -92,16 +99,17 @@ impl<const D: usize> Bvh<D> {
     /// [`Self::for_each_in_radius`] with a `contained` flag: `true` when
     /// the leaf was accepted wholesale by the containment fast path
     /// (every point of its bounds — for a box leaf, every member — is
-    /// within `eps` of `center`, so the callback can skip its own
-    /// distance work).
-    pub fn for_each_in_radius_flagged<F>(
+    /// within `eps` of every point of `center`, so the callback can skip
+    /// its own distance work).
+    pub fn for_each_in_radius_flagged<C, F>(
         &self,
-        center: &Point<D>,
+        center: &C,
         eps: f32,
         cutoff: u32,
         mut callback: F,
     ) -> QueryStats
     where
+        C: QueryCenter<D>,
         F: FnMut(u32, u32, bool) -> ControlFlow<()>,
     {
         let mut stats = QueryStats::default();
@@ -209,25 +217,16 @@ impl<const D: usize> Bvh<D> {
     }
 
     /// Exact leaf bounds test against the SoA corner lanes, with
-    /// per-dimension early exit. The accumulation order matches
-    /// [`fdbscan_geom::Aabb::dist_sq`] exactly (and `f32` addition of
-    /// non-negatives is monotone), so the accept/reject decision is
-    /// bit-identical to the array-of-structures test.
+    /// per-dimension early exit. The per-axis gaps and their accumulation
+    /// order match [`fdbscan_geom::Aabb::dist_sq`] exactly (and `f32`
+    /// addition of non-negatives is monotone), so the accept/reject
+    /// decision is bit-identical to the array-of-structures test.
     #[inline]
-    fn leaf_within(&self, pos: u32, center: &Point<D>, eps_sq: f32) -> bool {
+    fn leaf_within<C: QueryCenter<D>>(&self, pos: u32, center: &C, eps_sq: f32) -> bool {
         let i = pos as usize;
         let mut acc = 0.0f32;
         for d in 0..D {
-            let c = center[d];
-            let lo = self.leaf_lo.dim(d)[i];
-            let hi = self.leaf_hi.dim(d)[i];
-            let delta = if c < lo {
-                lo - c
-            } else if c > hi {
-                c - hi
-            } else {
-                0.0
-            };
+            let delta = center.gap(d, self.leaf_lo.dim(d)[i], self.leaf_hi.dim(d)[i]);
             acc += delta * delta;
             if acc > eps_sq {
                 return false;
@@ -641,6 +640,23 @@ mod tests {
         assert_matches_stack_reference(&bvh, &Point::new([50.0, 50.0]), 10.0, 0);
     }
 
+    /// Every `(pos, payload, contained)` callback of one flagged query, in
+    /// traversal order, and its statistics.
+    fn flagged_hits<C: QueryCenter<2>>(
+        bvh: &Bvh<2>,
+        center: &C,
+        eps: f32,
+        cutoff: u32,
+    ) -> (Vec<(u32, u32, bool)>, QueryStats) {
+        let mut hits = Vec::new();
+        let stats =
+            bvh.for_each_in_radius_flagged(center, eps, cutoff, |pos, payload, contained| {
+                hits.push((pos, payload, contained));
+                ControlFlow::Continue(())
+            });
+        (hits, stats)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
@@ -700,6 +716,61 @@ mod tests {
                 .collect();
             expected.sort_unstable();
             prop_assert_eq!(got, expected);
+        }
+
+        #[test]
+        fn masked_box_query_equals_filtered_brute_force(
+            seed in any::<u64>(),
+            n in 2usize..300,
+            eps in 0.01f32..30.0,
+            cutoff_frac in 0.0f64..1.0,
+            corner in (0.0f32..100.0, 0.0f32..100.0),
+            size in (0.0f32..20.0, 0.0f32..20.0),
+        ) {
+            let device = Device::new(DeviceConfig::sequential());
+            let points = random_points(n, seed);
+            let bvh = build_points(&device, &points);
+            let cutoff = ((n as f64) * cutoff_frac) as u32;
+            let query = Aabb::from_corners(
+                Point::new([corner.0, corner.1]),
+                Point::new([corner.0 + size.0, corner.1 + size.1]),
+            );
+            let eps_sq = eps * eps;
+            let (mut got, _) = flagged_hits(&bvh, &query, eps, cutoff);
+            got.sort_unstable();
+            // Exactly the unmasked leaves whose squared gap to the query
+            // box is within eps², measured from the point's side.
+            let hits: Vec<u32> = got.iter().map(|&(pos, _, _)| pos).collect();
+            let expected: Vec<u32> = (cutoff..n as u32)
+                .filter(|&pos| query.dist_sq(&points[bvh.leaf_payload(pos) as usize]) <= eps_sq)
+                .collect();
+            prop_assert_eq!(hits, expected);
+            // A contained hit lies within eps of every point of the box.
+            for &(_, payload, contained) in &got {
+                if contained {
+                    prop_assert!(query.max_dist_sq(&points[payload as usize]) <= eps_sq);
+                }
+            }
+        }
+
+        #[test]
+        fn degenerate_box_query_equals_point_query(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            eps in 0.01f32..40.0,
+            cutoff_frac in 0.0f64..1.0,
+            cx in -20.0f32..120.0,
+            cy in -20.0f32..120.0,
+        ) {
+            let device = Device::new(DeviceConfig::sequential());
+            let points = random_points(n, seed);
+            let bvh = build_points(&device, &points);
+            let cutoff = ((n as f64) * cutoff_frac) as u32;
+            let center = Point::new([cx, cy]);
+            prop_assert_eq!(
+                flagged_hits(&bvh, &center, eps, cutoff),
+                flagged_hits(&bvh, &Aabb::from_point(center), eps, cutoff)
+            );
         }
     }
 }

@@ -58,9 +58,20 @@ pub fn fdbscan_auto<const D: usize>(
         let (c, s) = crate::fdbscan(device, points, params)?;
         return Ok((c, s, AutoChoice::Fdbscan));
     }
-    // The decision grid is index work of whichever algorithm runs.
-    let (grid, caller) =
-        CallerIndex::build(device, || DenseGrid::build(device, points, params.eps, params.minpts));
+    // The decision grid is index work of whichever algorithm runs. A grid
+    // that cannot key this eps over this extent rules DenseBox out.
+    let (grid, caller) = CallerIndex::build(device, || {
+        DenseGrid::build_in(device, device.arena(), points, params.eps, params.minpts)
+    });
+    let grid = match grid {
+        Ok(grid) => grid,
+        Err(DeviceError::InvalidInput { .. }) => {
+            let (c, s) =
+                fdbscan_core(device, points, params, Default::default(), None, Some(caller))?;
+            return Ok((c, s, AutoChoice::Fdbscan));
+        }
+        Err(err) => return Err(err),
+    };
 
     // Memory pre-flight: on a budgeted device, never pick an algorithm
     // predicted to bust the budget when the other one fits.
@@ -158,6 +169,23 @@ mod tests {
         assert_eq!(choice, AutoChoice::Fdbscan);
         assert_eq!(auto.counters, d.counters().snapshot().since(&before));
         assert!(auto.phase_counters.index.kernel_launches > 0);
+    }
+
+    #[test]
+    fn tiny_eps_runs_fdbscan_when_the_grid_cannot_key_it() {
+        // 3-D keys hold 21 bits per axis: eps = 1e-4 over a 0..999 extent
+        // needs more cells than that, so DenseBox is out.
+        let points: Vec<Point<3>> = (0..1000)
+            .map(|i| Point::new([i as f32, ((i * 7) % 1000) as f32, ((i * 13) % 1000) as f32]))
+            .collect();
+        let params = Params::new(1e-4, 3);
+        let (c, _, choice) =
+            fdbscan_auto(&Device::new(DeviceConfig::sequential()), &points, params).unwrap();
+        assert_eq!(choice, AutoChoice::Fdbscan);
+        let (manual, _) =
+            crate::fdbscan(&Device::new(DeviceConfig::sequential()), &points, params).unwrap();
+        assert_eq!(c.assignments, manual.assignments);
+        assert_eq!(c.classes, manual.classes);
     }
 
     #[test]

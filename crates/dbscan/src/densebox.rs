@@ -12,12 +12,21 @@
 //!   matches, stopping at `minpts` — unless the box is *contained* in
 //!   the query ball, in which case every member counts with no scan,
 //! * the main phase first unions each dense cell internally (one
-//!   kernel), then runs one fused kernel that traverses from **every**
-//!   point, lazily deciding core status on first demand (see
-//!   [`LazyCore`]); a box hit requires finding just *one* member within
-//!   `eps` to connect the whole cell, and a point hit resolves like
-//!   FDBSCAN. There is no separate preprocessing launch; the
-//!   `preprocess` phase only seeds handed-down core flags.
+//!   kernel), then runs one fused kernel with one query per **tree
+//!   leaf**, lazily deciding core status on first demand (see
+//!   [`LazyCore`]). Leaf `pos` queries with cutoff `pos + 1`, so every
+//!   pair of leaves is resolved once, by its lower position, and the
+//!   members of a dense cell never traverse:
+//!   * a point leaf runs a point query: a point hit resolves like
+//!     FDBSCAN, and a box hit needs just *one* member within `eps` to
+//!     connect the whole cell,
+//!   * a dense cell queries with its tight box: a point hit needs one
+//!     member within `eps` of the point, and a box hit joins the two
+//!     cells through an early-exit closest-pair test over the members
+//!     near the other box (the cell graph of Wang, Gu and Shun).
+//!
+//!   There is no separate preprocessing launch; the `preprocess` phase
+//!   only seeds handed-down core flags.
 //!
 //! No distance computations ever happen between two points of the same
 //! dense cell — the elimination the paper's §5.1 measurements attribute
@@ -28,7 +37,7 @@ use std::sync::atomic::Ordering;
 
 use fdbscan_bvh::{Bvh, QueryStats};
 use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
-use fdbscan_geom::Point;
+use fdbscan_geom::{Aabb, Point};
 use fdbscan_grid::DenseGrid;
 use fdbscan_unionfind::AtomicLabels;
 
@@ -148,8 +157,8 @@ fn densebox_core<const D: usize>(
     // Phase 2: preprocessing, fused into the main kernel.
     let (core, lazy) = run.lazy_core(n);
 
-    // Phase 3: main. 3a unions each dense cell internally; 3b traverses
-    // from every point, deciding core status lazily.
+    // Phase 3: main. 3a unions each dense cell internally; 3b runs one
+    // masked query per tree leaf, deciding core status lazily.
     let state = run.phase(PHASE_MAIN, || {
         let labels = AtomicLabels::with_counters(n, device.counters_arc());
         run_main(device, points, params, options, &grid, &bvh, &refs, &labels, &core, &lazy)?;
@@ -182,7 +191,6 @@ fn run_main<const D: usize>(
     core: &CoreFlags,
     lazy: &LazyCore,
 ) -> Result<(), DeviceError> {
-    let n = points.len();
     let Params { eps, minpts } = params;
     let rule = PairRule::of(minpts, options.star);
 
@@ -206,7 +214,7 @@ fn run_main<const D: usize>(
         })?;
     }
 
-    // Phase 3b: fused traversal from every point. Core status is decided
+    // Phase 3b: one masked query per tree leaf. Core status is decided
     // lazily on first demand (exactly once per point): dense-cell members
     // are core by construction, outside points run the counting traversal
     // that the unfused formulation launched as a separate kernel.
@@ -277,73 +285,200 @@ fn run_main<const D: usize>(
                 }
             })
         };
-        device.try_launch_named("densebox.main_fused", n, |i| {
-            let i = i as u32;
-            if rule != PairRule::Connect {
-                ensure_core(i);
-            }
-            let my_cell = grid_ref.cell_of_point(i);
-            let in_dense = grid_ref.is_dense(my_cell);
-            let q = &points[i as usize];
-            let mut distances = 0u64;
-            let mut box_scans = 0u64;
-            let stats = bvh_ref.for_each_in_radius_flagged(q, eps, 0, |_, payload, contained| {
-                let r = refs[payload as usize];
-                if r.is_cell() {
-                    let c = r.index();
-                    if in_dense && c == my_cell {
-                        // Own cell: already unioned in phase 3a.
-                        return ControlFlow::Continue(());
-                    }
-                    let members = grid_ref.cell_members(c);
-                    // Short-circuit (the ArborX callback optimization):
-                    // all members of a dense cell share one set, so if
-                    // this point is already in it, any union found by the
-                    // scan would be a no-op — skip the distance work.
-                    if labels_ref.same_set(i, members[0]) {
-                        return ControlFlow::Continue(());
-                    }
-                    // One member within eps connects the whole cell; a
-                    // contained cell connects through its first member
-                    // with no distance test at all.
-                    for &m in members.iter() {
-                        let hit = if contained {
-                            true
+        // Leaf `pos` queries with cutoff `pos + 1`, so each pair of leaves
+        // is resolved once, by its lower position, and the members of a
+        // dense cell never traverse. Highest position first: a query then
+        // starts after every pair among the leaves it can reach has been
+        // resolved, so the `same_set` short-circuits see those
+        // connections.
+        let leaves = bvh.len();
+        device.try_launch_named("densebox.main_fused", leaves, |k| {
+            let pos = (leaves - 1 - k) as u32;
+            let r = refs[bvh_ref.leaf_payload(pos) as usize];
+            let mut tally = Tally::default();
+            let stats = if r.is_cell() {
+                // A dense cell queries with its tight box.
+                let members = grid_ref.cell_members(r.index());
+                let own_box = bvh_ref.leaf_bounds(pos);
+                let mut near = Vec::new();
+                bvh_ref.for_each_in_radius_flagged(
+                    own_box,
+                    eps,
+                    pos + 1,
+                    |hit, payload, contained| {
+                        let r = refs[payload as usize];
+                        if r.is_cell() {
+                            // Both cells are core and internally joined:
+                            // one member pair within eps joins them.
+                            let other = grid_ref.cell_members(r.index());
+                            if labels_ref.same_set(members[0], other[0]) {
+                                return ControlFlow::Continue(());
+                            }
+                            let pair = if contained {
+                                Some((members[0], other[0]))
+                            } else {
+                                closest_pair(
+                                    points,
+                                    eps_sq,
+                                    (members, own_box),
+                                    (other, bvh_ref.leaf_bounds(hit)),
+                                    &mut near,
+                                    &mut tally,
+                                )
+                            };
+                            if let Some((a, b)) = pair {
+                                labels_ref.union(a, b);
+                            }
                         } else {
-                            distances += 1;
-                            box_scans += 1;
-                            points[m as usize].dist_sq(q) <= eps_sq
-                        };
-                        if hit {
-                            // `i` was ensured at kernel entry; `m` is a
-                            // dense member, core since phase 3a.
-                            rule.resolve(labels_ref, core_ref, i, m);
-                            break;
+                            let j = r.index();
+                            if labels_ref.same_set(j, members[0]) {
+                                return ControlFlow::Continue(());
+                            }
+                            let q = &points[j as usize];
+                            if let Some(m) =
+                                first_within(points, members, q, eps_sq, contained, &mut tally)
+                            {
+                                if rule != PairRule::Connect {
+                                    ensure_core(j);
+                                }
+                                rule.resolve(labels_ref, core_ref, j, m);
+                            }
                         }
-                    }
-                } else {
-                    let j = r.index();
-                    if j != i {
-                        // The leaf-bounds test was the exact distance
-                        // test, free when contained.
+                        ControlFlow::Continue(())
+                    },
+                )
+            } else {
+                let i = r.index();
+                if rule != PairRule::Connect {
+                    ensure_core(i);
+                }
+                let q = &points[i as usize];
+                bvh_ref.for_each_in_radius_flagged(q, eps, pos + 1, |_, payload, contained| {
+                    let r = refs[payload as usize];
+                    if r.is_cell() {
+                        let members = grid_ref.cell_members(r.index());
+                        // Short-circuit (the ArborX callback optimization):
+                        // all members of a dense cell share one set, so if
+                        // this point is already in it, any union found by
+                        // the scan would be a no-op — skip the distance
+                        // work.
+                        if labels_ref.same_set(i, members[0]) {
+                            return ControlFlow::Continue(());
+                        }
+                        // One member within eps connects the whole cell.
+                        // `i` was ensured above; `m` is a dense member,
+                        // core since phase 3a.
+                        if let Some(m) =
+                            first_within(points, members, q, eps_sq, contained, &mut tally)
+                        {
+                            rule.resolve(labels_ref, core_ref, i, m);
+                        }
+                    } else {
+                        // The leaf-bounds test was the exact distance test,
+                        // free when contained.
+                        let j = r.index();
                         if !contained {
-                            distances += 1;
+                            tally.point_tests += 1;
                         }
                         if rule != PairRule::Connect {
                             ensure_core(j);
                         }
                         rule.resolve(labels_ref, core_ref, i, j);
                     }
-                }
-                ControlFlow::Continue(())
-            });
+                    ControlFlow::Continue(())
+                })
+            };
             counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
-            // The callback counted the distance tests it really made.
-            QueryStats { leaf_hits: distances, contained_hits: 0, ..stats }.charge(counters);
-            counters.dense_box_scans.fetch_add(box_scans, Ordering::Relaxed);
+            // The callbacks counted the distance tests they really made;
+            // the cell-pair box filters are leaf-bounds tests.
+            QueryStats {
+                nodes_visited: stats.nodes_visited + tally.filters,
+                leaf_hits: tally.point_tests + tally.member_tests,
+                contained_hits: 0,
+                ..stats
+            }
+            .charge(counters);
+            counters.dense_box_scans.fetch_add(tally.member_tests, Ordering::Relaxed);
         })?;
     }
     Ok(())
+}
+
+/// Work a main-kernel query did outside its traversal's own accounting.
+#[derive(Default)]
+struct Tally {
+    /// Point leaves whose leaf-bounds test was a distance test.
+    point_tests: u64,
+    /// Distance tests against dense-cell members.
+    member_tests: u64,
+    /// Cell-pair box filters: one leaf-bounds test per member.
+    filters: u64,
+}
+
+/// The first member of a dense cell within `eps` of `q`: the first member
+/// outright when the query found the whole cell within `eps`.
+fn first_within<const D: usize>(
+    points: &[Point<D>],
+    members: &[u32],
+    q: &Point<D>,
+    eps_sq: f32,
+    contained: bool,
+    tally: &mut Tally,
+) -> Option<u32> {
+    if contained {
+        return Some(members[0]);
+    }
+    members.iter().copied().find(|&m| {
+        tally.member_tests += 1;
+        points[m as usize].dist_sq(q) <= eps_sq
+    })
+}
+
+/// Early-exit bichromatic closest-pair test of two dense cells (the cell
+/// graph of Wang, Gu and Shun): the first member pair within `eps`, if
+/// any. Each side is filtered to the members within `eps` of the other
+/// cell's box, and a member with the whole other box within `eps` pairs
+/// with its first member without a distance test. `near` is scratch for
+/// the second cell's filtered members.
+fn closest_pair<const D: usize>(
+    points: &[Point<D>],
+    eps_sq: f32,
+    (a, a_box): (&[u32], &Aabb<D>),
+    (b, b_box): (&[u32], &Aabb<D>),
+    near: &mut Vec<u32>,
+    tally: &mut Tally,
+) -> Option<(u32, u32)> {
+    near.clear();
+    for &m in b {
+        tally.filters += 1;
+        let p = &points[m as usize];
+        if a_box.dist_sq(p) <= eps_sq {
+            if a_box.max_dist_sq(p) <= eps_sq {
+                return Some((a[0], m));
+            }
+            near.push(m);
+        }
+    }
+    if near.is_empty() {
+        return None;
+    }
+    for &m in a {
+        tally.filters += 1;
+        let p = &points[m as usize];
+        if b_box.dist_sq(p) > eps_sq {
+            continue;
+        }
+        if b_box.max_dist_sq(p) <= eps_sq {
+            return Some((m, b[0]));
+        }
+        for &o in near.iter() {
+            tally.member_tests += 1;
+            if points[o as usize].dist_sq(p) <= eps_sq {
+                return Some((m, o));
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -397,8 +532,10 @@ mod tests {
         assert_eq!(dense.points_in_dense_cells, 100);
         assert!((dense.dense_fraction - 1.0).abs() < 1e-12);
         // One dense cell, one box primitive, no point primitives: the
-        // traversal finds only the own-cell box, which is skipped.
+        // main phase runs one masked query, from the cell's leaf, and its
+        // members never traverse.
         assert_eq!(stats.counters.distance_computations, 0);
+        assert_eq!(stats.phase_counters.main.bvh_nodes_visited, 1);
     }
 
     #[test]
@@ -449,8 +586,7 @@ mod tests {
         );
         // Distance work: FDBSCAN's containment fast path and index mask
         // now eliminate most intra-blob tests too, so the two are close;
-        // DenseBox traverses unmasked (sees surviving point pairs from
-        // both ends), so allow up to that 2x and no more.
+        // allow DenseBox up to 2x and no more.
         assert!(
             stats_b.counters.distance_computations < 2 * stats_a.counters.distance_computations,
             "densebox: {} >= 2x fdbscan: {}",
@@ -499,6 +635,17 @@ mod tests {
         assert_eq!(c.classes[20], PointClass::Border);
         assert_eq!(c.assignments[20], c.assignments[0]);
         assert_valid_clustering(&points, &c, params);
+    }
+
+    #[test]
+    fn tiny_eps_is_invalid_input() {
+        // 3-D grid keys hold 21 bits per axis; eps = 1e-4 over a 0..999
+        // extent needs about 1.7e7 cells per axis.
+        let points: Vec<Point<3>> = (0..1000)
+            .map(|i| Point::new([i as f32, ((i * 7) % 1000) as f32, ((i * 13) % 1000) as f32]))
+            .collect();
+        let err = fdbscan_densebox(&device(), &points, Params::new(1e-4, 3)).unwrap_err();
+        assert!(matches!(err, DeviceError::InvalidInput { .. }), "{err:?}");
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //!   [`ResiliencePolicy::max_transient_retries`] times before stepping
 //!   down — a fault plan that fires at one launch ordinal will not fire
 //!   again, so the retry usually lands.
-//! * **Invalid input** aborts the ladder: no algorithm can cluster NaN.
+//! * **Invalid input** (NaN, too many points) is rejected before the
+//!   first rung: no algorithm can cluster it. A rung that returns
+//!   `InvalidInput` for validated input cannot take this input (for
+//!   example, DenseBox's grid cannot key a tiny `eps`), so the ladder
+//!   steps down at once, without a retry.
 //! * The sequential oracle never touches the device and cannot fail, so
 //!   a valid input always produces a clustering.
 //!
@@ -340,14 +344,16 @@ pub fn run_resilient<const D: usize>(
                             | DeviceError::KernelTimeout { .. }
                             | DeviceError::FaultInjected { .. }
                     );
-                    // Fatal errors abort the ladder outright: no rung
-                    // can cluster NaN, and a cancelled or out-of-time
-                    // request must stop degrading, not keep going.
+                    // Fatal errors abort the ladder outright: a cancelled
+                    // or out-of-time request must stop degrading, not
+                    // keep going. The input was validated before the
+                    // loop, so `InvalidInput` here means this rung cannot
+                    // take it (say, DenseBox's grid cannot key a tiny
+                    // eps): step down at once, like any other
+                    // non-transient error.
                     let fatal = matches!(
                         err,
-                        DeviceError::InvalidInput { .. }
-                            | DeviceError::Cancelled { .. }
-                            | DeviceError::DeadlineExceeded { .. }
+                        DeviceError::Cancelled { .. } | DeviceError::DeadlineExceeded { .. }
                     );
                     report
                         .attempts
@@ -584,6 +590,29 @@ mod tests {
         let err = run_resilient(&device, &points, Params::new(0.5, 2), ResiliencePolicy::default())
             .unwrap_err();
         assert!(matches!(err, DeviceError::InvalidInput { .. }));
+    }
+
+    #[test]
+    fn tiny_eps_steps_down_from_densebox_without_retry() {
+        // DenseBox's grid cannot key eps = 1e-4 over a 0..999 extent in
+        // 3-D (21 bits per axis). That is this rung's limit, not a fault:
+        // one attempt, then FDBSCAN clusters the input.
+        let points: Vec<Point<3>> = (0..1000)
+            .map(|i| Point::new([i as f32, ((i * 7) % 1000) as f32, ((i * 13) % 1000) as f32]))
+            .collect();
+        let device = Device::new(DeviceConfig::default().with_workers(2));
+        let (_, _, report) =
+            run_resilient(&device, &points, Params::new(1e-4, 3), ResiliencePolicy::default())
+                .unwrap();
+        assert_eq!(report.completed, Some(LadderLevel::Fdbscan));
+        assert_eq!(report.attempts.len(), 2, "{:?}", report.attempts);
+        assert!(matches!(
+            report.attempts[0],
+            Attempt {
+                level: LadderLevel::DenseBox,
+                outcome: AttemptOutcome::Failed(DeviceError::InvalidInput { .. })
+            }
+        ));
     }
 
     #[test]

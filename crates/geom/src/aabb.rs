@@ -101,52 +101,104 @@ impl<const D: usize> Aabb<D> {
         self.min.dist(&self.max)
     }
 
-    /// Squared distance from `p` to the box (zero if `p` is inside).
+    /// Squared distance from `center` to the box (zero if they overlap):
+    /// the sum of the squared per-axis [`QueryCenter::gap`]s.
     ///
     /// This is the node rejection test of the BVH radius query: a subtree
-    /// is entered iff `dist_sq(p, node_box) <= eps^2`.
+    /// is entered iff `dist_sq(center, node_box) <= eps^2`.
     #[inline]
-    pub fn dist_sq(&self, p: &Point<D>) -> f32 {
+    pub fn dist_sq<C: QueryCenter<D>>(&self, center: &C) -> f32 {
         let mut acc = 0.0f32;
         for d in 0..D {
-            let c = p[d];
-            let lo = self.min[d];
-            let hi = self.max[d];
-            let delta = if c < lo {
-                lo - c
-            } else if c > hi {
-                c - hi
-            } else {
-                0.0
-            };
+            let delta = center.gap(d, self.min[d], self.max[d]);
             acc += delta * delta;
         }
         acc
     }
 
-    /// Squared distance from `p` to the *farthest* corner of the box.
+    /// Squared distance from `center` to the *farthest* corner of the
+    /// box: the sum of the squared per-axis [`QueryCenter::span`]s.
     ///
     /// This is the node containment test of the stackless radius query:
-    /// when `max_dist_sq(p, node_box) <= eps^2` every point inside the box
-    /// is within `eps` of `p`, so the whole subtree can be accepted
-    /// without any per-leaf distance test. The per-dimension farthest
-    /// offset is `max(|p - lo|, |p - hi|)`; because rounding in `f32`
-    /// subtraction is monotone, each computed offset upper-bounds the
-    /// computed offset of any contained coordinate, and squaring plus the
-    /// in-order summation preserve that bound — so the computed member
-    /// distance in [`Aabb::dist_sq`]-order never exceeds this value and no
-    /// epsilon slack is needed.
+    /// when `max_dist_sq(center, node_box) <= eps^2` every point inside
+    /// the box is within `eps` of every point of `center`, so the whole
+    /// subtree can be accepted without any per-leaf distance test.
+    /// Because rounding in `f32` subtraction is monotone, each computed
+    /// span upper-bounds the computed offset between any two contained
+    /// coordinates, and squaring plus the in-order summation preserve
+    /// that bound — so the computed member distance in [`Point::dist_sq`]
+    /// never exceeds this value and no epsilon slack is needed.
     #[inline]
-    pub fn max_dist_sq(&self, p: &Point<D>) -> f32 {
+    pub fn max_dist_sq<C: QueryCenter<D>>(&self, center: &C) -> f32 {
         let mut acc = 0.0f32;
         for d in 0..D {
-            let c = p[d];
-            let to_lo = (c - self.min[d]).abs();
-            let to_hi = (self.max[d] - c).abs();
-            let delta = to_lo.max(to_hi);
+            let delta = center.span(d, self.min[d], self.max[d]);
             acc += delta * delta;
         }
         acc
+    }
+}
+
+/// The centre of a radius query: a point, or a box (a dense cell querying
+/// its neighbours).
+///
+/// Per axis, a centre gives its *gap* to an interval `[lo, hi]`, a lower
+/// bound on the offset between any of its coordinates and any coordinate
+/// in the interval, and its *span* over it, an upper bound on that
+/// offset. Both bounds hold for the offsets as `f32` computes them:
+/// rounding in `f32` subtraction is monotone, so the computed `x - y` of
+/// a contained `x` and `y` never leaves the range the computed corner
+/// differences give. [`Aabb::dist_sq`] sums squared gaps (rejection) and
+/// [`Aabb::max_dist_sq`] squared spans (containment); the BVH's per-leaf
+/// test strides the same gaps.
+pub trait QueryCenter<const D: usize> {
+    /// Lower bound on `|x - y|` along `axis` for `x` in the centre and `y`
+    /// in `[lo, hi]` (zero when they overlap).
+    fn gap(&self, axis: usize, lo: f32, hi: f32) -> f32;
+    /// Upper bound on `|x - y|` along `axis` for `x` in the centre and `y`
+    /// in `[lo, hi]`.
+    fn span(&self, axis: usize, lo: f32, hi: f32) -> f32;
+}
+
+impl<const D: usize> QueryCenter<D> for Point<D> {
+    #[inline]
+    fn gap(&self, axis: usize, lo: f32, hi: f32) -> f32 {
+        let c = self[axis];
+        if c < lo {
+            lo - c
+        } else if c > hi {
+            c - hi
+        } else {
+            0.0
+        }
+    }
+
+    #[inline]
+    fn span(&self, axis: usize, lo: f32, hi: f32) -> f32 {
+        let c = self[axis];
+        let to_lo = (c - lo).abs();
+        let to_hi = (hi - c).abs();
+        to_lo.max(to_hi)
+    }
+}
+
+/// A box centre: gap `max(0, lo - max, min - hi)` and span
+/// `max(|max - lo|, |hi - min|)`. Both are sound under `f32` rounding by
+/// the same monotonicity argument as [`Aabb::max_dist_sq`]: for `x` in the
+/// box and `y` in `[lo, hi]`, the computed `x - y` lies between the
+/// computed `min - hi` and `max - lo`. A degenerate box (`min == max`)
+/// computes exactly its point's values.
+impl<const D: usize> QueryCenter<D> for Aabb<D> {
+    #[inline]
+    fn gap(&self, axis: usize, lo: f32, hi: f32) -> f32 {
+        (lo - self.max[axis]).max(self.min[axis] - hi).max(0.0)
+    }
+
+    #[inline]
+    fn span(&self, axis: usize, lo: f32, hi: f32) -> f32 {
+        let to_lo = (self.max[axis] - lo).abs();
+        let to_hi = (hi - self.min[axis]).abs();
+        to_lo.max(to_hi)
     }
 }
 

@@ -19,7 +19,7 @@
 //!   SoA slices, bit-identical to the scalar accept set, for the
 //!   threaded device backend's inner loops,
 //! * the distances radius queries test: point–point ([`Point::dist_sq`])
-//!   and point–box ([`Aabb::dist_sq`]).
+//!   and point–box or box–box ([`Aabb::dist_sq`], over a [`QueryCenter`]).
 //!
 //! Everything here is `no_std`-style plain data: flat arrays of `f32`,
 //! no heap indirection, no trait objects — matching how the data lives in
@@ -31,7 +31,7 @@ pub mod point;
 pub mod simd;
 pub mod soa;
 
-pub use aabb::Aabb;
+pub use aabb::{Aabb, QueryCenter};
 pub use point::Point;
 pub use soa::SoaPoints;
 

@@ -181,8 +181,11 @@ impl<const D: usize> DenseGrid<D> {
     /// 4. `grid.dense_census` — reduction counting dense cells/points.
     ///
     /// # Errors
-    /// Propagates [`DeviceError`] from scratch allocation (budget
-    /// exhaustion or injected faults) and from the device launches.
+    /// [`DeviceError::InvalidInput`] when an axis needs more cells than
+    /// its Morton key bits can number (`cell_len` too small for the data
+    /// extent). Propagates [`DeviceError`] from scratch allocation
+    /// (budget exhaustion or injected faults) and from the device
+    /// launches.
     pub fn build_with_cell_len_in(
         device: &Device,
         arena: &BufferArena,
@@ -219,22 +222,24 @@ impl<const D: usize> DenseGrid<D> {
         )?;
         let origin = scene.min;
 
-        // Grid resolution sanity: Morton keys give `bits_per_axis(D)` bits
-        // per axis. With f32 coordinates the extent/cell ratio cannot
-        // meaningfully exceed 2^24, so this only rejects degenerate
-        // configurations (eps smaller than coordinate ulps). The per-axis
-        // cell counts also bound the interleaved key width, which caps the
-        // radix passes the fused sort runs.
+        // Grid resolution: Morton keys give `bits_per_axis(D)` bits per
+        // axis (21 in 3-D), so a small enough eps over a wide enough
+        // extent cannot be keyed; that is an input this grid cannot take,
+        // not a bug. The per-axis cell counts also bound the interleaved
+        // key width, which caps the radix passes the fused sort runs.
         let bits = morton::bits_per_axis(D);
         let mut axis_bits = 1u32;
         for axis in 0..D {
             let extent = scene.max[axis] - scene.min[axis];
-            let cells = (extent / cell_len).ceil() as u64 + 1;
-            assert!(
-                cells < (1u64 << bits),
-                "grid axis {axis} needs {cells} cells, exceeding the {bits}-bit key range; \
-                 eps is too small relative to the data extent"
-            );
+            let cells = ((extent / cell_len).ceil() as u64).saturating_add(1);
+            if cells >= (1u64 << bits) {
+                return Err(DeviceError::InvalidInput {
+                    reason: format!(
+                        "grid axis {axis} needs {cells} cells, exceeding the {bits}-bit key \
+                         range; eps is too small relative to the data extent"
+                    ),
+                });
+            }
             axis_bits = axis_bits.max(64 - (cells - 1).leading_zeros());
         }
         let key_bits = (axis_bits * D as u32).min(64);
@@ -814,6 +819,17 @@ mod tests {
     #[should_panic(expected = "minpts must be at least 1")]
     fn zero_minpts_rejected() {
         DenseGrid::<2>::build(&device(), &[Point::new([0.0, 0.0])], 1.0, 0);
+    }
+
+    #[test]
+    fn unkeyable_axis_is_invalid_input() {
+        // 3-D keys hold 21 bits per axis: 2^21 cells of edge 1e-3 span
+        // about 2097 units, less than this extent.
+        let points = [Point::new([0.0, 0.0, 0.0]), Point::new([3000.0, 0.0, 0.0])];
+        let device = device();
+        let err = DenseGrid::<3>::build_with_cell_len_in(&device, device.arena(), &points, 1e-3, 2)
+            .unwrap_err();
+        assert!(matches!(err, DeviceError::InvalidInput { .. }), "{err:?}");
     }
 
     #[test]

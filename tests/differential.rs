@@ -15,7 +15,12 @@
 //! * **collinear** — exactly collinear points with equal spacing:
 //!   degenerate Morton codes, tie-heavy boundary distances,
 //! * **duplicates** — a few sites with heavy stacking: zero-volume
-//!   subtrees, dense cells, early-terminated counting.
+//!   subtrees, dense cells, early-terminated counting,
+//! * **clustered-3d** — 3-D Gaussian blobs plus noise: DenseBox's box
+//!   queries and cell-pair tests in three dimensions.
+//!
+//! A fixed ε-boundary layout pins the DenseBox paths that connect two
+//! dense cells, and a dense cell and a border point, at exactly ε.
 //!
 //! `FDBSCAN_DIFF_SEED` offsets the proptest dataset seeds so CI can
 //! sweep several independent batches.
@@ -29,13 +34,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fdbscan::baselines::{cuda_dclust, gdbscan};
-use fdbscan::labels::assert_core_equivalent;
+use fdbscan::labels::{assert_core_equivalent, NOISE};
 use fdbscan::seq::dbscan_classic;
 use fdbscan::verify::assert_valid_clustering;
 use fdbscan::{fdbscan, fdbscan_densebox, fdbscan_kdtree, Params};
 use fdbscan_data::{blobs, uniform};
 use fdbscan_device::{Device, DeviceConfig};
-use fdbscan_geom::Point2;
+use fdbscan_geom::{Point, Point2, Point3};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -54,9 +59,20 @@ fn backends() -> [(&'static str, Device); 2] {
 
 const FAMILIES: [&str; 4] = ["clustered", "uniform", "collinear", "duplicates"];
 
-/// Builds one dataset of the given family, deterministically in `seed`.
+/// `seed` offset by `FDBSCAN_DIFF_SEED`.
+fn offset_seed(seed: u64) -> u64 {
+    seed ^ diff_seed_offset().wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The 3-D clustered family, deterministically in `seed`.
+fn clustered_3d(n: usize, seed: u64) -> Vec<Point3> {
+    blobs::<3>(n, 4, 0.15, 4.0, 0.2, offset_seed(seed))
+}
+
+/// Builds one 2-D dataset of the given family, deterministically in
+/// `seed`.
 fn dataset(family: &str, n: usize, seed: u64) -> Vec<Point2> {
-    let seed = seed ^ diff_seed_offset().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let seed = offset_seed(seed);
     match family {
         "clustered" => blobs::<2>(n, 4, 0.15, 4.0, 0.2, seed),
         "uniform" => uniform::<2>(n, 4.0, seed),
@@ -85,7 +101,7 @@ fn dataset(family: &str, n: usize, seed: u64) -> Vec<Point2> {
 
 /// Oracle differential for one (family, dataset, params) case; panics
 /// with the full replay recipe on divergence.
-fn check_case(family: &str, seed: u64, points: &[Point2], params: Params) {
+fn check_case<const D: usize>(family: &str, seed: u64, points: &[Point<D>], params: Params) {
     let oracle = dbscan_classic(points, params);
     for (backend, dev) in backends() {
         let runs: [(&str, Box<dyn Fn() -> _>); 5] = [
@@ -134,6 +150,7 @@ proptest! {
             let points = dataset(family, n, seed);
             check_case(family, seed, &points, params);
         }
+        check_case("clustered-3d", seed, &clustered_3d(n, seed), params);
     }
 }
 
@@ -149,5 +166,41 @@ fn fixed_regression_cases() {
     ] {
         let points = dataset(family, 150, seed);
         check_case(family, seed, &points, Params::new(eps, minpts));
+    }
+    check_case("clustered-3d", 11, &clustered_3d(150, 11), Params::new(0.3, 5));
+}
+
+#[test]
+fn dense_cells_and_borders_exactly_at_eps() {
+    // eps = 1, minpts = 3, so DenseBox's cells are 1/sqrt(2) wide. A and
+    // B are dense cells whose only cross pair, (0,0)-(1,0), is exactly
+    // eps apart: A's cell query joins them through the cell-pair test.
+    // Each border lies exactly eps from one member, so its degree is 2.
+    // In tree order the left border sorts first and the right one last,
+    // so the left one reaches A through its own point query and the
+    // right one reaches B through B's cell query.
+    let outward = |x: f32| f32::from_bits(x.to_bits() + 1); // one ulp away from 0
+    let layout = |bridge: f32, left: f32, right: f32| {
+        vec![
+            Point2::new([0.0, 0.0]),
+            Point2::new([-0.125, 0.0]),
+            Point2::new([-0.125, 0.125]),
+            Point2::new([bridge, 0.0]),
+            Point2::new([1.125, 0.0]),
+            Point2::new([1.125, 0.125]),
+            Point2::new([left, 0.0]),
+            Point2::new([right, 0.125]),
+        ]
+    };
+    let params = Params::new(1.0, 3);
+    for (name, points, clusters, noise) in [
+        ("at-eps", layout(1.0, -1.125, 2.125), 1, 0),
+        ("bridge-one-ulp-out", layout(outward(1.0), -1.125, 2.125), 2, 0),
+        ("borders-one-ulp-out", layout(1.0, outward(-1.125), outward(2.125)), 1, 2),
+    ] {
+        let oracle = dbscan_classic(&points, params);
+        let oracle_noise = oracle.assignments.iter().filter(|&&a| a == NOISE).count();
+        assert_eq!((oracle.num_clusters, oracle_noise), (clusters, noise), "{name}");
+        check_case(name, 0, &points, params);
     }
 }
