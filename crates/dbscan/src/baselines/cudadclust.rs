@@ -117,7 +117,7 @@ fn cuda_dclust_core<const D: usize>(
     // Cell edge = eps: all neighbors of a point live in the surrounding
     // 3^D cells. Dense classification is disabled (minpts = MAX).
     let grid = run.phase(PHASE_INDEX, || {
-        Ok(DenseGrid::build_with_cell_len(device, points, eps, usize::MAX))
+        DenseGrid::build_with_cell_len_in(device, device.arena(), points, eps, usize::MAX)
     })?;
     let _grid_mem = device.memory().reserve(grid.memory_bytes())?;
 
@@ -329,6 +329,17 @@ mod tests {
     fn empty_input() {
         let (c, _) = cuda_dclust::<2>(&device(), &[], Params::new(1.0, 3)).unwrap();
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn tiny_eps_is_invalid_input() {
+        // With cell edge eps, 1e-4 over a 0..999 extent needs about 1e7
+        // cells per axis; 3-D grid keys hold 21 bits per axis.
+        let points: Vec<Point<3>> = (0..1000)
+            .map(|i| Point::new([i as f32, ((i * 7) % 1000) as f32, ((i * 13) % 1000) as f32]))
+            .collect();
+        let err = cuda_dclust(&device(), &points, Params::new(1e-4, 3)).unwrap_err();
+        assert!(matches!(err, DeviceError::InvalidInput { .. }), "{err:?}");
     }
 
     #[test]

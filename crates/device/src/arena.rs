@@ -22,9 +22,10 @@
 //!
 //! [`BufferArena::take_untracked`] checks out a buffer with no tracker
 //! interaction at all. It exists for block-local working sets that a
-//! real kernel would keep in shared memory (the radix sort's per-block
-//! histogram table): they are not device-global allocations, so they
-//! neither charge the budget nor occupy fault ordinals.
+//! real kernel would keep in shared memory (the radix sort's count
+//! matrix): they are not device-global allocations, so they neither
+//! charge the budget nor occupy fault ordinals. They pool in free lists
+//! of their own, apart from the tracked ones.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -49,13 +50,17 @@ impl PooledBuf {
     }
 }
 
+type PoolKey = (TypeId, usize, bool);
+
 #[derive(Default)]
 struct ArenaInner {
-    /// Free lists keyed by `(element type, element count)`. Exact
-    /// length classes, not power-of-two buckets: a pooled buffer's live
-    /// reservation must equal its byte size, or budget enforcement and
-    /// the OOM tests it backs would drift.
-    pools: Mutex<HashMap<(TypeId, usize), Vec<PooledBuf>>>,
+    /// Free lists keyed by `(element type, element count, tracked)`.
+    /// Exact length classes, not power-of-two buckets: a pooled buffer's
+    /// live reservation must equal its byte size, or budget enforcement
+    /// and the OOM tests it backs would drift. Tracked and untracked
+    /// buffers never share a list, so a tracked checkout never comes
+    /// back without its reservation.
+    pools: Mutex<HashMap<PoolKey, Vec<PooledBuf>>>,
     /// Reservation-backed bytes currently sitting in free lists. These
     /// count against `MemoryTracker::in_use` but are reclaimable, so
     /// pre-flight estimates add them back to the available budget.
@@ -90,7 +95,7 @@ impl BufferArena {
     where
         T: Default + Clone + Send + 'static,
     {
-        let key = (TypeId::of::<T>(), n);
+        let key = (TypeId::of::<T>(), n, true);
         let pooled = self.inner.pools.lock().get_mut(&key).and_then(Vec::pop);
         if let Some(pooled) = pooled {
             let held = pooled.reserved_bytes();
@@ -127,23 +132,14 @@ impl BufferArena {
     where
         T: Default + Clone + Send + 'static,
     {
-        let key = (TypeId::of::<T>(), n);
+        let key = (TypeId::of::<T>(), n, false);
         let pooled = self.inner.pools.lock().get_mut(&key).and_then(Vec::pop);
         if let Some(pooled) = pooled {
-            let held = pooled.reserved_bytes();
-            self.inner.held.fetch_sub(held, Ordering::Relaxed);
             let mut buf = *pooled.buf.downcast::<Vec<T>>().expect("pool key pins the element type");
             buf.clear();
             buf.resize(n, T::default());
             self.inner.recycled_takes.fetch_add(1, Ordering::Relaxed);
-            // An untracked checkout may recycle a tracked buffer; it
-            // keeps (and later returns) the reservation it came with.
-            return ArenaBuf {
-                buf,
-                reservation: pooled.reservation,
-                class: n,
-                inner: Arc::clone(&self.inner),
-            };
+            return ArenaBuf { buf, reservation: None, class: n, inner: Arc::clone(&self.inner) };
         }
         self.inner.fresh_takes.fetch_add(1, Ordering::Relaxed);
         ArenaBuf {
@@ -251,9 +247,10 @@ impl<T: Send + 'static> Drop for ArenaBuf<T> {
             return;
         }
         let reservation = self.reservation.take();
+        let key = (TypeId::of::<T>(), self.class, reservation.is_some());
         let pooled = PooledBuf { buf: Box::new(buf), reservation };
         self.inner.held.fetch_add(pooled.reserved_bytes(), Ordering::Relaxed);
-        self.inner.pools.lock().entry((TypeId::of::<T>(), self.class)).or_default().push(pooled);
+        self.inner.pools.lock().entry(key).or_default().push(pooled);
     }
 }
 
@@ -385,6 +382,24 @@ mod tests {
         assert_eq!(tracker.reservations_made(), 0);
         assert_eq!(counters.snapshot().injected_oom, 0);
         assert_eq!(arena.held_bytes(), 0);
+    }
+
+    #[test]
+    fn tracked_and_untracked_buffers_never_recycle_into_each_other() {
+        let tracker = Arc::new(MemoryTracker::new(None));
+        let arena = BufferArena::new(Arc::clone(&tracker));
+        drop(arena.take_untracked::<u64>(128));
+        // Same element type and length, but a tracked checkout must
+        // reserve its bytes instead of taking the unreserved buffer.
+        let tracked = arena.take::<u64>(128).unwrap();
+        assert_eq!(tracker.in_use(), 1024);
+        assert_eq!(tracker.reservations_made(), 1);
+        drop(tracked);
+        // And an untracked checkout leaves the pooled tracked buffer,
+        // and its reservation, in the arena.
+        let _untracked = arena.take_untracked::<u64>(128);
+        assert_eq!(arena.held_bytes(), 1024);
+        assert_eq!(arena.recycled_takes(), 1);
     }
 
     #[test]

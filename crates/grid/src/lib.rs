@@ -131,9 +131,14 @@ impl<const D: usize> DenseGrid<D> {
     /// Builds the grid with the paper's cell edge `eps / sqrt(D)` (so each
     /// cell's diameter is at most `eps`). `eps` must be positive and
     /// finite; `minpts >= 1`.
+    ///
+    /// # Panics
+    /// Panics where [`DenseGrid::build_in`] would return an error.
     pub fn build(device: &Device, points: &[Point<D>], eps: f32, minpts: usize) -> Self {
-        assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
-        Self::build_with_cell_len(device, points, eps / (D as f32).sqrt(), minpts)
+        match Self::build_in(device, device.arena(), points, eps, minpts) {
+            Ok(grid) => grid,
+            Err(error) => panic!("grid build failed: {error}"),
+        }
     }
 
     /// [`DenseGrid::build`] with scratch checked out of an explicit
@@ -149,26 +154,14 @@ impl<const D: usize> DenseGrid<D> {
         Self::build_with_cell_len_in(device, arena, points, eps / (D as f32).sqrt(), minpts)
     }
 
-    /// Builds the grid with an explicit cell edge length. Used by
-    /// CUDA-DClust's directory index, which wants `cell_len == eps` so a
-    /// point's neighbors all live in the 3^D surrounding cells. Note that
-    /// dense classification (`is_dense`) is only meaningful when the cell
-    /// diameter is at most `eps` — directory users should pass a `minpts`
-    /// that disables it (e.g. `usize::MAX`).
-    pub fn build_with_cell_len(
-        device: &Device,
-        points: &[Point<D>],
-        cell_len: f32,
-        minpts: usize,
-    ) -> Self {
-        match Self::build_with_cell_len_in(device, device.arena(), points, cell_len, minpts) {
-            Ok(grid) => grid,
-            Err(error) => panic!("grid build failed: {error}"),
-        }
-    }
-
-    /// [`DenseGrid::build_with_cell_len`] with scratch checked out of an
-    /// explicit [`BufferArena`] and device errors propagated.
+    /// Builds the grid with an explicit cell edge length, with scratch
+    /// checked out of an explicit [`BufferArena`] and device errors
+    /// propagated. Used by CUDA-DClust's directory index, which wants
+    /// `cell_len == eps` so a point's neighbors all live in the 3^D
+    /// surrounding cells. Note that dense classification (`is_dense`) is
+    /// only meaningful when the cell diameter is at most `eps` —
+    /// directory users should pass a `minpts` that disables it (e.g.
+    /// `usize::MAX`).
     ///
     /// The whole directory is produced in four launches:
     /// 1. `grid.scene_bounds` — reduction fixing the origin,

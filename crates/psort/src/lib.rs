@@ -8,7 +8,7 @@
 //!
 //! * [`scan::exclusive_scan`] — block-parallel exclusive prefix sum,
 //! * [`radix::sort_pairs`] — stable LSD radix sort of `u64` keys with
-//!   `u32` payloads (16-bit digits, per-block histograms, scan, scatter),
+//!   `u32` payloads (8-bit digits, per-block histograms, scan, scatter),
 //!   with all passes submitted as one batched launch,
 //! * [`radix::sort_pairs_in`] — the same sort with scratch checked out of
 //!   an explicit [`fdbscan_device::BufferArena`] and errors propagated,

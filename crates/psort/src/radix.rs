@@ -1,50 +1,48 @@
 //! Parallel LSD radix sort for `(u64 key, u32 payload)` pairs.
 //!
-//! Classic GPU formulation (one histogram/scan/scatter triple per 16-bit
+//! Classic GPU formulation (one histogram/scan/scatter triple per 8-bit
 //! digit), submitted as a *single batched launch*
 //! ([`Device::try_batch_named`]): every pass of the pipeline is enqueued
 //! up front and the host synchronises once, the way a real GPU stream
 //! replays a captured graph.
 //!
-//! 1. **histogram** — each block counts digit occurrences in its segment,
-//! 2. **scan** — a digit-major exclusive scan over the `65536 × blocks`
+//! 1. **histogram** — each block counts digit occurrences in its segment
+//!    into a 256-entry table on the worker's stack,
+//! 2. **scan** — a digit-major exclusive scan over the `256 × blocks`
 //!    count matrix turns counts into global scatter bases (a single-index
-//!    stage inside the batch — the count matrix is n-independent per
-//!    block, so a sequential scan is exact and cheap),
+//!    stage inside the batch — the matrix holds 256 entries per
+//!    16,384-key block, so a sequential scan is exact and cheap),
 //! 3. **scatter** — each block re-reads its segment in order and places
 //!    every element at its digit's next slot.
 //!
 //! Per-block sequential placement keeps the sort *stable*, which the BVH
 //! relies on to break Morton-code ties by original index.
 //!
-//! The digit is 16 bits wide: full 64-bit keys sort in 4 passes instead
-//! of the 8 an 8-bit digit needs. Passes whose digit is constant over all
-//! keys are skipped; callers that know their key width analytically
-//! (Morton codes, grid cell keys) use [`sort_by_key_fused`], which also
-//! skips the max-key reduction and *generates keys on the fly* in the
-//! first pass — no materialised key array is ever uploaded.
+//! The digit is 8 bits wide, so a block's count and cursor tables (256
+//! entries each) are far smaller than the 16,384-key segment they serve
+//! and fit on the worker's stack. Full 64-bit keys take 8 passes; passes
+//! above the highest set key bit are skipped. Callers that know their key width
+//! analytically (Morton codes, grid cell keys) use [`sort_by_key_fused`],
+//! which also skips the max-key reduction and *generates keys on the fly*:
+//! the first histogram evaluates `keygen` once per element and parks the
+//! key in scratch, so no materialised key array is ever uploaded.
 //!
 //! Scratch (the ping-pong key/payload arrays) is checked out of the
 //! device [`BufferArena`], so repeated sorts — every BVH or grid build
 //! after the first — reuse the same allocations. The count matrix is
-//! untracked scratch, the analogue of GPU shared memory.
+//! untracked scratch, the analogue of GPU shared memory: 2 KB per block,
+//! under 64 KB at 500k keys.
 
 use fdbscan_device::{BatchStage, BufferArena, Device, DeviceError, SharedMut};
 
-pub(crate) const RADIX_BITS: u32 = 16;
+const RADIX_BITS: u32 = 8;
 const BUCKETS: usize = 1 << RADIX_BITS;
 /// Elements per sorting block. Larger than the device block size: the
 /// histogram/scatter kernels are launched over *sort blocks*, and each
-/// index of the launch handles one contiguous segment. Sized so the
-/// per-block bucket table stays small relative to the segment it counts.
+/// index of the launch handles one contiguous segment.
 const SORT_BLOCK: usize = 1 << 14;
 /// Below this size, a sequential comparison sort wins.
 const SEQUENTIAL_THRESHOLD: usize = 1 << 10;
-/// Lane width of the histogram's digit extraction: the shift/mask over 8
-/// keys at a time vectorizes (4 × u64 per AVX2 register, two registers),
-/// while the bucket-table increments stay scalar — a 2^16-entry table
-/// cannot be scattered into with lanes.
-const DIGIT_LANES: usize = 8;
 
 /// Stable sort of `keys` with `values` permuted alongside, using the
 /// device's own buffer arena for scratch.
@@ -126,11 +124,11 @@ pub fn sort_pairs_in(
 /// Stable radix sort over *virtual* pairs `(keygen(i), i)` for `i` in
 /// `0..n`, delivered through `emit` instead of materialised arrays.
 ///
-/// `keygen(i)` must be pure: it is re-evaluated in the first histogram
-/// and scatter passes (on a GPU the key is recomputed in registers —
-/// cheaper than a round-trip to global memory). `key_bits` bounds the
-/// significant key width and fixes the pass count analytically, so no
-/// max-key reduction is launched.
+/// `keygen` is called exactly once per element, from the workers of the
+/// first histogram (or from the host below the sequential threshold);
+/// later stages read the key it returned from scratch. `key_bits` bounds
+/// the significant key width and fixes the pass count analytically, so
+/// no max-key reduction is launched.
 ///
 /// When the sort completes, `emit(rank, key, i)` has been called exactly
 /// once per element: element `i` (with key `keygen(i)`) landed at sorted
@@ -172,16 +170,20 @@ where
     let passes = (key_bits.div_ceil(RADIX_BITS)).max(1) as usize;
     let num_blocks = n.div_ceil(SORT_BLOCK);
 
-    // Ping-pong scratch: pass 0 reads the virtual input and writes A;
-    // subsequent passes alternate A -> B -> A. Tracked against the
-    // memory budget — this is data-sized device-global scratch.
+    // Ping-pong scratch: pass 0 scatters into A, later passes alternate
+    // A -> B -> A. B first holds the generated keys: pass 0's histogram
+    // stores them there and its scatter reads them back, before pass 1
+    // scatters into B. Tracked against the memory budget — this is
+    // data-sized device-global scratch.
     let mut keys_a = arena.take::<u64>(n)?;
     let mut keys_b = arena.take::<u64>(n)?;
     let mut vals_a = arena.take::<u32>(n)?;
     let mut vals_b = arena.take::<u32>(n)?;
-    // Digit-major count matrix (counts[digit * num_blocks + block]).
-    // Untracked: the GPU analogue lives in shared memory / a fixed-size
-    // side table, not in the data-sized device heap.
+    // Digit-major count matrix (counts[digit * num_blocks + block]):
+    // 2 KB per block, under 64 KB at 500k keys. Untracked: the GPU
+    // analogue lives in shared memory / a fixed-size side table, not in
+    // the data-sized device heap, and a reservation would shift the OOM
+    // ordinals that fault plans address.
     let mut counts = arena.take_untracked::<u64>(BUCKETS * num_blocks);
 
     let ka = SharedMut::new(&mut keys_a[..]);
@@ -190,6 +192,7 @@ where
     let vb = SharedMut::new(&mut vals_b[..]);
     let counts_view = SharedMut::new(&mut counts[..]);
     let counts_view = &counts_view;
+    let (ka, kb, va, vb) = (&ka, &kb, &va, &vb);
     let keygen = &keygen;
     let emit = &emit;
 
@@ -197,45 +200,36 @@ where
     for pass in 0..passes {
         let shift = pass as u32 * RADIX_BITS;
         let last = pass + 1 == passes;
-        // `None` = the virtual (keygen, identity) input of pass 0.
-        let src = match pass {
-            0 => None,
-            p if p % 2 == 1 => Some((&ka, &va)),
-            _ => Some((&kb, &vb)),
+        // Pass 0 reads the keys its histogram stored in B, paired with
+        // their own indices (`None`); later passes read the pairs the
+        // previous scatter wrote.
+        let (src_keys, src_vals) = match pass {
+            0 => (kb, None),
+            p if p % 2 == 1 => (ka, Some(va)),
+            _ => (kb, Some(vb)),
         };
-        let (dst_keys, dst_vals) = if pass % 2 == 0 { (&ka, &va) } else { (&kb, &vb) };
+        let (dst_keys, dst_vals) = if pass % 2 == 0 { (ka, va) } else { (kb, vb) };
 
         stages.push(BatchStage::new("sort.histogram", num_blocks, move |b| {
             let start = b * SORT_BLOCK;
             let end = (start + SORT_BLOCK).min(n);
-            // Heap-allocated: a 2^16-entry table would blow the worker
-            // stack (the GPU analogue holds it in shared memory).
-            let mut local = vec![0u32; BUCKETS];
-            // SAFETY (both key reads below): the previous scatter stage
-            // fully wrote this buffer; the batch barrier ordered it
-            // before us.
-            let mut digits = [0usize; DIGIT_LANES];
-            let mut i = start;
-            while i + DIGIT_LANES <= end {
-                for (l, digit) in digits.iter_mut().enumerate() {
-                    let key = match src {
-                        None => keygen(i + l),
-                        Some((kv, _)) => unsafe { kv.read(i + l) },
-                    };
-                    *digit = ((key >> shift) as usize) & (BUCKETS - 1);
-                }
-                for &digit in &digits {
-                    local[digit] += 1;
-                }
-                i += DIGIT_LANES;
-            }
-            for tail in i..end {
-                let key = match src {
-                    None => keygen(tail),
-                    Some((kv, _)) => unsafe { kv.read(tail) },
+            let mut local = [0u32; BUCKETS];
+            for i in start..end {
+                let key = if pass == 0 {
+                    // The only keygen call for element `i`: the key is
+                    // parked in B for this pass's scatter.
+                    let key = keygen(i);
+                    // SAFETY: block `b` alone touches slots start..end of
+                    // B in this stage; nothing else touches B until this
+                    // pass's scatter, behind the batch barrier.
+                    unsafe { kb.write(i, key) };
+                    key
+                } else {
+                    // SAFETY: the previous scatter stage fully wrote this
+                    // buffer; the batch barrier ordered it before us.
+                    unsafe { src_keys.read(i) }
                 };
-                let digit = ((key >> shift) as usize) & (BUCKETS - 1);
-                local[digit] += 1;
+                local[((key >> shift) as usize) & (BUCKETS - 1)] += 1;
             }
             for (digit, &count) in local.iter().enumerate() {
                 // SAFETY: slot (digit, b) is owned by this block. Every
@@ -246,7 +240,7 @@ where
         }));
 
         // Exclusive scan of the count matrix into scatter bases. A
-        // single-index stage: the matrix is n-independent per block, so
+        // single-index stage: the matrix holds 256 entries per block, so
         // one thread scanning it sequentially is exact and cheap, and
         // keeping it inside the batch avoids a host synchronisation.
         stages.push(BatchStage::new("sort.scan", 1, move |_| {
@@ -265,29 +259,38 @@ where
         stages.push(BatchStage::new("sort.scatter", num_blocks, move |b| {
             let start = b * SORT_BLOCK;
             let end = (start + SORT_BLOCK).min(n);
-            let mut cursors = vec![0u64; BUCKETS];
+            let mut cursors = [0usize; BUCKETS];
             for (digit, cursor) in cursors.iter_mut().enumerate() {
                 // SAFETY: read-only view of the scanned bases.
-                *cursor = unsafe { counts_view.read(digit * num_blocks + b) };
+                *cursor = unsafe { counts_view.read(digit * num_blocks + b) } as usize;
             }
             for i in start..end {
-                let (key, payload) = match src {
-                    None => (keygen(i), i as u32),
-                    // SAFETY: written by the scatter two stages back.
-                    Some((kv, vv)) => unsafe { (kv.read(i), vv.read(i)) },
+                // SAFETY: written by this pass's histogram (pass 0) or by
+                // the scatter two stages back; a batch barrier lies
+                // between, and nothing writes the source in this stage.
+                let (key, payload) = unsafe {
+                    match src_vals {
+                        None => (src_keys.read(i), i as u32),
+                        Some(vv) => (src_keys.read(i), vv.read(i)),
+                    }
                 };
                 let digit = ((key >> shift) as usize) & (BUCKETS - 1);
-                let dest = cursors[digit] as usize;
+                let dest = cursors[digit];
                 cursors[digit] += 1;
-                // SAFETY: scatter destinations are globally unique — the
-                // scanned bases partition the output index space by
-                // (digit, block), and cursors stay within each partition.
-                unsafe {
-                    dst_keys.write(dest, key);
-                    dst_vals.write(dest, payload);
-                }
                 if last {
+                    // The caller's epilogue is the only output of the
+                    // final pass: nothing reads the ping-pong buffers
+                    // after it.
                     emit(dest, key, payload);
+                } else {
+                    // SAFETY: scatter destinations are globally unique —
+                    // the scanned bases partition the output index space
+                    // by (digit, block), and cursors stay within each
+                    // partition.
+                    unsafe {
+                        dst_keys.write(dest, key);
+                        dst_vals.write(dest, payload);
+                    }
                 }
             }
         }));
@@ -315,6 +318,7 @@ mod tests {
     use fdbscan_device::DeviceConfig;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn check_sorted_pairs(keys: &[u64], values: &[u32], original: &[(u64, u32)]) {
         assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
@@ -388,7 +392,7 @@ mod tests {
 
     #[test]
     fn small_keys_skip_passes() {
-        // Keys below 2^16 need exactly one pass; the whole pipeline is
+        // Keys below 2^8 need exactly one pass; the whole pipeline is
         // one max-key reduce plus one batched launch.
         let device = Device::new(DeviceConfig::default().with_workers(2));
         let before = device.counters().snapshot();
@@ -406,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn full_width_keys_use_four_passes() {
+    fn full_width_keys_use_eight_passes() {
         let device = Device::new(DeviceConfig::default().with_workers(2));
         let before = device.counters().snapshot();
         let n = 20_000;
@@ -418,8 +422,8 @@ mod tests {
         let delta = device.counters().snapshot().since(&before);
         // Still 1 reduce + 1 batch; the extra passes are extra *stages*.
         assert_eq!(delta.kernel_launches, 2);
-        // 4 passes x (histogram + scan + scatter).
-        assert_eq!(delta.batched_stages, 12);
+        // 8 passes x (histogram + scan + scatter).
+        assert_eq!(delta.batched_stages, 24);
     }
 
     #[test]
@@ -476,6 +480,59 @@ mod tests {
         for w in out_keys.iter().zip(&out_src).collect::<Vec<_>>().windows(2) {
             if w[0].0 == w[1].0 {
                 assert!(w[0].1 < w[1].1, "fused sort must stay stable");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_keygen_runs_once_per_element() {
+        // Three full sort blocks and a 7-key tail, two passes.
+        let n = 3 * SORT_BLOCK + 7;
+        for workers in [1, 3] {
+            let device = Device::new(DeviceConfig::default().with_workers(workers));
+            let calls = AtomicUsize::new(0);
+            let key_of = |i: usize| (i as u64).wrapping_mul(2654435761) % (1 << 16);
+            let mut out = vec![u32::MAX; n];
+            {
+                let view = SharedMut::new(&mut out[..]);
+                let keygen = |i| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    key_of(i)
+                };
+                sort_by_key_fused(&device, device.arena(), n, 16, keygen, |rank, _key, i| {
+                    // SAFETY: unique ranks.
+                    unsafe { view.write(rank, i) };
+                })
+                .unwrap();
+            }
+            assert_eq!(calls.load(Ordering::Relaxed), n, "{workers} workers");
+            assert!(out.windows(2).all(|w| key_of(w[0] as usize) <= key_of(w[1] as usize)));
+        }
+    }
+
+    #[test]
+    fn stable_across_block_boundaries() {
+        // Four distinct keys, so every tie group spans sort blocks; a
+        // block's scatter must land after every earlier block's ties.
+        // The keys differ in three digits, so ties pass through three
+        // scatters.
+        const KEYS: [u64; 4] = [0x3_0001, 0x100, 0x1_0000, 0x1];
+        for workers in [1, 3] {
+            let device = Device::new(DeviceConfig::default().with_workers(workers));
+            for n in [SORT_BLOCK - 1, SORT_BLOCK, SORT_BLOCK + 1, 3 * SORT_BLOCK + 7] {
+                let original: Vec<u64> = (0..n).map(|i| KEYS[(i * 7 + i / 5) % 4]).collect();
+                let mut keys = original.clone();
+                let mut values: Vec<u32> = (0..n as u32).collect();
+                sort_pairs(&device, &mut keys, &mut values);
+                assert!(keys.windows(2).all(|w| w[0] <= w[1]), "n = {n}");
+                for (w, k) in values.windows(2).zip(keys.windows(2)) {
+                    if k[0] == k[1] {
+                        assert!(w[0] < w[1], "stability violated at n = {n}, {workers} workers");
+                    }
+                }
+                for (&k, &v) in keys.iter().zip(&values) {
+                    assert_eq!(k, original[v as usize]);
+                }
             }
         }
     }

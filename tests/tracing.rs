@@ -127,6 +127,69 @@ fn run_stats_phase_times_are_their_span_durations() {
 }
 
 #[test]
+fn kernel_spans_fit_in_their_phases_and_phases_in_the_run() {
+    // The span reconciliation perfbench runs on its workloads, here on
+    // every algorithm: the kernel spans inside a phase span (batch stages
+    // included) sum to no more than its duration, and the four phase
+    // spans to no more than the run span. 2,000 points put every sort
+    // above its sequential threshold, so `sort.pipeline` launches.
+    let device = traced_device();
+    let points = random_points(2000, 10.0, 12);
+    let params = Params::new(0.3, 5);
+    let sweep = MinptsSweep::new(&device, &points, params.eps).unwrap();
+    let runs: [(&str, bool, &dyn Fn()); 5] = [
+        ("fdbscan", true, &|| {
+            fdbscan(&device, &points, params).unwrap();
+        }),
+        ("fdbscan-densebox", true, &|| {
+            fdbscan_densebox(&device, &points, params).unwrap();
+        }),
+        ("g-dbscan", false, &|| {
+            gdbscan(&device, &points, params).unwrap();
+        }),
+        ("cuda-dclust", true, &|| {
+            cuda_dclust(&device, &points, params).unwrap();
+        }),
+        ("fdbscan-sweep", false, &|| {
+            sweep.run(params.minpts).unwrap();
+        }),
+    ];
+    for (root, sorts, run) in runs {
+        device.tracer().clear();
+        run();
+        let events = device.tracer().events();
+        let phase =
+            |label: &str| events.iter().find(|e| e.kind == SpanKind::Phase && e.label == label);
+        let run_span = phase(root).unwrap_or_else(|| panic!("{root}: no run span"));
+        let mut phase_sum = 0;
+        for label in ["index", "preprocess", "main", "finalize"] {
+            let Some(span) = phase(label) else { continue };
+            let inside: u64 = events
+                .iter()
+                .filter(|e| {
+                    e.kind == SpanKind::Kernel
+                        && span.start_ns <= e.start_ns
+                        && e.end_ns <= span.end_ns
+                })
+                .map(|e| e.duration_ns())
+                .sum();
+            assert!(
+                inside <= span.duration_ns(),
+                "{root}/{label}: kernel spans {inside} ns > phase {} ns",
+                span.duration_ns()
+            );
+            phase_sum += span.duration_ns();
+        }
+        assert!(
+            phase_sum <= run_span.duration_ns(),
+            "{root}: phases {phase_sum} ns > run {} ns",
+            run_span.duration_ns()
+        );
+        assert_eq!(phase("sort.pipeline").is_some(), sorts, "{root}: sort.pipeline launch");
+    }
+}
+
+#[test]
 fn failed_run_closes_its_spans_innermost_first() {
     // G-DBSCAN runs out of memory inside its index phase: the spans it
     // leaves open must close innermost first, so an enclosing span (the
