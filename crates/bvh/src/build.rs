@@ -30,10 +30,13 @@
 //! Ropes fall out of the same pass: when a parent with children `(l, r)`
 //! is created, every node on the right spine of `l`'s subtree (including
 //! `l`) has its subtree end at the new split, so its rope is exactly
-//! `r`; the creating thread walks that spine and assigns it. The root's
-//! creator terminates the root's right spine with [`NodeRef::NONE`].
-//! Every node lies on exactly one such spine, so each rope is written
-//! once and the aggregate walk cost is `O(n)`.
+//! `r`; the creating thread walks that spine and assigns it. The
+//! *mirrored* ropes (the next node in right-child-first preorder) are
+//! the same construction reflected: every node on the left spine of `r`
+//! starts at the split, so its mirrored rope is `l`. The root's creator
+//! terminates the root's right spine and left spine with
+//! [`NodeRef::NONE`]. Every node lies on exactly one spine of each kind,
+//! so each rope is written once and the aggregate walk cost is `O(n)`.
 //!
 //! Ties between equal Morton codes are broken with the primitive index
 //! (the standard `code ## index` augmentation), so duplicate positions —
@@ -41,7 +44,10 @@
 //!
 //! Scratch (sorted codes, arrival flags, rendezvous slots) comes from a
 //! [`BufferArena`], so repeated builds on one device reuse their
-//! allocations instead of re-reserving.
+//! allocations instead of re-reserving. A rendezvous slot holds only the
+//! deposited node: its covered range and bounds are read back from the
+//! node itself (`ranges`/`internal_bounds`, or the leaf's position and
+//! `leaf_bounds`).
 
 use std::sync::atomic::Ordering;
 
@@ -99,6 +105,8 @@ impl<const D: usize> Bvh<D> {
                 positions: Vec::new(),
                 internal_skip: Vec::new(),
                 leaf_skip: Vec::new(),
+                internal_lskip: Vec::new(),
+                leaf_lskip: Vec::new(),
                 leaf_lo: SoaPoints::new(),
                 leaf_hi: SoaPoints::new(),
                 scene: Aabb::empty(),
@@ -164,31 +172,33 @@ impl<const D: usize> Bvh<D> {
                 positions,
                 internal_skip: Vec::new(),
                 leaf_skip: vec![NodeRef::NONE],
+                internal_lskip: Vec::new(),
+                leaf_lskip: vec![NodeRef::NONE],
                 leaf_lo,
                 leaf_hi,
                 scene,
             });
         }
 
-        // 3. Single bottom-up pass: topology + bounds + ropes + SoA leaf
-        //    corners, one thread per leaf.
+        // 3. Single bottom-up pass: topology + bounds + both rope kinds +
+        //    SoA leaf corners, one thread per leaf.
         let internal_count = n - 1;
         let mut children = vec![[NodeRef::internal(0); 2]; internal_count];
         let mut ranges = vec![[0u32; 2]; internal_count];
         let mut internal_bounds = vec![Aabb::<D>::empty(); internal_count];
         let mut internal_skip = vec![NodeRef::NONE; internal_count];
         let mut leaf_skip = vec![NodeRef::NONE; n];
+        let mut internal_lskip = vec![NodeRef::NONE; internal_count];
+        let mut leaf_lskip = vec![NodeRef::NONE; n];
         let mut lo_flat = vec![0.0f32; D * n];
         let mut hi_flat = vec![0.0f32; D * n];
 
         // Rendezvous state, one slot pair per leaf boundary b (between
         // sorted leaves b and b+1): the completed subtree ending at b
-        // deposits in slot 2b, the one starting at b+1 in slot 2b+1.
-        // `take` hands the flags back zeroed.
+        // deposits its node in slot 2b, the one starting at b+1 in slot
+        // 2b+1. `take` hands the flags back zeroed.
         let mut flags_buf = arena.take::<u32>(internal_count)?;
         let mut pend_node = arena.take::<u32>(2 * internal_count)?;
-        let mut pend_far = arena.take::<u32>(2 * internal_count)?;
-        let mut pend_bounds = arena.take::<Aabb<D>>(2 * internal_count)?;
         {
             let flags = as_atomic_u32(&mut flags_buf[..]);
             let children_view = SharedMut::new(&mut children);
@@ -196,30 +206,37 @@ impl<const D: usize> Bvh<D> {
             let bounds_view = SharedMut::new(&mut internal_bounds);
             let iskip_view = SharedMut::new(&mut internal_skip);
             let lskip_view = SharedMut::new(&mut leaf_skip);
+            let ilskip_view = SharedMut::new(&mut internal_lskip);
+            let llskip_view = SharedMut::new(&mut leaf_lskip);
             let lo_view = SharedMut::new(&mut lo_flat);
             let hi_view = SharedMut::new(&mut hi_flat);
             let pnode_view = SharedMut::new(&mut pend_node[..]);
-            let pfar_view = SharedMut::new(&mut pend_far[..]);
-            let pbounds_view = SharedMut::new(&mut pend_bounds[..]);
             let codes_ref: &[u64] = &codes;
             let leaf_bounds_ref = &leaf_bounds;
 
-            // Assigns `rope` to `from` and the whole right spine of its
-            // subtree: each of those nodes' subtrees ends where `from`'s
-            // does, so they share the rope. Reads of descendants'
-            // children are ordered by the arrival-flag acquire chain.
-            let assign_spine = |from: NodeRef, rope: NodeRef| {
+            // Assigns `rope` to `from` and the whole spine of its subtree
+            // on side `side` (1: right spine, forward ropes; 0: left
+            // spine, mirrored ropes): each of those nodes' subtrees ends
+            // (starts) where `from`'s does, so they share the rope. Reads
+            // of descendants' children are ordered by the arrival-flag
+            // acquire chain.
+            let assign_spine = |from: NodeRef, rope: NodeRef, side: usize| {
+                let (leaf_view, internal_view) = if side == 1 {
+                    (&lskip_view, &iskip_view)
+                } else {
+                    (&llskip_view, &ilskip_view)
+                };
                 let mut x = from;
                 loop {
-                    // SAFETY: every node lies on exactly one assigned
-                    // spine, so its rope slot has a single writer.
+                    // SAFETY: every node lies on exactly one spine of each
+                    // side, so its rope slot has a single writer.
                     if x.is_leaf() {
-                        unsafe { lskip_view.write(x.index() as usize, rope) };
+                        unsafe { leaf_view.write(x.index() as usize, rope) };
                         return;
                     }
                     unsafe {
-                        iskip_view.write(x.index() as usize, rope);
-                        x = children_view.read(x.index() as usize)[1];
+                        internal_view.write(x.index() as usize, rope);
+                        x = children_view.read(x.index() as usize)[side];
                     }
                 }
             };
@@ -243,9 +260,10 @@ impl<const D: usize> Bvh<D> {
                 let mut nb = lb;
                 loop {
                     if first == 0 && last == n - 1 {
-                        // `node` is the root: nothing follows its
-                        // subtree, so its right spine ropes to NONE.
-                        assign_spine(node, NodeRef::NONE);
+                        // `node` is the root: nothing follows its subtree
+                        // in either preorder, so both spines rope to NONE.
+                        assign_spine(node, NodeRef::NONE, 1);
+                        assign_spine(node, NodeRef::NONE, 0);
                         return;
                     }
                     // Merge toward the outer neighbor with the longer
@@ -259,32 +277,34 @@ impl<const D: usize> Bvh<D> {
                         if dr > dl { (last, true) } else { (first - 1, false) };
                     // SAFETY: exactly one subtree ends at this boundary
                     // and one starts right after it; each owns its slot.
-                    unsafe {
-                        let slot = 2 * boundary + usize::from(!is_left);
-                        pnode_view.write(slot, node.0);
-                        pfar_view.write(slot, if is_left { first as u32 } else { last as u32 });
-                        pbounds_view.write(slot, nb);
-                    }
-                    // AcqRel: releases our slot writes to the later
-                    // arrival and acquires the earlier one's (plus,
-                    // transitively, its whole subtree).
+                    unsafe { pnode_view.write(2 * boundary + usize::from(!is_left), node.0) };
+                    // AcqRel: releases our slot write (and our node's
+                    // range and bounds) to the later arrival and acquires
+                    // the earlier one's (plus, transitively, its whole
+                    // subtree).
                     if flags[boundary].fetch_add(1, Ordering::AcqRel) == 0 {
                         return; // first arrival: the sibling builds the parent
                     }
                     // SAFETY: the sibling's deposit happened-before our
                     // fetch_add observed its arrival.
-                    let (sib_node, sib_far, sib_bounds) = unsafe {
-                        let slot = 2 * boundary + usize::from(is_left);
-                        (
-                            NodeRef(pnode_view.read(slot)),
-                            pfar_view.read(slot) as usize,
-                            pbounds_view.read(slot),
-                        )
+                    let sib_node =
+                        unsafe { NodeRef(pnode_view.read(2 * boundary + usize::from(is_left))) };
+                    // The sibling's covered range and bounds, read back from
+                    // the node itself.
+                    let (sib_range, sib_bounds) = if sib_node.is_leaf() {
+                        let pos = sib_node.index();
+                        ([pos, pos], leaf_bounds_ref[pos as usize])
+                    } else {
+                        let i = sib_node.index() as usize;
+                        // SAFETY: the sibling's creator wrote its range and
+                        // bounds before its own arrival here, which our
+                        // fetch_add acquired; no thread writes them again.
+                        unsafe { (ranges_view.read(i), bounds_view.read(i)) }
                     };
                     let (nf, nl, lchild, rchild) = if is_left {
-                        (first, sib_far, node, sib_node)
+                        (first, sib_range[1] as usize, node, sib_node)
                     } else {
-                        (sib_far, last, sib_node, node)
+                        (sib_range[0] as usize, last, sib_node, node)
                     };
                     let merged = nb.merged(&sib_bounds);
                     // Karras index of [nf, nl]: the endpoint whose outer
@@ -305,9 +325,12 @@ impl<const D: usize> Bvh<D> {
                         ranges_view.write(parent, [nf as u32, nl as u32]);
                         bounds_view.write(parent, merged);
                     }
-                    // The left child's right spine ends at the new
-                    // split, so it ropes to the right child.
-                    assign_spine(lchild, rchild);
+                    // The left child's right spine ends at the new split,
+                    // so it ropes to the right child; the right child's
+                    // left spine starts there, so its mirrored rope is the
+                    // left child.
+                    assign_spine(lchild, rchild, 1);
+                    assign_spine(rchild, lchild, 0);
                     node = NodeRef::internal(parent as u32);
                     first = nf;
                     last = nl;
@@ -325,13 +348,15 @@ impl<const D: usize> Bvh<D> {
             positions,
             internal_skip,
             leaf_skip,
+            internal_lskip,
+            leaf_lskip,
             leaf_lo: SoaPoints::from_dim_major(lo_flat, n),
             leaf_hi: SoaPoints::from_dim_major(hi_flat, n),
             scene,
         })
     }
 
-    /// Recomputes the derived traversal structures — rope skip links and
+    /// Recomputes the derived traversal structures — both rope kinds and
     /// the dimension-major leaf corners — from the core arrays.
     ///
     /// [`Bvh::build_in`] fills the same data inside the
@@ -348,6 +373,8 @@ impl<const D: usize> Bvh<D> {
         if n < 2 {
             self.internal_skip = Vec::new();
             self.leaf_skip = vec![NodeRef::NONE; n];
+            self.internal_lskip = Vec::new();
+            self.leaf_lskip = vec![NodeRef::NONE; n];
             return;
         }
         let mut internal_parent = vec![0u32; n - 1];
@@ -361,35 +388,35 @@ impl<const D: usize> Bvh<D> {
                 }
             }
         }
-        self.internal_skip = (0..n - 1)
-            .map(|i| {
-                skip_link(
-                    &self.children,
-                    &internal_parent,
-                    &leaf_parent,
-                    NodeRef::internal(i as u32),
-                )
-            })
-            .collect();
-        self.leaf_skip = (0..n)
-            .map(|pos| {
-                skip_link(&self.children, &internal_parent, &leaf_parent, NodeRef::leaf(pos as u32))
-            })
-            .collect();
+        let rope = |node: NodeRef, mirrored: bool| {
+            skip_link(&self.children, &internal_parent, &leaf_parent, node, mirrored)
+        };
+        let internal = || (0..n - 1).map(|i| NodeRef::internal(i as u32));
+        let leaves = || (0..n).map(|pos| NodeRef::leaf(pos as u32));
+        let internal_skip = internal().map(|x| rope(x, false)).collect();
+        let leaf_skip = leaves().map(|x| rope(x, false)).collect();
+        let internal_lskip = internal().map(|x| rope(x, true)).collect();
+        let leaf_lskip = leaves().map(|x| rope(x, true)).collect();
+        self.internal_skip = internal_skip;
+        self.leaf_skip = leaf_skip;
+        self.internal_lskip = internal_lskip;
+        self.leaf_lskip = leaf_lskip;
     }
 }
 
 /// The rope of `node`: the next node in preorder after `node`'s subtree,
 /// or [`NodeRef::NONE`] when the subtree is the tail of the preorder.
+/// With `mirrored`, the same in right-child-first preorder.
 ///
-/// Walks up while `node` is a right child; the first ancestor that is a
-/// left child yields its right sibling. Every step strictly decreases the
+/// Walks up while `node` is the child visited second; the first ancestor
+/// visited first yields its sibling. Every step strictly decreases the
 /// subtree depth, so the walk is bounded by the tree depth.
 fn skip_link(
     children: &[[NodeRef; 2]],
     internal_parent: &[u32],
     leaf_parent: &[u32],
     node: NodeRef,
+    mirrored: bool,
 ) -> NodeRef {
     let mut cur = node;
     loop {
@@ -402,8 +429,9 @@ fn skip_link(
             internal_parent[cur.index() as usize]
         };
         let [left, right] = children[parent as usize];
-        if cur == left {
-            return right;
+        let (first, second) = if mirrored { (right, left) } else { (left, right) };
+        if cur == first {
+            return second;
         }
         cur = NodeRef::internal(parent);
     }
@@ -499,28 +527,37 @@ mod tests {
         }
 
         // Ropes: a full descent that always takes the left child and
-        // follows leaf ropes must enumerate the exact preorder sequence.
-        let mut preorder = Vec::new();
-        let mut stack = vec![NodeRef::internal(0)];
-        while let Some(node) = stack.pop() {
-            preorder.push(node);
-            if !node.is_leaf() {
-                let [l, r] = bvh.children[node.index() as usize];
-                stack.push(r);
-                stack.push(l);
+        // follows leaf ropes must enumerate the exact preorder sequence;
+        // mirrored ropes, descending right children, the right-child-first
+        // preorder.
+        for mirrored in [false, true] {
+            let (first, second) = if mirrored { (1, 0) } else { (0, 1) };
+            let mut preorder = Vec::new();
+            let mut stack = vec![NodeRef::internal(0)];
+            while let Some(node) = stack.pop() {
+                preorder.push(node);
+                if !node.is_leaf() {
+                    let pair = bvh.children[node.index() as usize];
+                    stack.push(pair[second]);
+                    stack.push(pair[first]);
+                }
             }
+            let leaf_ropes = if mirrored { &bvh.leaf_lskip } else { &bvh.leaf_skip };
+            let mut via_ropes = Vec::new();
+            let mut node = NodeRef::internal(0);
+            while node != NodeRef::NONE {
+                via_ropes.push(node);
+                node = if node.is_leaf() {
+                    leaf_ropes[node.index() as usize]
+                } else {
+                    bvh.children[node.index() as usize][first]
+                };
+            }
+            assert_eq!(
+                via_ropes, preorder,
+                "rope walk diverges from preorder (mirrored {mirrored})"
+            );
         }
-        let mut via_ropes = Vec::new();
-        let mut node = NodeRef::internal(0);
-        while node != NodeRef::NONE {
-            via_ropes.push(node);
-            node = if node.is_leaf() {
-                bvh.leaf_skip[node.index() as usize]
-            } else {
-                bvh.children[node.index() as usize][0]
-            };
-        }
-        assert_eq!(via_ropes, preorder, "rope walk diverges from preorder");
 
         // Every rope must land on the subtree starting right after the
         // node's covered leaf range (NONE only for range suffixes).
@@ -542,6 +579,28 @@ mod tests {
             match bvh.leaf_skip[pos as usize] {
                 NodeRef::NONE => assert_eq!(pos as usize, n - 1),
                 skip => assert_eq!(first_of(skip), pos + 1),
+            }
+        }
+        // Every mirrored rope must land on the subtree ending right before
+        // the node's covered leaf range (NONE only for range prefixes).
+        let last_of = |r: NodeRef| {
+            if r.is_leaf() {
+                r.index()
+            } else {
+                bvh.ranges[r.index() as usize][1]
+            }
+        };
+        for i in 0..(n - 1) {
+            let first = bvh.ranges[i][0];
+            match bvh.internal_lskip[i] {
+                NodeRef::NONE => assert_eq!(first, 0),
+                skip => assert_eq!(last_of(skip) + 1, first),
+            }
+        }
+        for pos in 0..n as u32 {
+            match bvh.leaf_lskip[pos as usize] {
+                NodeRef::NONE => assert_eq!(pos, 0),
+                skip => assert_eq!(last_of(skip) + 1, pos),
             }
         }
 
@@ -688,8 +747,8 @@ mod tests {
 
     #[test]
     fn matches_host_derived_traversal() {
-        // The in-kernel ropes and SoA corners must agree exactly with
-        // the host-side twin used by snapshot restore.
+        // The in-kernel ropes (both kinds) and SoA corners must agree
+        // exactly with the host-side twin used by snapshot restore.
         let device = Device::new(DeviceConfig::default().with_workers(3));
         for n in [2usize, 3, 255, 2048] {
             let bvh = Bvh::build(&device, &point_boxes(&random_points(n, 77 + n as u64)));
@@ -697,6 +756,8 @@ mod tests {
             rederived.derive_traversal();
             assert_eq!(bvh.internal_skip, rederived.internal_skip, "n = {n}");
             assert_eq!(bvh.leaf_skip, rederived.leaf_skip, "n = {n}");
+            assert_eq!(bvh.internal_lskip, rederived.internal_lskip, "n = {n}");
+            assert_eq!(bvh.leaf_lskip, rederived.leaf_lskip, "n = {n}");
         }
     }
 

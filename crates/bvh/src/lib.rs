@@ -16,6 +16,13 @@
 //!   leaf indices all fall below a per-query cutoff are skipped, so each
 //!   close pair is discovered exactly once in the main phase.
 //!
+//! A query issued *from* a leaf — every self-query of the DBSCAN
+//! kernels — starts at that leaf instead of the root:
+//! [`Bvh::for_each_after`] walks only the preorder suffix after it (the
+//! masked search, with no ancestor tested and no mask test), and
+//! [`Bvh::for_each_around`] walks the suffix and then the prefix through
+//! mirrored ropes, nearest subtrees first (the core count).
+//!
 //! The hierarchy is built from arbitrary bounding boxes, which is what
 //! lets FDBSCAN-DenseBox mix isolated points and dense-cell boxes in one
 //! tree (paper §4.2, Fig. 2 right).
@@ -26,7 +33,9 @@
 //! node `i` covers the contiguous sorted-leaf range `[first(i), last(i)]`
 //! — the property the masked traversal exploits. Leaves appear in Morton
 //! order of their box centers; `leaf_payload` maps a sorted position back
-//! to the caller's primitive id and `leaf_pos_of` is the inverse.
+//! to the caller's primitive id and `leaf_pos_of` is the inverse. Every
+//! node carries two ropes: the next node in preorder after its subtree,
+//! and the next node in right-child-first preorder (the mirrored rope).
 //!
 //! # Example
 //!
@@ -90,6 +99,14 @@ pub struct Bvh<const D: usize> {
     pub(crate) internal_skip: Vec<NodeRef>,
     /// Rope of sorted leaf `pos` (a leaf's subtree is itself).
     pub(crate) leaf_skip: Vec<NodeRef>,
+    /// Mirrored rope of internal node `i`: the next node in
+    /// *right-child-first* preorder after `i`'s subtree — the subtree
+    /// ending right before `i`'s range. A walk that descends right
+    /// children and follows these visits the leaves before a position,
+    /// nearest first.
+    pub(crate) internal_lskip: Vec<NodeRef>,
+    /// Mirrored rope of sorted leaf `pos`.
+    pub(crate) leaf_lskip: Vec<NodeRef>,
     /// Lower leaf corners, dimension-major (`dim(d)[pos]`): the
     /// coalescing-friendly layout the per-leaf distance test strides.
     pub(crate) leaf_lo: SoaPoints<D>,
@@ -144,6 +161,8 @@ impl<const D: usize> Bvh<D> {
             + self.positions.len() * std::mem::size_of::<u32>()
             + self.internal_skip.len() * std::mem::size_of::<NodeRef>()
             + self.leaf_skip.len() * std::mem::size_of::<NodeRef>()
+            + self.internal_lskip.len() * std::mem::size_of::<NodeRef>()
+            + self.leaf_lskip.len() * std::mem::size_of::<NodeRef>()
             + self.leaf_lo.memory_bytes()
             + self.leaf_hi.memory_bytes()
     }

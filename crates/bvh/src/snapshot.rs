@@ -103,6 +103,8 @@ impl<const D: usize> Checkpointable for Bvh<D> {
             positions,
             internal_skip: Vec::new(),
             leaf_skip: Vec::new(),
+            internal_lskip: Vec::new(),
+            leaf_lskip: Vec::new(),
             leaf_lo: fdbscan_geom::SoaPoints::new(),
             leaf_hi: fdbscan_geom::SoaPoints::new(),
             scene: scene[0],
@@ -116,6 +118,8 @@ impl<const D: usize> Checkpointable for Bvh<D> {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::ControlFlow;
+
     use fdbscan_device::{Checkpointable, Device};
     use fdbscan_geom::{Aabb, Point2};
 
@@ -145,6 +149,27 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
+        }
+        // Both leaf-anchored walks (forward and mirrored ropes) answer
+        // identically from every leaf, hits and work alike.
+        let walk = |tree: &Bvh<2>, pos: u32, around: bool| {
+            let mut hits = Vec::new();
+            let center = tree.leaf_bounds(pos).min;
+            let push = |leaf, payload, contained| {
+                hits.push((leaf, payload, contained));
+                ControlFlow::Continue(())
+            };
+            let stats = if around {
+                tree.for_each_around(pos, &center, 2.0, push)
+            } else {
+                tree.for_each_after(pos, &center, 2.0, push)
+            };
+            (hits, stats)
+        };
+        for pos in 0..bvh.len() as u32 {
+            for around in [false, true] {
+                assert_eq!(walk(&restored, pos, around), walk(&bvh, pos, around), "leaf {pos}");
+            }
         }
     }
 

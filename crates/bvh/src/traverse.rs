@@ -12,6 +12,24 @@
 //!   sorted-leaf range with *no* per-leaf distance tests (counted in
 //!   [`QueryStats::contained_hits`]).
 //!
+//! Three walks share that one rope loop:
+//!
+//! * [`Bvh::for_each_in_radius`] starts at the root and takes any centre
+//!   and any index cutoff (paper Fig. 1's mask),
+//! * [`Bvh::for_each_after`] is the masked query *of a leaf*: it starts
+//!   at leaf `pos`'s rope, so it walks only the preorder suffix after the
+//!   leaf — exactly the subtrees the mask `pos + 1` lets through — and
+//!   never tests an ancestor of `pos` or a mask,
+//! * [`Bvh::for_each_around`] is the unmasked query of a leaf: the leaf
+//!   itself, then the suffix, then the prefix through the *mirrored*
+//!   ropes (right-child-first preorder), so the subtrees nearest the
+//!   leaf on both sides come first and an early exit comes sooner.
+//!
+//! The leaf-anchored walks skip the ancestors' tests, and with them the
+//! containment fast path those ancestors offered: where an ancestor of
+//! the query's leaf is contained (a pile of duplicates), the root walk
+//! accepts it with one test and the anchored walks test its pieces.
+//!
 //! The query centre is any [`QueryCenter`]: a point, or a box (a dense
 //! cell querying its neighbouring leaves). Both tests sum its per-axis
 //! gaps and spans, so a point query does exactly the `f32` operations of
@@ -141,8 +159,115 @@ impl<const D: usize> Bvh<D> {
             self.emit_range(0, self.ranges[0][1], cutoff, &mut stats, &mut callback);
             return stats;
         }
+        self.rope_walk::<C, F, false>(
+            self.children[0][0],
+            cutoff,
+            center,
+            eps_sq,
+            &mut stats,
+            &mut callback,
+        );
+        stats
+    }
 
-        let mut node = self.children[0][0];
+    /// The masked query of leaf `pos`: invokes `callback(leaf_pos,
+    /// payload, contained)` for every leaf *after* `pos` in sorted order
+    /// whose bounds lie within `eps` of `center`, in increasing position
+    /// order — exactly the `(leaf_pos, payload)` sequence of
+    /// [`Self::for_each_in_radius_flagged`] with cutoff `pos + 1`, for any
+    /// centre.
+    ///
+    /// The walk starts at the leaf's rope, so it covers only the preorder
+    /// suffix after `pos`: no ancestor of `pos` is tested, and no mask
+    /// test runs. A leaf the root walk would accept through a contained
+    /// ancestor is tested here instead, so its `contained` flag may be
+    /// `false` where the root walk's is `true`.
+    pub fn for_each_after<C, F>(
+        &self,
+        pos: u32,
+        center: &C,
+        eps: f32,
+        mut callback: F,
+    ) -> QueryStats
+    where
+        C: QueryCenter<D>,
+        F: FnMut(u32, u32, bool) -> ControlFlow<()>,
+    {
+        let mut stats = QueryStats::default();
+        let start = self.leaf_skip[pos as usize];
+        self.rope_walk::<C, F, false>(start, 0, center, eps * eps, &mut stats, &mut callback);
+        stats
+    }
+
+    /// The unmasked query of leaf `pos`: invokes `callback(leaf_pos,
+    /// payload, contained)` for every leaf whose bounds lie within `eps`
+    /// of `center` — the hit set of [`Self::for_each_in_radius_flagged`]
+    /// with cutoff `0`. `center` must lie within `eps` of leaf `pos` (it
+    /// is the leaf's own point or box).
+    ///
+    /// Leaf `pos` itself is reported first, without a bounds test
+    /// (`contained` when its bounds lie within `eps` of all of `center`,
+    /// as for a point leaf queried from its own point). Then the walk
+    /// covers the preorder suffix after `pos`, and then the prefix before
+    /// it through the mirrored ropes, descending right children first:
+    /// the subtrees nearest the leaf come first on both sides, so a
+    /// callback that stops at a count stops early. No ancestor of `pos`
+    /// is tested.
+    pub fn for_each_around<C, F>(
+        &self,
+        pos: u32,
+        center: &C,
+        eps: f32,
+        mut callback: F,
+    ) -> QueryStats
+    where
+        C: QueryCenter<D>,
+        F: FnMut(u32, u32, bool) -> ControlFlow<()>,
+    {
+        let mut stats = QueryStats::default();
+        let eps_sq = eps * eps;
+        let own = &self.leaf_bounds[pos as usize];
+        debug_assert!(own.dist_sq(center) <= eps_sq, "centre is not within eps of leaf {pos}");
+        let contained = own.max_dist_sq(center) <= eps_sq;
+        stats.leaf_hits = 1;
+        stats.contained_hits = u64::from(contained);
+        if callback(pos, self.leaf_payload[pos as usize], contained).is_break() {
+            stats.terminated_early = true;
+            return stats;
+        }
+        let (after, before) = (self.leaf_skip[pos as usize], self.leaf_lskip[pos as usize]);
+        if !self.rope_walk::<C, F, false>(after, 0, center, eps_sq, &mut stats, &mut callback) {
+            self.rope_walk::<C, F, true>(before, 0, center, eps_sq, &mut stats, &mut callback);
+        }
+        stats
+    }
+
+    /// The rope loop every walk shares: from `node` until the ropes run
+    /// out, tests each node against `center` and fires the callback on
+    /// every hit. Forward, it descends left children and follows the
+    /// ropes (preorder); `MIRRORED`, it descends right children and
+    /// follows the mirrored ropes (right-child-first preorder). Subtrees
+    /// wholly below `cutoff` are skipped untested. Returns `true` if the
+    /// callback broke out.
+    #[inline(always)]
+    fn rope_walk<C, F, const MIRRORED: bool>(
+        &self,
+        mut node: NodeRef,
+        cutoff: u32,
+        center: &C,
+        eps_sq: f32,
+        stats: &mut QueryStats,
+        callback: &mut F,
+    ) -> bool
+    where
+        C: QueryCenter<D>,
+        F: FnMut(u32, u32, bool) -> ControlFlow<()>,
+    {
+        let (leaf_ropes, internal_ropes, down) = if MIRRORED {
+            (&self.leaf_lskip, &self.internal_lskip, 1)
+        } else {
+            (&self.leaf_skip, &self.internal_skip, 0)
+        };
         while node != NodeRef::NONE {
             if node.is_leaf() {
                 let pos = node.index();
@@ -153,42 +278,37 @@ impl<const D: usize> Bvh<D> {
                         stats.leaf_hits += 1;
                         if callback(pos, self.leaf_payload[pos as usize], false).is_break() {
                             stats.terminated_early = true;
-                            return stats;
+                            return true;
                         }
                     }
                 }
-                node = self.leaf_skip[pos as usize];
+                node = leaf_ropes[pos as usize];
             } else {
                 let i = node.index() as usize;
                 // Index mask: subtrees entirely below the cutoff are
                 // skipped without counting a visit.
-                if self.ranges[i][1] < cutoff {
-                    node = self.internal_skip[i];
+                if cutoff > 0 && self.ranges[i][1] < cutoff {
+                    node = internal_ropes[i];
                     continue;
                 }
                 stats.nodes_visited += 1;
                 let b = &self.internal_bounds[i];
                 if b.dist_sq(center) > eps_sq {
-                    node = self.internal_skip[i]; // subtree rejected
+                    node = internal_ropes[i]; // subtree rejected
                 } else if b.max_dist_sq(center) <= eps_sq {
                     // Subtree contained: accept every (unmasked) leaf in
                     // its range without visiting or testing it.
-                    if self.emit_range(
-                        self.ranges[i][0],
-                        self.ranges[i][1],
-                        cutoff,
-                        &mut stats,
-                        &mut callback,
-                    ) {
-                        return stats;
+                    let [first, last] = self.ranges[i];
+                    if self.emit_range(first, last, cutoff, stats, callback) {
+                        return true;
                     }
-                    node = self.internal_skip[i];
+                    node = internal_ropes[i];
                 } else {
-                    node = self.children[i][0]; // descend
+                    node = self.children[i][down]; // descend
                 }
             }
         }
-        stats
+        false
     }
 
     /// Containment fast path: fires the callback for every leaf in the
@@ -657,6 +777,132 @@ mod tests {
         (hits, stats)
     }
 
+    /// Checks the leaf-anchored walks of leaf `pos` against the root walk:
+    /// * `for_each_after` reports the masked root walk's exact sequence
+    ///   from `center` (the leaf's own primitive) and from `elsewhere`,
+    /// * `for_each_around` reports its own leaf first and the unmasked
+    ///   root walk's hits, each once,
+    /// * a callback that breaks after `k` hits stops after exactly
+    ///   `min(k, |N|)` in both walks.
+    fn assert_anchored_walks_match<const D: usize, C, E>(
+        bvh: &Bvh<D>,
+        pos: u32,
+        center: &C,
+        elsewhere: &E,
+        eps: f32,
+        k: usize,
+    ) where
+        C: QueryCenter<D>,
+        E: QueryCenter<D>,
+    {
+        let push = |hits: &mut Vec<(u32, u32)>, leaf: u32, payload: u32| {
+            hits.push((leaf, payload));
+            ControlFlow::Continue(())
+        };
+        let (mut masked, mut after) = (Vec::new(), Vec::new());
+        bvh.for_each_in_radius(center, eps, pos + 1, |l, p| push(&mut masked, l, p));
+        bvh.for_each_after(pos, center, eps, |l, p, _| push(&mut after, l, p));
+        assert_eq!(after, masked, "for_each_after({pos}) from its own centre");
+        let (mut masked_elsewhere, mut after_elsewhere) = (Vec::new(), Vec::new());
+        bvh.for_each_in_radius(elsewhere, eps, pos + 1, |l, p| push(&mut masked_elsewhere, l, p));
+        bvh.for_each_after(pos, elsewhere, eps, |l, p, _| push(&mut after_elsewhere, l, p));
+        assert_eq!(after_elsewhere, masked_elsewhere, "for_each_after({pos}) from elsewhere");
+
+        let (mut all, mut around) = (Vec::new(), Vec::new());
+        bvh.for_each_in_radius(center, eps, 0, |l, p| push(&mut all, l, p));
+        bvh.for_each_around(pos, center, eps, |l, p, _| push(&mut around, l, p));
+        assert_eq!(around[0].0, pos, "for_each_around reports its own leaf first");
+        all.sort_unstable();
+        around.sort_unstable();
+        assert_eq!(around, all, "for_each_around({pos}) hit set");
+
+        for (walk, total) in [("after", masked.len()), ("around", all.len())] {
+            let mut hits = 0usize;
+            let stop = |_, _, _| {
+                hits += 1;
+                if hits >= k {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            let stats = if walk == "after" {
+                bvh.for_each_after(pos, center, eps, stop)
+            } else {
+                bvh.for_each_around(pos, center, eps, stop)
+            };
+            assert_eq!(hits, k.min(total), "{walk}({pos}) breaking after {k} of {total}");
+            assert_eq!(stats.leaf_hits as usize, hits);
+            assert_eq!(stats.terminated_early, k <= total);
+        }
+    }
+
+    fn random_points_3d(n: usize, seed: u64) -> Vec<Point<3>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                Point::new([
+                    rng.gen_range(0.0..10.0),
+                    rng.gen_range(0.0..10.0),
+                    rng.gen_range(0.0..10.0),
+                ])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn anchored_walks_test_fewer_nodes_than_root_walks() {
+        // The halo-3d regime: uniform 3-D points at an eps with a few
+        // neighbours each, so ancestors are tested and seldom contained.
+        // Summed over every leaf, the suffix walk saves the masked root
+        // walk's ancestor tests, and the outward count saves the unmasked
+        // root walk's, with and without an early exit.
+        let device = Device::new(DeviceConfig::sequential());
+        let bounds: Vec<Aabb<3>> =
+            random_points_3d(4000, 5).into_iter().map(Aabb::from_point).collect();
+        let bvh = Bvh::build(&device, &bounds);
+        let eps = 0.7;
+        let (mut root_masked, mut after, mut hits) = (0u64, 0u64, 0u64);
+        let (mut root_all, mut around) = (0u64, 0u64);
+        let (mut root_count, mut around_count) = (0u64, 0u64);
+        for pos in 0..bvh.len() as u32 {
+            let center = bvh.leaf_bounds(pos).min;
+            let go = |_, _| ControlFlow::Continue(());
+            let masked = bvh.for_each_in_radius(&center, eps, pos + 1, go);
+            root_masked += masked.nodes_visited;
+            hits += masked.leaf_hits;
+            after += bvh
+                .for_each_after(pos, &center, eps, |_, _, _| ControlFlow::Continue(()))
+                .nodes_visited;
+            root_all += bvh.for_each_in_radius(&center, eps, 0, go).nodes_visited;
+            around += bvh
+                .for_each_around(pos, &center, eps, |_, _, _| ControlFlow::Continue(()))
+                .nodes_visited;
+            let stop_at = |minpts: usize| {
+                let mut count = 0;
+                move || {
+                    count += 1;
+                    if count >= minpts {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                }
+            };
+            let mut stop = stop_at(5);
+            root_count += bvh.for_each_in_radius(&center, eps, 0, |_, _| stop()).nodes_visited;
+            let mut stop = stop_at(5);
+            around_count += bvh.for_each_around(pos, &center, eps, |_, _, _| stop()).nodes_visited;
+        }
+        assert!(hits > 4000, "too few pairs ({hits}) for the regime");
+        assert!(after < root_masked, "suffix walk {after} >= masked root walk {root_masked}");
+        assert!(around < root_all, "outward walk {around} >= root walk {root_all}");
+        assert!(
+            around_count < root_count,
+            "outward count {around_count} >= root count {root_count}"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
@@ -771,6 +1017,79 @@ mod tests {
                 flagged_hits(&bvh, &center, eps, cutoff),
                 flagged_hits(&bvh, &Aabb::from_point(center), eps, cutoff)
             );
+        }
+
+        #[test]
+        fn anchored_walks_match_root_walks_2d(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            eps in 0.01f32..30.0,
+            query in 0usize..300,
+            k in 1usize..40,
+            elsewhere in (-20.0f32..120.0, -20.0f32..120.0),
+        ) {
+            let device = Device::new(DeviceConfig::sequential());
+            let bvh = build_points(&device, &random_points(n, seed));
+            let pos = (query % n) as u32;
+            let center = bvh.leaf_bounds(pos).min;
+            let elsewhere = Point::new([elsewhere.0, elsewhere.1]);
+            assert_anchored_walks_match(&bvh, pos, &center, &elsewhere, eps, k);
+        }
+
+        #[test]
+        fn anchored_walks_match_root_walks_3d(
+            seed in any::<u64>(),
+            n in 1usize..300,
+            eps in 0.01f32..4.0,
+            query in 0usize..300,
+            k in 1usize..40,
+            elsewhere in (-2.0f32..12.0, -2.0f32..12.0, -2.0f32..12.0),
+        ) {
+            let device = Device::new(DeviceConfig::sequential());
+            let bounds: Vec<Aabb<3>> =
+                random_points_3d(n, seed).into_iter().map(Aabb::from_point).collect();
+            let bvh = Bvh::build(&device, &bounds);
+            let pos = (query % n) as u32;
+            let center = bvh.leaf_bounds(pos).min;
+            let elsewhere = Point::new([elsewhere.0, elsewhere.1, elsewhere.2]);
+            assert_anchored_walks_match(&bvh, pos, &center, &elsewhere, eps, k);
+        }
+
+        #[test]
+        fn anchored_walks_match_root_walks_on_mixed_trees(
+            seed in any::<u64>(),
+            n in 1usize..200,
+            eps in 0.01f32..20.0,
+            query in 0usize..200,
+            k in 1usize..40,
+            corner in (-20.0f32..120.0, -20.0f32..120.0),
+        ) {
+            // Point leaves and box leaves, each queried with its own box
+            // as the centre (a dense cell's query in FDBSCAN-DenseBox).
+            let device = Device::new(DeviceConfig::sequential());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bounds: Vec<Aabb<2>> = random_points(n, seed)
+                .into_iter()
+                .map(|p| {
+                    if rng.gen_range(0.0f32..1.0) < 0.3 {
+                        let far = Point::new([
+                            p[0] + rng.gen_range(0.0..8.0),
+                            p[1] + rng.gen_range(0.0..8.0),
+                        ]);
+                        Aabb::from_corners(p, far)
+                    } else {
+                        Aabb::from_point(p)
+                    }
+                })
+                .collect();
+            let bvh = Bvh::build(&device, &bounds);
+            let pos = (query % n) as u32;
+            let center = *bvh.leaf_bounds(pos);
+            let elsewhere = Aabb::from_corners(
+                Point::new([corner.0, corner.1]),
+                Point::new([corner.0 + 3.0, corner.1 + 1.0]),
+            );
+            assert_anchored_walks_match(&bvh, pos, &center, &elsewhere, eps, k);
         }
     }
 }

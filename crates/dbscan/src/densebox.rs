@@ -7,16 +7,18 @@
 //! outside them — and:
 //!
 //! * core determination only examines points *outside* dense cells
-//!   (dense points are core by construction); when the counting
-//!   traversal hits a box, a linear scan over the cell's members counts
+//!   (dense points are core by construction); the counting traversal
+//!   walks outward from the point's own leaf, nearest subtrees first,
+//!   and when it hits a box, a linear scan over the cell's members counts
 //!   matches, stopping at `minpts` — unless the box is *contained* in
 //!   the query ball, in which case every member counts with no scan,
 //! * the main phase first unions each dense cell internally (one
 //!   kernel), then runs one fused kernel with one query per **tree
 //!   leaf**, lazily deciding core status on first demand (see
-//!   [`LazyCore`]). Leaf `pos` queries with cutoff `pos + 1`, so every
-//!   pair of leaves is resolved once, by its lower position, and the
-//!   members of a dense cell never traverse:
+//!   [`LazyCore`]). Leaf `pos` queries the tree after its own leaf
+//!   ([`Bvh::for_each_after`], the mask `pos + 1`), so every pair of
+//!   leaves is resolved once, by its lower position, and the members of
+//!   a dense cell never traverse:
 //!   * a point leaf runs a point query: a point hit resolves like
 //!     FDBSCAN, and a box hit needs just *one* member within `eps` to
 //!     connect the whole cell,
@@ -226,7 +228,9 @@ fn run_main<const D: usize>(
         let lazy_ref = lazy;
         let counters = device.counters();
         let eps_sq = eps * eps;
-        let ensure_core = |p: u32| -> bool {
+        // Point `p` sits at leaf `p_pos`; its count walks outward from
+        // that leaf, nearest subtrees first.
+        let ensure_core = |p: u32, p_pos: u32| -> bool {
             lazy_ref.ensure(core_ref, p, || match minpts {
                 0 => unreachable!("Params::new validates minpts >= 1"),
                 // Every point is trivially core. (With minpts == 1 every
@@ -240,44 +244,43 @@ fn run_main<const D: usize>(
                     let mut distances = 0u64;
                     let mut box_scans = 0u64;
                     let q = &points[p as usize];
-                    let stats =
-                        bvh_ref.for_each_in_radius_flagged(q, eps, 0, |_, payload, contained| {
-                            let r = refs[payload as usize];
-                            if r.is_cell() {
-                                let members = grid_ref.cell_members(r.index());
-                                if contained {
-                                    // Whole cell within eps: every member
-                                    // counts, no scan.
-                                    count += members.len();
-                                } else {
-                                    // Linear scan of the dense cell, stopping
-                                    // at minpts.
-                                    for &m in members {
-                                        distances += 1;
-                                        box_scans += 1;
-                                        if points[m as usize].dist_sq(q) <= eps_sq {
-                                            count += 1;
-                                            if count >= minpts {
-                                                return ControlFlow::Break(());
-                                            }
+                    let stats = bvh_ref.for_each_around(p_pos, q, eps, |_, payload, contained| {
+                        let r = refs[payload as usize];
+                        if r.is_cell() {
+                            let members = grid_ref.cell_members(r.index());
+                            if contained {
+                                // Whole cell within eps: every member
+                                // counts, no scan.
+                                count += members.len();
+                            } else {
+                                // Linear scan of the dense cell, stopping
+                                // at minpts.
+                                for &m in members {
+                                    distances += 1;
+                                    box_scans += 1;
+                                    if points[m as usize].dist_sq(q) <= eps_sq {
+                                        count += 1;
+                                        if count >= minpts {
+                                            return ControlFlow::Break(());
                                         }
                                     }
                                 }
-                            } else {
-                                // Point primitive: the leaf-bounds test was
-                                // already the exact distance test (includes
-                                // `p` itself), free when contained.
-                                if !contained {
-                                    distances += 1;
-                                }
-                                count += 1;
                             }
-                            if count >= minpts {
-                                ControlFlow::Break(())
-                            } else {
-                                ControlFlow::Continue(())
+                        } else {
+                            // Point primitive: the leaf-bounds test was
+                            // already the exact distance test, free when
+                            // contained (as `p` itself, reported first).
+                            if !contained {
+                                distances += 1;
                             }
-                        });
+                            count += 1;
+                        }
+                        if count >= minpts {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    });
                     QueryStats { leaf_hits: distances, contained_hits: 0, ..stats }
                         .charge(counters);
                     counters.dense_box_scans.fetch_add(box_scans, Ordering::Relaxed);
@@ -285,12 +288,12 @@ fn run_main<const D: usize>(
                 }
             })
         };
-        // Leaf `pos` queries with cutoff `pos + 1`, so each pair of leaves
-        // is resolved once, by its lower position, and the members of a
-        // dense cell never traverse. Highest position first: a query then
-        // starts after every pair among the leaves it can reach has been
-        // resolved, so the `same_set` short-circuits see those
-        // connections.
+        // Leaf `pos` queries the tree after its own leaf (cutoff
+        // `pos + 1`), so each pair of leaves is resolved once, by its lower
+        // position, and the members of a dense cell never traverse.
+        // Highest position first: a query then starts after every pair
+        // among the leaves it can reach has been resolved, so the
+        // `same_set` short-circuits see those connections.
         let leaves = bvh.len();
         device.try_launch_named("densebox.main_fused", leaves, |k| {
             let pos = (leaves - 1 - k) as u32;
@@ -301,59 +304,54 @@ fn run_main<const D: usize>(
                 let members = grid_ref.cell_members(r.index());
                 let own_box = bvh_ref.leaf_bounds(pos);
                 let mut near = Vec::new();
-                bvh_ref.for_each_in_radius_flagged(
-                    own_box,
-                    eps,
-                    pos + 1,
-                    |hit, payload, contained| {
-                        let r = refs[payload as usize];
-                        if r.is_cell() {
-                            // Both cells are core and internally joined:
-                            // one member pair within eps joins them.
-                            let other = grid_ref.cell_members(r.index());
-                            if labels_ref.same_set(members[0], other[0]) {
-                                return ControlFlow::Continue(());
-                            }
-                            let pair = if contained {
-                                Some((members[0], other[0]))
-                            } else {
-                                closest_pair(
-                                    points,
-                                    eps_sq,
-                                    (members, own_box),
-                                    (other, bvh_ref.leaf_bounds(hit)),
-                                    &mut near,
-                                    &mut tally,
-                                )
-                            };
-                            if let Some((a, b)) = pair {
-                                labels_ref.union(a, b);
-                            }
-                        } else {
-                            let j = r.index();
-                            if labels_ref.same_set(j, members[0]) {
-                                return ControlFlow::Continue(());
-                            }
-                            let q = &points[j as usize];
-                            if let Some(m) =
-                                first_within(points, members, q, eps_sq, contained, &mut tally)
-                            {
-                                if rule != PairRule::Connect {
-                                    ensure_core(j);
-                                }
-                                rule.resolve(labels_ref, core_ref, j, m);
-                            }
+                bvh_ref.for_each_after(pos, own_box, eps, |hit, payload, contained| {
+                    let r = refs[payload as usize];
+                    if r.is_cell() {
+                        // Both cells are core and internally joined:
+                        // one member pair within eps joins them.
+                        let other = grid_ref.cell_members(r.index());
+                        if labels_ref.same_set(members[0], other[0]) {
+                            return ControlFlow::Continue(());
                         }
-                        ControlFlow::Continue(())
-                    },
-                )
+                        let pair = if contained {
+                            Some((members[0], other[0]))
+                        } else {
+                            closest_pair(
+                                points,
+                                eps_sq,
+                                (members, own_box),
+                                (other, bvh_ref.leaf_bounds(hit)),
+                                &mut near,
+                                &mut tally,
+                            )
+                        };
+                        if let Some((a, b)) = pair {
+                            labels_ref.union(a, b);
+                        }
+                    } else {
+                        let j = r.index();
+                        if labels_ref.same_set(j, members[0]) {
+                            return ControlFlow::Continue(());
+                        }
+                        let q = &points[j as usize];
+                        if let Some(m) =
+                            first_within(points, members, q, eps_sq, contained, &mut tally)
+                        {
+                            if rule != PairRule::Connect {
+                                ensure_core(j, hit);
+                            }
+                            rule.resolve(labels_ref, core_ref, j, m);
+                        }
+                    }
+                    ControlFlow::Continue(())
+                })
             } else {
                 let i = r.index();
                 if rule != PairRule::Connect {
-                    ensure_core(i);
+                    ensure_core(i, pos);
                 }
                 let q = &points[i as usize];
-                bvh_ref.for_each_in_radius_flagged(q, eps, pos + 1, |_, payload, contained| {
+                bvh_ref.for_each_after(pos, q, eps, |hit, payload, contained| {
                     let r = refs[payload as usize];
                     if r.is_cell() {
                         let members = grid_ref.cell_members(r.index());
@@ -381,7 +379,7 @@ fn run_main<const D: usize>(
                             tally.point_tests += 1;
                         }
                         if rule != PairRule::Connect {
-                            ensure_core(j);
+                            ensure_core(j, hit);
                         }
                         rule.resolve(labels_ref, core_ref, i, j);
                     }
@@ -533,9 +531,10 @@ mod tests {
         assert!((dense.dense_fraction - 1.0).abs() < 1e-12);
         // One dense cell, one box primitive, no point primitives: the
         // main phase runs one masked query, from the cell's leaf, and its
-        // members never traverse.
+        // members never traverse. A one-leaf tree has nothing after that
+        // leaf, so the query tests no node.
         assert_eq!(stats.counters.distance_computations, 0);
-        assert_eq!(stats.phase_counters.main.bvh_nodes_visited, 1);
+        assert_eq!(stats.phase_counters.main.bvh_nodes_visited, 0);
     }
 
     #[test]

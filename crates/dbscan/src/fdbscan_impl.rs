@@ -10,10 +10,13 @@
 //!    parts of the tree. Each thread first decides its point's core
 //!    status via [`crate::framework::LazyCore`] (an early-terminating
 //!    counting traversal, run exactly once per point no matter how many
-//!    pairs touch it), then runs the *index-masked* traversal (cutoff =
-//!    `pos + 1`, Fig. 1) so each close pair is discovered exactly once,
-//!    resolving it per Algorithm 3 (union for core–core, CAS border
-//!    claim otherwise) after lazily deciding the partner's core status.
+//!    pairs touch it, walking outward from the point's own leaf:
+//!    [`Bvh::for_each_around`]), then runs the *index-masked* traversal
+//!    (cutoff = `pos + 1`, Fig. 1) so each close pair is discovered
+//!    exactly once — as a walk of the tree after its own leaf,
+//!    [`Bvh::for_each_after`] — resolving it per Algorithm 3 (union for
+//!    core–core, CAS border claim otherwise) after lazily deciding the
+//!    partner's core status.
 //!    `minpts <= 2` needs no counting at all (Algorithm 3 line 2): with
 //!    `minpts == 2` any matched pair proves both endpoints core, and
 //!    with `minpts == 1` every point is core.
@@ -145,9 +148,11 @@ pub(crate) fn fdbscan_core<const D: usize>(
         let masked = options.masked_traversal;
         let early = options.early_termination;
         let rule = PairRule::of(minpts, options.star);
-        // Decides a point's core status on first demand (exactly once
-        // per point, whichever thread asks first).
-        let ensure_core = |p: u32| -> bool {
+        // Decides the core status of point `p` at leaf `pos` on first
+        // demand (exactly once per point, whichever thread asks first).
+        // The count walks outward from the point's own leaf, nearest
+        // subtrees first.
+        let ensure_core = |p: u32, pos: u32| -> bool {
             lazy.ensure(&core, p, || match minpts {
                 0 => unreachable!("Params::new validates minpts >= 1"),
                 // Every point is trivially core (its neighborhood
@@ -156,7 +161,7 @@ pub(crate) fn fdbscan_core<const D: usize>(
                 2 => unreachable!("minpts == 2 marks cores inline, never lazily"),
                 _ => {
                     let mut count = 0usize;
-                    let stats = bvh.for_each_in_radius(&points[p as usize], eps, 0, |_, _| {
+                    let stats = bvh.for_each_around(pos, &points[p as usize], eps, |_, _, _| {
                         count += 1;
                         if early && count >= minpts {
                             ControlFlow::Break(())
@@ -173,19 +178,26 @@ pub(crate) fn fdbscan_core<const D: usize>(
             let pos = pos as u32;
             let i = bvh.leaf_payload(pos);
             if rule != PairRule::Connect {
-                ensure_core(i);
+                ensure_core(i, pos);
             }
-            let cutoff = if masked { pos + 1 } else { 0 };
-            let stats = bvh.for_each_in_radius(&points[i as usize], eps, cutoff, |_, j| {
+            let resolve = |j_pos: u32, j: u32| {
                 if !masked && j == i {
                     return ControlFlow::Continue(());
                 }
                 if rule != PairRule::Connect {
-                    ensure_core(j);
+                    ensure_core(j, j_pos);
                 }
                 rule.resolve(&labels, &core, i, j);
                 ControlFlow::Continue(())
-            });
+            };
+            // The masked search walks only the tree after the point's own
+            // leaf (cutoff `pos + 1`, so each close pair once).
+            let q = &points[i as usize];
+            let stats = if masked {
+                bvh.for_each_after(pos, q, eps, |j_pos, j, _| resolve(j_pos, j))
+            } else {
+                bvh.for_each_in_radius(q, eps, 0, resolve)
+            };
             stats.charge(counters);
             counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
         })?;

@@ -42,7 +42,7 @@ pub struct MinptsSweep<'a, const D: usize> {
 
 impl<'a, const D: usize> MinptsSweep<'a, D> {
     /// Builds the index and the full neighbor counts (one unmasked,
-    /// non-terminating traversal per point).
+    /// non-terminating traversal per point, from the point's own leaf).
     pub fn new(device: &'a Device, points: &'a [Point<D>], eps: f32) -> Result<Self, DeviceError> {
         assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
         crate::validate_len(points.len())?;
@@ -64,7 +64,7 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
             device.try_launch_named("sweep.full_count", n, |pos| {
                 let i = bvh_ref.leaf_payload(pos as u32) as usize;
                 let mut count = 0u32;
-                let stats = bvh_ref.for_each_in_radius(&points[i], eps, 0, |_, _| {
+                let stats = bvh_ref.for_each_around(pos as u32, &points[i], eps, |_, _, _| {
                     count += 1;
                     ControlFlow::Continue(())
                 });

@@ -1,6 +1,9 @@
 //! Bench-regression gate: the hot-path work counters (kernel launches,
-//! distance computations, BVH node visits) must not regress more than
-//! 5% against the checked-in `BENCH_hotpaths.json` baseline.
+//! distance computations, BVH node visits) must stay within 5% of the
+//! checked-in `BENCH_hotpaths.json` baseline, in both directions. A
+//! counter that falls more than 5% also fails: a baseline left stale
+//! after a drop would otherwise accept a later regression back to the
+//! old level.
 //!
 //! The matrix re-runs here on a **sequential** device, so the fresh
 //! counters are exactly reproducible and the 5% headroom is purely for
@@ -8,7 +11,7 @@
 //! noise.
 //!
 //! On a legitimate change (an optimization that lowers work, or an
-//! accepted cost increase), regenerate and commit the baseline:
+//! accepted cost increase), regenerate and commit the baseline with it:
 //!
 //! ```sh
 //! cargo run --release -p fdbscan-bench --bin hotpaths -- BENCH_hotpaths.json
@@ -43,11 +46,9 @@ fn work_counters_do_not_regress_beyond_5_percent() {
         };
         for (&(name, current), (base_name, base_value)) in record.work.iter().zip(base) {
             assert_eq!(name, base_name, "{id}: counter order drifted");
-            // Integer form of current > 1.05 * base, exact in u64.
-            if current * 100 > base_value * 105 {
+            if let Some(drift) = outside_gate(current, *base_value) {
                 failures.push(format!(
-                    "{id}: {name} regressed {base_value} -> {current} \
-                     (+{:.1}%, gate is 5%)",
+                    "{id}: {name} {drift} {base_value} -> {current} ({:+.1}%, gate is 5%)",
                     100.0 * (current as f64 / *base_value as f64 - 1.0)
                 ));
             }
@@ -63,19 +64,40 @@ fn work_counters_do_not_regress_beyond_5_percent() {
             PHASE_KEYS.iter().zip(record.phase_launches).zip(base_phases)
         {
             assert_eq!(phase, base_name, "{id}: phase order drifted");
-            if current * 100 > base_value * 105 {
+            if let Some(drift) = outside_gate(current, *base_value) {
                 failures.push(format!(
-                    "{id}: {phase}-phase launches regressed {base_value} -> {current} \
-                     (gate is 5%)"
+                    "{id}: {phase}-phase launches {drift} {base_value} -> {current}"
                 ));
             }
         }
     }
     assert!(
         failures.is_empty(),
-        "hot-path work regressed past the 5% gate:\n  {}\nIf intentional, {REGEN}",
+        "hot-path work moved past the 5% gate:\n  {}\nIf intentional, {REGEN}",
         failures.join("\n  ")
     );
+}
+
+/// How `current` leaves the ±5% band around `base`, if it does: integer
+/// forms of `current > 1.05 * base` and `current < 0.95 * base`, exact in
+/// `u64`.
+fn outside_gate(current: u64, base: u64) -> Option<&'static str> {
+    if current * 100 > base * 105 {
+        Some("regressed")
+    } else if current * 100 < base * 95 {
+        Some("fell below the baseline (stale?)")
+    } else {
+        None
+    }
+}
+
+#[test]
+fn gate_is_two_sided() {
+    assert_eq!(outside_gate(105, 100), None);
+    assert_eq!(outside_gate(95, 100), None);
+    assert!(outside_gate(106, 100).is_some());
+    assert!(outside_gate(94, 100).is_some());
+    assert_eq!(outside_gate(0, 0), None);
 }
 
 #[test]

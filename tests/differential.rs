@@ -204,3 +204,66 @@ fn dense_cells_and_borders_exactly_at_eps() {
         check_case(name, 0, &points, params);
     }
 }
+
+/// The oracle's (clusters, noise, cores) for `points`.
+fn oracle_counts<const D: usize>(points: &[Point<D>], params: Params) -> (usize, usize, usize) {
+    let oracle = dbscan_classic(points, params);
+    let noise = oracle.assignments.iter().filter(|&&a| a == NOISE).count();
+    (oracle.num_clusters, noise, oracle.num_core())
+}
+
+#[test]
+fn point_chain_exactly_at_eps_and_one_ulp_beyond() {
+    // A snake of 11 points with step `g` along exactly representable
+    // coordinates k * g, k in -2..=2 (k * g is exact for both steps
+    // below): consecutive points are g apart, every other pair at least
+    // sqrt(2) * g. At eps = 1 and minpts = 3 the cells are 1/sqrt(2)
+    // wide, so no cell is dense and every pair is decided by point leaves.
+    // At g = eps the interior points are core and the two ends borders;
+    // one ulp beyond, every point is noise.
+    let snake = |g: f32| -> Vec<Point2> {
+        let at = |k: f32| k * g;
+        let mut points: Vec<Point2> =
+            [-2.0, -1.0, 0.0, 1.0, 2.0].iter().map(|&k| Point2::new([at(k), 0.0])).collect();
+        points.extend([1.0, 2.0].iter().map(|&k| Point2::new([at(2.0), at(k)])));
+        points.extend([1.0, 0.0, -1.0, -2.0].iter().map(|&k| Point2::new([at(k), at(2.0)])));
+        points
+    };
+    let beyond = f32::from_bits(1.0f32.to_bits() + 1);
+    let params = Params::new(1.0, 3);
+    for (name, points, expected) in [
+        ("chain-at-eps", snake(1.0), (1, 0, 9)),
+        ("chain-one-ulp-beyond", snake(beyond), (0, 11, 0)),
+    ] {
+        assert_eq!(oracle_counts(&points, params), expected, "{name}");
+        check_case(name, 0, &points, params);
+    }
+}
+
+#[test]
+fn minpts_equal_to_n_and_one_above() {
+    // Five points, every pair within eps = 1, two pairs exactly eps
+    // apart: at minpts = n every point is core, at n + 1 all are noise.
+    // Moving one end of the first pair one ulp out leaves that pair's two
+    // points one neighbour short of n, so they become borders.
+    let layout = |right: f32| {
+        vec![
+            Point2::new([0.0, 0.0]),
+            Point2::new([right, 0.0]),
+            Point2::new([0.5, 0.0]),
+            Point2::new([0.5, 0.5]),
+            Point2::new([0.5, -0.5]),
+        ]
+    };
+    let outward = f32::from_bits(1.0f32.to_bits() + 1);
+    for (name, points, minpts, expected) in [
+        ("at-eps-minpts-n", layout(1.0), 5, (1, 0, 5)),
+        ("at-eps-minpts-n-plus-1", layout(1.0), 6, (0, 5, 0)),
+        ("one-ulp-out-minpts-n", layout(outward), 5, (1, 0, 3)),
+        ("one-ulp-out-minpts-n-plus-1", layout(outward), 6, (0, 5, 0)),
+    ] {
+        let params = Params::new(1.0, minpts);
+        assert_eq!(oracle_counts(&points, params), expected, "{name}");
+        check_case(name, 0, &points, params);
+    }
+}
