@@ -42,17 +42,17 @@
 //! (the standard `code ## index` augmentation), so duplicate positions —
 //! common in clustering data — still produce a balanced tree.
 //!
-//! Scratch (sorted codes, arrival flags, rendezvous slots) comes from a
-//! [`BufferArena`], so repeated builds on one device reuse their
-//! allocations instead of re-reserving. A rendezvous slot holds only the
-//! deposited node: its covered range and bounds are read back from the
-//! node itself (`ranges`/`internal_bounds`, or the leaf's position and
-//! `leaf_bounds`).
+//! Scratch (sorted codes, arrival flags, rendezvous slots) comes from the
+//! device's [`fdbscan_device::BufferArena`], so repeated builds on one
+//! device reuse their allocations instead of re-reserving. A rendezvous
+//! slot holds only the deposited node: its covered range and bounds are
+//! read back from the node itself (`ranges`/`internal_bounds`, or the
+//! leaf's position and `leaf_bounds`).
 
 use std::sync::atomic::Ordering;
 
 use fdbscan_device::shared::{as_atomic_u32, SharedMut};
-use fdbscan_device::{BufferArena, Device, DeviceError};
+use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::{
     morton::{bits_per_axis, morton_code},
     Aabb, SoaPoints,
@@ -65,22 +65,18 @@ impl<const D: usize> Bvh<D> {
     /// Builds a hierarchy over `bounds`; the payload of leaf `k` is the
     /// caller index `k` (recoverable with [`Bvh::leaf_payload`]).
     ///
-    /// Convenience wrapper over [`Bvh::build_in`] using the device's own
-    /// arena.
-    ///
     /// # Panics
-    /// Panics if scratch allocation exceeds the device memory budget or
-    /// a kernel fails; budgeted or fault-injected callers should use
-    /// [`Bvh::build_in`] and handle the error.
+    /// Panics where [`Bvh::build_in`] would return an error; budgeted or
+    /// fault-injected callers should use [`Bvh::build_in`] and handle it.
     pub fn build(device: &Device, bounds: &[Aabb<D>]) -> Self {
-        match Self::build_in(device, device.arena(), bounds) {
+        match Self::build_in(device, bounds) {
             Ok(bvh) => bvh,
             Err(error) => panic!("BVH build failed: {error}"),
         }
     }
 
     /// Builds a hierarchy over `bounds` with construction scratch checked
-    /// out of `arena`.
+    /// out of the device's buffer arena.
     ///
     /// Runs entirely as device kernels — a scene-bounds reduction, one
     /// batched sort launch, and one bottom-up build kernel. `bounds` may
@@ -89,11 +85,7 @@ impl<const D: usize> Bvh<D> {
     /// # Errors
     /// Propagates [`DeviceError`] from scratch allocation (budget
     /// exhaustion or injected faults) and from the device launches.
-    pub fn build_in(
-        device: &Device,
-        arena: &BufferArena,
-        bounds: &[Aabb<D>],
-    ) -> Result<Self, DeviceError> {
+    pub fn build_in(device: &Device, bounds: &[Aabb<D>]) -> Result<Self, DeviceError> {
         let n = bounds.len();
         if n == 0 {
             return Ok(Self {
@@ -129,6 +121,7 @@ impl<const D: usize> Bvh<D> {
         //    scatter epilogue writes every per-leaf array in sorted
         //    order, replacing the old morton + permute kernels. The key
         //    width is known analytically, so no max-key reduction runs.
+        let arena = device.arena();
         let mut codes = arena.take::<u64>(n)?;
         let mut payload = vec![0u32; n];
         let mut positions = vec![0u32; n];
@@ -142,7 +135,6 @@ impl<const D: usize> Bvh<D> {
             let key_bits = (bits_per_axis(D) * D as u32).max(1);
             fdbscan_psort::sort_by_key_fused(
                 device,
-                arena,
                 n,
                 key_bits,
                 |i| morton_code(&bounds[i].center(), scene_ref),
@@ -734,7 +726,7 @@ mod tests {
         let bounds = point_boxes(&random_points(3000, 4));
         for round in 0..3 {
             let fresh_before = device.memory().reservations_made();
-            let bvh = Bvh::build_in(&device, device.arena(), &bounds).unwrap();
+            let bvh = Bvh::build_in(&device, &bounds).unwrap();
             validate(&bvh);
             let fresh = device.memory().reservations_made() - fresh_before;
             if round == 0 {

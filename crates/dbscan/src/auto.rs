@@ -61,7 +61,7 @@ pub fn fdbscan_auto<const D: usize>(
     // The decision grid is index work of whichever algorithm runs. A grid
     // that cannot key this eps over this extent rules DenseBox out.
     let (grid, caller) = CallerIndex::build(device, || {
-        DenseGrid::build_in(device, device.arena(), points, params.eps, params.minpts)
+        DenseGrid::build_in(device, points, params.eps, params.minpts)
     });
     let grid = match grid {
         Ok(grid) => grid,

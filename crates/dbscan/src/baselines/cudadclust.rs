@@ -117,7 +117,7 @@ fn cuda_dclust_core<const D: usize>(
     // Cell edge = eps: all neighbors of a point live in the surrounding
     // 3^D cells. Dense classification is disabled (minpts = MAX).
     let grid = run.phase(PHASE_INDEX, || {
-        DenseGrid::build_with_cell_len_in(device, device.arena(), points, eps, usize::MAX)
+        DenseGrid::build_with_cell_len_in(device, points, eps, usize::MAX)
     })?;
     let _grid_mem = device.memory().reserve(grid.memory_bytes())?;
 

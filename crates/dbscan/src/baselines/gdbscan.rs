@@ -202,7 +202,7 @@ fn build_graph<const D: usize>(
     ckpt.record(PHASE_CORE_FLAGS, &CoreSnapshot(CoreFlags::from_flags(&core)));
 
     // CSR offsets; `degrees` becomes the offsets array in place.
-    let num_edges = fdbscan_psort::exclusive_scan(device, &mut degrees) as usize;
+    let num_edges = fdbscan_psort::exclusive_scan(device, &mut degrees)? as usize;
     let offsets = degrees;
 
     // THE reservation that makes or breaks G-DBSCAN: the edge lists.

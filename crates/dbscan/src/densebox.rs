@@ -141,11 +141,11 @@ fn densebox_core<const D: usize>(
     let DenseIndex { grid, bvh } = run.phase(PHASE_INDEX, || {
         let grid = match prebuilt {
             Some(grid) => grid,
-            None => DenseGrid::build_in(device, device.arena(), points, eps, minpts)?,
+            None => DenseGrid::build_in(device, points, eps, minpts)?,
         };
         grid_mem = Some(device.memory().reserve(grid.memory_bytes())?);
         let primitives = grid.mixed_primitives(points);
-        let bvh = Bvh::build_in(device, device.arena(), &primitives.bounds)?;
+        let bvh = Bvh::build_in(device, &primitives.bounds)?;
         mixed = Some(primitives);
         Ok(DenseIndex { grid, bvh })
     })?;
@@ -168,8 +168,7 @@ fn densebox_core<const D: usize>(
     })?;
 
     // Phase 4: finalization.
-    let clustering =
-        run.phase(PHASE_FINALIZE, || Ok(finalize(device, &state.labels, &state.core)))?;
+    let clustering = run.phase(PHASE_FINALIZE, || finalize(device, &state.labels, &state.core))?;
     let mut stats = run.finish();
     stats.dense = Some(DenseStats {
         num_cells: grid.num_cells(),

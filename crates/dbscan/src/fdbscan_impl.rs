@@ -19,7 +19,10 @@
 //!    partner's core status.
 //!    `minpts <= 2` needs no counting at all (Algorithm 3 line 2): with
 //!    `minpts == 2` any matched pair proves both endpoints core, and
-//!    with `minpts == 1` every point is core.
+//!    with `minpts == 1` every point is core. The kernel is
+//!    [`main_fused`]; [`crate::MinptsSweep`] and the distributed ranks
+//!    launch it too, with core flags they computed before
+//!    ([`Cores::Exact`]).
 //! 3. **finalization** — flatten the union-find and relabel.
 //!
 //! The separate preprocessing kernel of the unfused formulation is gone —
@@ -37,7 +40,7 @@ use fdbscan_geom::{Aabb, Point};
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::checkpoint::{LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
-use crate::framework::{finalize, PairRule};
+use crate::framework::{finalize, CoreFlags, LazyCore, PairRule};
 use crate::labels::Clustering;
 use crate::pipeline::{CallerIndex, Pipeline};
 use crate::stats::RunStats;
@@ -131,10 +134,7 @@ pub(crate) fn fdbscan_core<const D: usize>(
     let _flags_mem = device.memory().reserve(n.div_ceil(8))?;
 
     // Phase 1: search index.
-    let bvh = run.phase(PHASE_INDEX, || {
-        let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-        Bvh::build_in(device, device.arena(), &bounds)
-    })?;
+    let bvh = run.phase(PHASE_INDEX, || point_bvh(device, points))?;
     let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
 
     // Phase 2: preprocessing, fused into the main kernel.
@@ -144,70 +144,140 @@ pub(crate) fn fdbscan_core<const D: usize>(
     // union-find, one launch).
     let state = run.phase(PHASE_MAIN, || {
         let labels = AtomicLabels::with_counters(n, device.counters_arc());
-        let counters = device.counters();
-        let masked = options.masked_traversal;
-        let early = options.early_termination;
-        let rule = PairRule::of(minpts, options.star);
-        // Decides the core status of point `p` at leaf `pos` on first
-        // demand (exactly once per point, whichever thread asks first).
-        // The count walks outward from the point's own leaf, nearest
-        // subtrees first.
-        let ensure_core = |p: u32, pos: u32| -> bool {
-            lazy.ensure(&core, p, || match minpts {
-                0 => unreachable!("Params::new validates minpts >= 1"),
-                // Every point is trivially core (its neighborhood
-                // contains itself).
-                1 => true,
-                2 => unreachable!("minpts == 2 marks cores inline, never lazily"),
-                _ => {
-                    let mut count = 0usize;
-                    let stats = bvh.for_each_around(pos, &points[p as usize], eps, |_, _, _| {
-                        count += 1;
-                        if early && count >= minpts {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    });
-                    stats.charge(counters);
-                    count >= minpts
-                }
-            })
-        };
-        device.try_launch_named("fdbscan.main_fused", n, |pos| {
-            let pos = pos as u32;
-            let i = bvh.leaf_payload(pos);
-            if rule != PairRule::Connect {
-                ensure_core(i, pos);
-            }
-            let resolve = |j_pos: u32, j: u32| {
-                if !masked && j == i {
-                    return ControlFlow::Continue(());
-                }
-                if rule != PairRule::Connect {
-                    ensure_core(j, j_pos);
-                }
-                rule.resolve(&labels, &core, i, j);
-                ControlFlow::Continue(())
-            };
-            // The masked search walks only the tree after the point's own
-            // leaf (cutoff `pos + 1`, so each close pair once).
-            let q = &points[i as usize];
-            let stats = if masked {
-                bvh.for_each_after(pos, q, eps, |j_pos, j, _| resolve(j_pos, j))
-            } else {
-                bvh.for_each_in_radius(q, eps, 0, resolve)
-            };
-            stats.charge(counters);
-            counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
-        })?;
+        let cores = Cores::Lazy { flags: &core, lazy: &lazy, minpts };
+        main_fused(device, points, &bvh, eps, cores, options, &labels)?;
         Ok(LabelState { labels, core })
     })?;
 
     // Phase 4: finalization.
-    let clustering =
-        run.phase(PHASE_FINALIZE, || Ok(finalize(device, &state.labels, &state.core)))?;
+    let clustering = run.phase(PHASE_FINALIZE, || finalize(device, &state.labels, &state.core))?;
     Ok((clustering, run.finish()))
+}
+
+/// Builds the BVH over the point boxes of `points`, the tree
+/// [`main_fused`] walks: the payload of leaf `pos` is a point id.
+///
+/// # Errors
+/// Propagates [`DeviceError`] from [`Bvh::build_in`].
+pub fn point_bvh<const D: usize>(
+    device: &Device,
+    points: &[Point<D>],
+) -> Result<Bvh<D>, DeviceError> {
+    let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
+    Bvh::build_in(device, &bounds)
+}
+
+/// Where [`main_fused`] reads a point's core status.
+#[derive(Clone, Copy)]
+pub enum Cores<'a> {
+    /// Flags complete before the launch: a [`crate::MinptsSweep`]'s
+    /// counts, or a distributed rank's core pass. Pairs resolve from the
+    /// flags, even at `minpts <= 2`.
+    Exact(&'a CoreFlags),
+    /// FDBSCAN's fused preprocessing: a point's status is decided on
+    /// first demand, exactly once ([`LazyCore::ensure`]), by counting its
+    /// neighbours up to `minpts`, and published to `flags`.
+    Lazy {
+        /// The flags decisions are published to.
+        flags: &'a CoreFlags,
+        /// Each point's decision state.
+        lazy: &'a LazyCore,
+        /// The core threshold (`|N_eps(x)| >= minpts`).
+        minpts: usize,
+    },
+}
+
+/// FDBSCAN's main kernel, `fdbscan.main_fused` (Algorithm 3): one launch
+/// in tree order over `bvh`, the tree of `points` ([`point_bvh`]).
+/// Thread `pos` takes the point at sorted leaf `pos` and runs the
+/// index-masked search ([`Bvh::for_each_after`]), which finds each close
+/// pair exactly once, deciding core status first where `cores` is lazy.
+/// Each pair is resolved into `labels`: a union for core–core, a CAS
+/// border claim otherwise, and no claim under DBSCAN* (`options.star`).
+/// `labels` and the core flags are indexed by point id.
+///
+/// Without `options.masked_traversal` the query walks the whole
+/// neighbourhood ([`Bvh::for_each_around`], minus the point itself), so
+/// each pair is resolved from both ends; without
+/// `options.early_termination` a lazy count enumerates the whole
+/// neighbourhood.
+///
+/// # Errors
+/// Propagates [`DeviceError`] from the launch.
+pub fn main_fused<const D: usize>(
+    device: &Device,
+    points: &[Point<D>],
+    bvh: &Bvh<D>,
+    eps: f32,
+    cores: Cores<'_>,
+    options: FdbscanOptions,
+    labels: &AtomicLabels,
+) -> Result<(), DeviceError> {
+    let counters = device.counters();
+    let masked = options.masked_traversal;
+    let early = options.early_termination;
+    let (core, rule, lazy) = match cores {
+        Cores::Exact(flags) => {
+            (flags, if options.star { PairRule::Star } else { PairRule::Classic }, None)
+        }
+        Cores::Lazy { flags, lazy, minpts } => {
+            let rule = PairRule::of(minpts, options.star);
+            // `Connect` marks cores per pair instead of counting.
+            (flags, rule, (rule != PairRule::Connect).then_some((lazy, minpts)))
+        }
+    };
+    // Decides the core status of point `p` at leaf `pos` on first
+    // demand (exactly once per point, whichever thread asks first).
+    // The count walks outward from the point's own leaf, nearest
+    // subtrees first.
+    let ensure_core = |p: u32, pos: u32| {
+        let Some((lazy, minpts)) = lazy else { return };
+        lazy.ensure(core, p, || match minpts {
+            0 => unreachable!("Params::new validates minpts >= 1"),
+            // Every point is trivially core (its neighborhood contains
+            // itself).
+            1 => true,
+            _ => {
+                let mut count = 0usize;
+                let stats = bvh.for_each_around(pos, &points[p as usize], eps, |_, _, _| {
+                    count += 1;
+                    if early && count >= minpts {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                stats.charge(counters);
+                count >= minpts
+            }
+        });
+    };
+    device.try_launch_named("fdbscan.main_fused", points.len(), |pos| {
+        let pos = pos as u32;
+        let i = bvh.leaf_payload(pos);
+        ensure_core(i, pos);
+        let resolve = |j_pos: u32, j: u32| {
+            ensure_core(j, j_pos);
+            rule.resolve(labels, core, i, j);
+            ControlFlow::Continue(())
+        };
+        // The masked search walks only the tree after the point's own
+        // leaf (cutoff `pos + 1`, so each close pair once).
+        let q = &points[i as usize];
+        let stats = if masked {
+            bvh.for_each_after(pos, q, eps, |j_pos, j, _| resolve(j_pos, j))
+        } else {
+            bvh.for_each_around(pos, q, eps, |j_pos, j, _| {
+                if j_pos == pos {
+                    ControlFlow::Continue(())
+                } else {
+                    resolve(j_pos, j)
+                }
+            })
+        };
+        stats.charge(counters);
+        counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
+    })
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
-use fdbscan_device::Device;
+use fdbscan_device::{Device, DeviceError};
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::labels::Clustering;
@@ -246,11 +246,18 @@ impl PairRule {
 
 /// Finalization (paper §4): flatten all union-find paths with a batched
 /// kernel, then relabel into compact cluster ids.
-pub fn finalize(device: &Device, labels: &AtomicLabels, core: &CoreFlags) -> Clustering {
-    labels.flatten(device);
+///
+/// # Errors
+/// Propagates [`DeviceError`] from the flatten launch.
+pub fn finalize(
+    device: &Device,
+    labels: &AtomicLabels,
+    core: &CoreFlags,
+) -> Result<Clustering, DeviceError> {
+    labels.flatten(device)?;
     let flat = labels.snapshot();
     let core_vec = core.to_vec();
-    Clustering::from_union_find(&flat, &core_vec)
+    Ok(Clustering::from_union_find(&flat, &core_vec))
 }
 
 #[cfg(test)]
@@ -412,7 +419,7 @@ mod tests {
         labels.union(0, 1);
         // 2 is a border of the cluster; 3, 4 noise.
         labels.try_claim(2, labels.find(0));
-        let clustering = finalize(&device, &labels, &core);
+        let clustering = finalize(&device, &labels, &core).unwrap();
         assert_eq!(clustering.num_clusters, 1);
         assert_eq!(clustering.assignments[0], clustering.assignments[1]);
         assert_eq!(clustering.assignments[2], clustering.assignments[0]);

@@ -58,7 +58,6 @@ pub mod densebox;
 pub mod fdbscan_impl;
 pub mod framework;
 pub mod generic;
-pub mod index;
 pub mod labels;
 mod pipeline;
 pub mod report;
@@ -80,8 +79,7 @@ pub use densebox::{
     fdbscan_densebox, fdbscan_densebox_run_from, fdbscan_densebox_with, DenseBoxOptions,
 };
 pub use fdbscan_impl::{fdbscan, fdbscan_run_from, fdbscan_with, FdbscanOptions};
-pub use generic::{fdbscan_kdtree, fdbscan_on_index};
-pub use index::{IndexStats, SpatialIndex};
+pub use generic::fdbscan_kdtree;
 pub use labels::{Clustering, PointClass, NOISE};
 pub use report::{RunReport, RunStatus, RUN_REPORT_SCHEMA};
 pub use resilient::{

@@ -400,9 +400,8 @@ pub fn run_resilient<const D: usize>(
     Err(last_err.expect("ladder exhausted without running a level"))
 }
 
-/// Runs one ladder level, converting panics that escape the algorithm
-/// (e.g. from infrastructure kernels still on the infallible API) into
-/// [`DeviceError::KernelPanicked`].
+/// Runs one ladder level, converting a panic that escapes the algorithm
+/// into [`DeviceError::KernelPanicked`].
 fn run_level<const D: usize>(
     device: &Device,
     points: &[Point<D>],
@@ -431,9 +430,8 @@ fn run_level<const D: usize>(
     match catch_unwind(AssertUnwindSafe(run)) {
         Ok(result) => result,
         Err(payload) => {
-            // An infallible-API kernel on a cancelled device panics with
-            // the cancellation message; diagnose it as the cancellation
-            // it is, not as a (retryable) kernel panic.
+            // On a cancelled device, diagnose the panic as the
+            // cancellation, not as a (retryable) kernel panic.
             device.check_cancelled()?;
             let payload = if let Some(s) = payload.downcast_ref::<&'static str>() {
                 (*s).to_string()

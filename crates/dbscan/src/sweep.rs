@@ -21,9 +21,8 @@ use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::checkpoint::{PHASE_FINALIZE, PHASE_MAIN, PHASE_PREPROCESS};
-use crate::framework::{finalize, CoreFlags, PairRule};
-use crate::generic::main_phase;
-use crate::index::build_bvh_index;
+use crate::fdbscan_impl::{main_fused, point_bvh, Cores};
+use crate::framework::{finalize, CoreFlags};
 use crate::labels::Clustering;
 use crate::pipeline::Pipeline;
 use crate::stats::RunStats;
@@ -53,7 +52,7 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
         memory.push(device.memory().reserve_array::<Point<D>>(n)?);
         memory.push(device.memory().reserve_array::<u32>(n)?); // counts
 
-        let bvh = build_bvh_index(device, points);
+        let bvh = point_bvh(device, points)?;
         memory.push(device.memory().reserve(bvh.memory_bytes())?);
 
         let mut counts = vec![0u32; n];
@@ -94,8 +93,9 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
         self.setup_time
     }
 
-    /// Clusters with the precomputed counts for one `minpts` value.
-    /// Only the main phase and finalization run.
+    /// Clusters with the precomputed counts for one `minpts` value: a
+    /// core-flag kernel, FDBSCAN's main kernel over exact flags
+    /// ([`main_fused`]) and finalization.
     pub fn run(&self, minpts: usize) -> Result<(Clustering, RunStats), DeviceError> {
         self.run_with(minpts, FdbscanOptions::default())
     }
@@ -124,14 +124,11 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
             }
         })?;
 
-        // Core flags are exact here, so even minpts <= 2 resolves pairs
-        // from the flags rather than marking cores per pair.
         run.enter(PHASE_MAIN);
-        let rule = if options.star { PairRule::Star } else { PairRule::Classic };
-        main_phase(device, points, &self.bvh, self.eps, rule, options, &labels, &core)?;
+        main_fused(device, points, &self.bvh, self.eps, Cores::Exact(&core), options, &labels)?;
 
         run.enter(PHASE_FINALIZE);
-        let clustering = finalize(device, &labels, &core);
+        let clustering = finalize(device, &labels, &core)?;
         Ok((clustering, run.finish()))
     }
 }
@@ -158,14 +155,21 @@ mod tests {
 
     #[test]
     fn sweep_matches_fdbscan_at_every_minpts() {
-        let d = device();
+        // Both launch the same main kernel, so on the sequential device
+        // the pairs resolve in the same order: the clusterings are equal,
+        // border claims included, not merely core-equivalent.
         let points = random_points(500, 4.0, 61);
         let eps = 0.3;
-        let sweep = MinptsSweep::new(&d, &points, eps).unwrap();
-        for minpts in [1usize, 2, 3, 5, 10, 50] {
-            let (from_sweep, _) = sweep.run(minpts).unwrap();
-            let (direct, _) = crate::fdbscan(&d, &points, Params::new(eps, minpts)).unwrap();
-            assert_core_equivalent(&direct, &from_sweep);
+        for (d, exact) in [(device(), false), (Device::new(DeviceConfig::sequential()), true)] {
+            let sweep = MinptsSweep::new(&d, &points, eps).unwrap();
+            for minpts in [1usize, 2, 3, 5, 10, 50] {
+                let (from_sweep, _) = sweep.run(minpts).unwrap();
+                let (direct, _) = crate::fdbscan(&d, &points, Params::new(eps, minpts)).unwrap();
+                assert_core_equivalent(&direct, &from_sweep);
+                if exact {
+                    assert_eq!(direct, from_sweep, "minpts {minpts}");
+                }
+            }
         }
     }
 
@@ -223,6 +227,19 @@ mod tests {
         let (star_direct, _) = crate::fdbscan_star(&d, &points, Params::new(eps, 6)).unwrap();
         assert_core_equivalent(&star_direct, &star_sweep);
         assert_eq!(star_sweep.num_border(), 0);
+    }
+
+    #[test]
+    fn tree_out_of_memory_is_an_error() {
+        // The budget holds the points and the counts, not the tree.
+        let points = random_points(2000, 4.0, 66);
+        let budget = points.len() * (std::mem::size_of::<Point2>() + 4) + 1024;
+        let d = Device::new(DeviceConfig::sequential().with_memory_budget(budget));
+        match MinptsSweep::new(&d, &points, 0.3) {
+            Err(DeviceError::OutOfMemory { .. }) => {}
+            Err(other) => panic!("expected OutOfMemory, got {other:?}"),
+            Ok(_) => panic!("the tree cannot fit in {budget} B"),
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use fdbscan_device::shared::SharedMut;
 use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::Point;
 
-use crate::index::build_bvh_index;
+use crate::fdbscan_impl::point_bvh;
 
 /// Computes the sorted (descending) k-dist curve over a sample of at
 /// most `max_samples` points (evenly strided).
@@ -33,7 +33,7 @@ pub fn kdist_curve<const D: usize>(
         return Ok(Vec::new());
     }
     let _mem = device.memory().reserve_array::<Point<D>>(n)?;
-    let bvh = build_bvh_index(device, points);
+    let bvh = point_bvh(device, points)?;
     let _bvh_mem = device.memory().reserve(bvh.memory_bytes())?;
 
     let stride = n.div_ceil(max_samples);
@@ -42,7 +42,7 @@ pub fn kdist_curve<const D: usize>(
     {
         let dists_view = SharedMut::new(&mut dists);
         let bvh_ref = &bvh;
-        device.try_launch(sample_count, |s| {
+        device.try_launch_named("tuning.kdist", sample_count, |s| {
             let i = s * stride;
             let best = bvh_ref.k_nearest(&points[i], k);
             let kth = best.last().map(|e| e.0.sqrt()).unwrap_or(0.0);
@@ -119,6 +119,16 @@ mod tests {
         let curve = kdist_curve(&device(), &points, 5, 512).unwrap();
         assert!(!curve.is_empty());
         assert!(curve.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    #[test]
+    fn tree_out_of_memory_is_an_error() {
+        // The budget holds the points, not the tree.
+        let points = blobs::<2>(2000, 4, 0.02, 1.0, 0.1, 8);
+        let budget = points.len() * std::mem::size_of::<Point<2>>() + 512;
+        let d = Device::new(DeviceConfig::sequential().with_memory_budget(budget));
+        let err = kdist_curve(&d, &points, 5, 512).unwrap_err();
+        assert!(matches!(err, DeviceError::OutOfMemory { .. }), "got {err:?}");
     }
 
     #[test]

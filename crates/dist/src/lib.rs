@@ -85,9 +85,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fdbscan::framework::{CoreFlags, PairRule};
-use fdbscan::generic::main_phase;
-use fdbscan::index::build_bvh_index;
+use fdbscan::fdbscan_impl::{main_fused, point_bvh, Cores};
+use fdbscan::framework::CoreFlags;
 use fdbscan::labels::Clustering;
 use fdbscan::{FdbscanOptions, Params};
 use fdbscan_device::snapshot::fnv1a_64;
@@ -452,28 +451,32 @@ fn run_distributed<const D: usize>(
                                 // boundary: a NaN smuggled past the
                                 // checksum must fail here, not
                                 // poison the BVH build.
-                                fdbscan::validate_finite(&set.local_points)?;
-                                let bvh = build_bvh_index(rank_device, &set.local_points);
-                                let bvh_ref = &bvh;
-                                let local_points_ref = &set.local_points;
-                                let to_global = &set.to_global;
-                                rank_device.try_launch(set.owned_count, |li| {
+                                let local_points = &set.local_points;
+                                fdbscan::validate_finite(local_points)?;
+                                let bvh = point_bvh(rank_device, local_points)?;
+                                let counters = rank_device.counters();
+                                // In tree order; a ghost's ε-ball is
+                                // truncated here, so only owned points
+                                // count.
+                                rank_device.try_launch_named("dist.core_count", bvh.len(), |pos| {
+                                    let pos = pos as u32;
+                                    let li = bvh.leaf_payload(pos) as usize;
+                                    if li >= set.owned_count {
+                                        return;
+                                    }
                                     let mut count = 0usize;
-                                    bvh_ref.for_each_in_radius(
-                                        &local_points_ref[li],
-                                        eps,
-                                        0,
-                                        |_, _| {
-                                            count += 1;
-                                            if count >= minpts {
-                                                ControlFlow::Break(())
-                                            } else {
-                                                ControlFlow::Continue(())
-                                            }
-                                        },
-                                    );
+                                    let q = &local_points[li];
+                                    let stats = bvh.for_each_around(pos, q, eps, |_, _, _| {
+                                        count += 1;
+                                        if count >= minpts {
+                                            ControlFlow::Break(())
+                                        } else {
+                                            ControlFlow::Continue(())
+                                        }
+                                    });
+                                    stats.charge(counters);
                                     if count >= minpts {
-                                        global_core.set(to_global[li]);
+                                        global_core.set(set.to_global[li]);
                                     }
                                 })
                             },
@@ -544,7 +547,7 @@ fn run_distributed<const D: usize>(
                                     let local_points = &set.local_points;
                                     fdbscan::validate_finite(local_points)?;
                                     let local_n = local_points.len();
-                                    let bvh = build_bvh_index(rank_device, local_points);
+                                    let bvh = point_bvh(rank_device, local_points)?;
 
                                     // Owned flags were computed here;
                                     // ghost flags arrived over the wire.
@@ -560,20 +563,16 @@ fn run_distributed<const D: usize>(
                                         }
                                     }
                                     let local_labels = AtomicLabels::new(local_n);
-                                    // Cores were computed globally, so
-                                    // pairs resolve from the flags even
-                                    // at minpts <= 2.
-                                    main_phase(
+                                    main_fused(
                                         rank_device,
                                         local_points,
                                         &bvh,
                                         eps,
-                                        PairRule::Classic,
+                                        Cores::Exact(&local_core),
                                         FdbscanOptions::default(),
                                         &local_labels,
-                                        &local_core,
                                     )?;
-                                    local_labels.flatten(rank_device);
+                                    local_labels.flatten(rank_device)?;
                                     let labels = local_labels.snapshot();
 
                                     // Distill: core edge log + border
@@ -590,10 +589,9 @@ fn run_distributed<const D: usize>(
                                             }
                                         }
                                     }
-                                    for (li, point) in
-                                        local_points.iter().enumerate().take(set.owned_count)
-                                    {
-                                        if local_core.get(li as u32) {
+                                    for pos in 0..local_n as u32 {
+                                        let li = bvh.leaf_payload(pos) as usize;
+                                        if li >= set.owned_count || local_core.get(li as u32) {
                                             continue;
                                         }
                                         // Owned border: full ε-ball is
@@ -601,7 +599,8 @@ fn run_distributed<const D: usize>(
                                         // per adjacent local cluster) is
                                         // complete.
                                         let mut roots: Vec<u32> = Vec::new();
-                                        bvh.for_each_in_radius(point, eps, 0, |_, j| {
+                                        let point = &local_points[li];
+                                        bvh.for_each_around(pos, point, eps, |_, j, _| {
                                             if local_core.get(j) {
                                                 let root = labels[j as usize];
                                                 if !roots.contains(&root) {
@@ -709,7 +708,7 @@ mod tests {
     use fdbscan::seq::{dbscan_canonical, dbscan_classic};
     use fdbscan::verify::assert_valid_clustering;
     use fdbscan_data::Dataset2;
-    use fdbscan_device::{DeviceConfig, FaultPlan, FaultSite, MetricsRegistry};
+    use fdbscan_device::{DeviceConfig, FaultPlan, FaultSite, MetricsRegistry, SpanKind};
     use fdbscan_geom::Point2;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -910,6 +909,25 @@ mod tests {
         );
         assert!(stats.phase_work.local.launches > 0, "local phase does the real work");
         assert!(stats.phase_work.merge.launches > 0, "merge folds edge logs on device");
+    }
+
+    #[test]
+    fn rank_kernels_are_named() {
+        // Traces and the kernel histogram key on launch labels.
+        let d = Device::new(DeviceConfig::sequential().with_tracing());
+        let points = random_points(400, 4.0, 31);
+        distributed_fdbscan(&d, &points, Params::new(0.3, 4), 3).unwrap();
+        let labels: Vec<String> = d
+            .tracer()
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == SpanKind::Kernel)
+            .map(|e| e.label.to_string())
+            .collect();
+        for label in ["dist.core_count", "fdbscan.main_fused", "uf.flatten", "dist.merge_union"] {
+            assert!(labels.iter().any(|l| l == label), "no {label} kernel in {labels:?}");
+        }
+        assert!(!labels.iter().any(|l| l == "unnamed"), "unnamed kernel in {labels:?}");
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn merge_summaries(
     for summary in summaries {
         let edges = &summary.edges;
         let global_ref = &global;
-        device.try_launch(edges.len(), |i| {
+        device.try_launch_named("dist.merge_union", edges.len(), |i| {
             let (a, b) = edges[i];
             global_ref.union(a, b);
         })?;

@@ -51,7 +51,7 @@
 
 use fdbscan_device::json::Json;
 use fdbscan_device::shared::SharedMut;
-use fdbscan_device::{BatchStage, BufferArena, Device, DeviceError};
+use fdbscan_device::{BatchStage, Device, DeviceError};
 use fdbscan_geom::{morton, Aabb, Point};
 use fdbscan_psort::sort_by_key_fused;
 
@@ -135,27 +135,26 @@ impl<const D: usize> DenseGrid<D> {
     /// # Panics
     /// Panics where [`DenseGrid::build_in`] would return an error.
     pub fn build(device: &Device, points: &[Point<D>], eps: f32, minpts: usize) -> Self {
-        match Self::build_in(device, device.arena(), points, eps, minpts) {
+        match Self::build_in(device, points, eps, minpts) {
             Ok(grid) => grid,
             Err(error) => panic!("grid build failed: {error}"),
         }
     }
 
-    /// [`DenseGrid::build`] with scratch checked out of an explicit
-    /// [`BufferArena`] and device errors propagated instead of panicking.
+    /// [`DenseGrid::build`] with device errors propagated instead of
+    /// panicking.
     pub fn build_in(
         device: &Device,
-        arena: &BufferArena,
         points: &[Point<D>],
         eps: f32,
         minpts: usize,
     ) -> Result<Self, DeviceError> {
         assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
-        Self::build_with_cell_len_in(device, arena, points, eps / (D as f32).sqrt(), minpts)
+        Self::build_with_cell_len_in(device, points, eps / (D as f32).sqrt(), minpts)
     }
 
     /// Builds the grid with an explicit cell edge length, with scratch
-    /// checked out of an explicit [`BufferArena`] and device errors
+    /// checked out of the device's buffer arena and device errors
     /// propagated. Used by CUDA-DClust's directory index, which wants
     /// `cell_len == eps` so a point's neighbors all live in the 3^D
     /// surrounding cells. Note that dense classification (`is_dense`) is
@@ -181,7 +180,6 @@ impl<const D: usize> DenseGrid<D> {
     /// launches.
     pub fn build_with_cell_len_in(
         device: &Device,
-        arena: &BufferArena,
         points: &[Point<D>],
         cell_len: f32,
         minpts: usize,
@@ -241,6 +239,7 @@ impl<const D: usize> DenseGrid<D> {
         //    sort itself; its fused epilogue delivers the sorted order
         //    straight into the directory arrays.
         let mut sorted_ids = vec![0u32; n];
+        let arena = device.arena();
         let mut sorted_keys = arena.take::<u64>(n)?;
         {
             let ids_view = SharedMut::new(&mut sorted_ids);
@@ -248,7 +247,6 @@ impl<const D: usize> DenseGrid<D> {
             let origin_ref = &origin;
             sort_by_key_fused(
                 device,
-                arena,
                 n,
                 key_bits,
                 |i| cell_key::<D>(&points[i], origin_ref, cell_len),
@@ -820,8 +818,7 @@ mod tests {
         // about 2097 units, less than this extent.
         let points = [Point::new([0.0, 0.0, 0.0]), Point::new([3000.0, 0.0, 0.0])];
         let device = device();
-        let err = DenseGrid::<3>::build_with_cell_len_in(&device, device.arena(), &points, 1e-3, 2)
-            .unwrap_err();
+        let err = DenseGrid::<3>::build_with_cell_len_in(&device, &points, 1e-3, 2).unwrap_err();
         assert!(matches!(err, DeviceError::InvalidInput { .. }), "{err:?}");
     }
 
@@ -852,7 +849,7 @@ mod tests {
             .collect();
         for round in 0..3 {
             let fresh_before = device.memory().reservations_made();
-            let grid = DenseGrid::build_in(&device, device.arena(), &points, 0.4, 5).unwrap();
+            let grid = DenseGrid::build_in(&device, &points, 0.4, 5).unwrap();
             assert!(grid.num_cells() > 1);
             let fresh = device.memory().reservations_made() - fresh_before;
             if round == 0 {

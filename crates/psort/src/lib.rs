@@ -10,8 +10,8 @@
 //! * [`radix::sort_pairs`] — stable LSD radix sort of `u64` keys with
 //!   `u32` payloads (8-bit digits, per-block histograms, scan, scatter),
 //!   with all passes submitted as one batched launch,
-//! * [`radix::sort_pairs_in`] — the same sort with scratch checked out of
-//!   an explicit [`fdbscan_device::BufferArena`] and errors propagated,
+//! * [`radix::sort_pairs_in`] — the same sort with errors propagated
+//!   instead of panicking,
 //! * [`radix::sort_by_key_fused`] — sorts virtual `(keygen(i), i)` pairs,
 //!   generating keys on the fly and delivering results through an `emit`
 //!   epilogue fused into the final scatter pass,
@@ -36,7 +36,7 @@
 //! assert_eq!(values[0], 4999); // payloads follow their keys
 //!
 //! let mut counts = vec![3u64, 1, 4];
-//! let total = fdbscan_psort::exclusive_scan(&device, &mut counts);
+//! let total = fdbscan_psort::exclusive_scan(&device, &mut counts).unwrap();
 //! assert_eq!(counts, vec![0, 3, 4]);
 //! assert_eq!(total, 8);
 //! ```

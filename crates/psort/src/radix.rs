@@ -28,12 +28,12 @@
 //! key in scratch, so no materialised key array is ever uploaded.
 //!
 //! Scratch (the ping-pong key/payload arrays) is checked out of the
-//! device [`BufferArena`], so repeated sorts — every BVH or grid build
-//! after the first — reuse the same allocations. The count matrix is
-//! untracked scratch, the analogue of GPU shared memory: 2 KB per block,
-//! under 64 KB at 500k keys.
+//! device's [`fdbscan_device::BufferArena`], so repeated sorts — every
+//! BVH or grid build after the first — reuse the same allocations. The
+//! count matrix is untracked scratch, the analogue of GPU shared memory:
+//! 2 KB per block, under 64 KB at 500k keys.
 
-use fdbscan_device::{BatchStage, BufferArena, Device, DeviceError, SharedMut};
+use fdbscan_device::{BatchStage, Device, DeviceError, SharedMut};
 
 const RADIX_BITS: u32 = 8;
 const BUCKETS: usize = 1 << RADIX_BITS;
@@ -44,33 +44,32 @@ const SORT_BLOCK: usize = 1 << 14;
 /// Below this size, a sequential comparison sort wins.
 const SEQUENTIAL_THRESHOLD: usize = 1 << 10;
 
-/// Stable sort of `keys` with `values` permuted alongside, using the
-/// device's own buffer arena for scratch.
+/// Stable sort of `keys` with `values` permuted alongside.
 ///
 /// # Panics
-/// Panics if `keys.len() != values.len()`, or if scratch allocation
-/// exceeds the device memory budget. Budgeted callers should use
-/// [`sort_pairs_in`].
+/// Panics if `keys.len() != values.len()`, or where [`sort_pairs_in`]
+/// would return an error. Budgeted callers should use [`sort_pairs_in`].
 pub fn sort_pairs(device: &Device, keys: &mut [u64], values: &mut [u32]) {
-    sort_pairs_in(device, device.arena(), keys, values)
-        .expect("sort scratch exceeded the device memory budget");
+    if let Err(error) = sort_pairs_in(device, keys, values) {
+        panic!("sort failed: {error}");
+    }
 }
 
 /// Stable sort of `keys` with `values` permuted alongside; scratch is
-/// checked out of `arena` and returned to it when the sort completes.
+/// checked out of the device's buffer arena and returned to it when the
+/// sort completes.
 ///
 /// Costs one `sort.max_key` reduction plus one batched launch (all
 /// histogram/scan/scatter passes submitted together).
 ///
 /// # Errors
 /// Propagates [`DeviceError`] from scratch allocation (budget exhaustion
-/// or injected faults) and from the batched launch itself.
+/// or injected faults) and from both launches.
 ///
 /// # Panics
 /// Panics if `keys.len() != values.len()`.
 pub fn sort_pairs_in(
     device: &Device,
-    arena: &BufferArena,
     keys: &mut [u64],
     values: &mut [u32],
 ) -> Result<(), DeviceError> {
@@ -90,9 +89,10 @@ pub fn sort_pairs_in(
         return Ok(());
     }
 
-    let max_key = device.reduce_named("sort.max_key", n, 0u64, |i| keys[i], |a, b| a.max(b));
+    let max_key = device.try_reduce_named("sort.max_key", n, 0u64, |i| keys[i], |a, b| a.max(b))?;
     let key_bits = (64 - max_key.leading_zeros()).max(1);
 
+    let arena = device.arena();
     let mut keys_sorted = arena.take::<u64>(n)?;
     let mut values_sorted = arena.take::<u32>(n)?;
     {
@@ -102,7 +102,6 @@ pub fn sort_pairs_in(
         let values_in: &[u32] = values;
         sort_by_key_fused(
             device,
-            arena,
             n,
             key_bits,
             |i| keys_in[i],
@@ -144,7 +143,6 @@ pub fn sort_pairs_in(
 /// batched launch.
 pub fn sort_by_key_fused<K, E>(
     device: &Device,
-    arena: &BufferArena,
     n: usize,
     key_bits: u32,
     keygen: K,
@@ -169,6 +167,7 @@ where
 
     let passes = (key_bits.div_ceil(RADIX_BITS)).max(1) as usize;
     let num_blocks = n.div_ceil(SORT_BLOCK);
+    let arena = device.arena();
 
     // Ping-pong scratch: pass 0 scatters into A, later passes alternate
     // A -> B -> A. B first holds the generated keys: pass 0's histogram
@@ -458,7 +457,7 @@ mod tests {
         {
             let ok = SharedMut::new(&mut out_keys[..]);
             let os = SharedMut::new(&mut out_src[..]);
-            sort_by_key_fused(&device, device.arena(), n, 20, key_of, |rank, key, i| {
+            sort_by_key_fused(&device, n, 20, key_of, |rank, key, i| {
                 // SAFETY: ranks are unique per the emit contract.
                 unsafe {
                     ok.write(rank, key);
@@ -499,7 +498,7 @@ mod tests {
                     calls.fetch_add(1, Ordering::Relaxed);
                     key_of(i)
                 };
-                sort_by_key_fused(&device, device.arena(), n, 16, keygen, |rank, _key, i| {
+                sort_by_key_fused(&device, n, 16, keygen, |rank, _key, i| {
                     // SAFETY: unique ranks.
                     unsafe { view.write(rank, i) };
                 })
@@ -546,7 +545,7 @@ mod tests {
         let mut out = vec![0u32; n];
         {
             let view = SharedMut::new(&mut out[..]);
-            sort_by_key_fused(&device, device.arena(), n, 8, key_of, |rank, _key, i| {
+            sort_by_key_fused(&device, n, 8, key_of, |rank, _key, i| {
                 // SAFETY: unique ranks.
                 unsafe { view.write(rank, i) };
             })

@@ -1,6 +1,6 @@
 //! Block-parallel exclusive prefix sum.
 
-use fdbscan_device::{Device, SharedMut};
+use fdbscan_device::{Device, DeviceError, SharedMut};
 
 /// Below this size a sequential scan beats the two-pass parallel scheme.
 const PARALLEL_THRESHOLD: usize = 1 << 14;
@@ -13,10 +13,14 @@ const PARALLEL_THRESHOLD: usize = 1 << 14;
 /// Small inputs are scanned sequentially; larger ones use the classic
 /// two-pass scheme (per-block sums, sequential scan of block sums,
 /// parallel down-sweep), one launch per pass.
-pub fn exclusive_scan(device: &Device, data: &mut [u64]) -> u64 {
+///
+/// # Errors
+/// Propagates [`DeviceError`] from the two launches; `data` is then
+/// partly scanned.
+pub fn exclusive_scan(device: &Device, data: &mut [u64]) -> Result<u64, DeviceError> {
     let n = data.len();
     if n < PARALLEL_THRESHOLD {
-        return sequential_exclusive_scan(data);
+        return Ok(sequential_exclusive_scan(data));
     }
 
     let block = device.block_size().max(1);
@@ -27,7 +31,7 @@ pub fn exclusive_scan(device: &Device, data: &mut [u64]) -> u64 {
     {
         let data_view = SharedMut::new(&mut *data);
         let sums_view = SharedMut::new(&mut block_sums);
-        device.launch_named("scan.block_sums", num_blocks, |b| {
+        device.try_launch_named("scan.block_sums", num_blocks, |b| {
             let start = b * block;
             let end = (start + block).min(n);
             let mut acc = 0u64;
@@ -41,7 +45,7 @@ pub fn exclusive_scan(device: &Device, data: &mut [u64]) -> u64 {
                 }
             }
             unsafe { sums_view.write(b, acc) };
-        });
+        })?;
     }
 
     // Pass 2: scan the (small) block totals sequentially.
@@ -51,7 +55,7 @@ pub fn exclusive_scan(device: &Device, data: &mut [u64]) -> u64 {
     {
         let data_view = SharedMut::new(&mut *data);
         let sums = &block_sums;
-        device.launch_named("scan.downsweep", num_blocks, |b| {
+        device.try_launch_named("scan.downsweep", num_blocks, |b| {
             let offset = sums[b];
             if offset == 0 {
                 return;
@@ -62,9 +66,9 @@ pub fn exclusive_scan(device: &Device, data: &mut [u64]) -> u64 {
                 // SAFETY: disjoint per-block ranges.
                 unsafe { data_view.write(i, data_view.read(i) + offset) };
             }
-        });
+        })?;
     }
-    total
+    Ok(total)
 }
 
 /// Sequential exclusive scan; returns the total.
@@ -105,14 +109,14 @@ mod tests {
     fn empty_scan() {
         let device = Device::with_defaults();
         let mut data: Vec<u64> = vec![];
-        assert_eq!(exclusive_scan(&device, &mut data), 0);
+        assert_eq!(exclusive_scan(&device, &mut data).unwrap(), 0);
     }
 
     #[test]
     fn single_element() {
         let device = Device::with_defaults();
         let mut data = vec![42u64];
-        assert_eq!(exclusive_scan(&device, &mut data), 42);
+        assert_eq!(exclusive_scan(&device, &mut data).unwrap(), 42);
         assert_eq!(data, vec![0]);
     }
 
@@ -123,7 +127,7 @@ mod tests {
         let data: Vec<u64> = (0..n).map(|i| (i as u64 * 2654435761) % 1000).collect();
         let (expected, expected_total) = reference(&data);
         let mut got = data.clone();
-        let total = exclusive_scan(&device, &mut got);
+        let total = exclusive_scan(&device, &mut got).unwrap();
         assert_eq!(total, expected_total);
         assert_eq!(got, expected);
     }
@@ -132,7 +136,7 @@ mod tests {
     fn all_zeros() {
         let device = Device::with_defaults();
         let mut data = vec![0u64; 100_000];
-        assert_eq!(exclusive_scan(&device, &mut data), 0);
+        assert_eq!(exclusive_scan(&device, &mut data).unwrap(), 0);
         assert!(data.iter().all(|&v| v == 0));
     }
 
@@ -144,7 +148,7 @@ mod tests {
             let data: Vec<u64> = (0..n).map(|i| (i % 7) as u64).collect();
             let (expected, expected_total) = reference(&data);
             let mut got = data.clone();
-            let total = exclusive_scan(&device, &mut got);
+            let total = exclusive_scan(&device, &mut got).unwrap();
             assert_eq!(total, expected_total, "n = {n}");
             assert_eq!(got, expected, "n = {n}");
         }

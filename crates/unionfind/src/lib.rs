@@ -40,7 +40,7 @@
 //!     let (a, b) = edges[e];
 //!     labels.union(a, b);
 //! });
-//! labels.flatten(&device);
+//! labels.flatten(&device).unwrap();
 //! assert!(labels.same_set(0, 2));
 //! assert!(!labels.same_set(0, 4));
 //! assert_eq!(labels.count_sets(), 3); // {0,1,2}, {3}, {4,5}
@@ -49,7 +49,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use fdbscan_device::{Counters, Device};
+use fdbscan_device::{Counters, Device, DeviceError};
 
 pub mod sequential;
 
@@ -222,9 +222,14 @@ impl AtomicLabels {
     ///
     /// Must not run concurrently with `union` (callers run it after the
     /// main phase; the launch boundary provides the ordering).
-    pub fn flatten(&self, device: &Device) {
+    ///
+    /// # Errors
+    /// Propagates [`DeviceError`] from the launch (a kernel fault, a
+    /// watchdog timeout, a cancelled device). The labels are then partly
+    /// flattened, which changes no set.
+    pub fn flatten(&self, device: &Device) -> Result<(), DeviceError> {
         let labels = &self.labels;
-        device.launch_named("uf.flatten", labels.len(), |i| {
+        device.try_launch_named("uf.flatten", labels.len(), |i| {
             // Read-only walk to the root: the tree is static during
             // finalization except for idempotent compression writes.
             let mut root = labels[i].load(Ordering::Relaxed);
@@ -236,7 +241,7 @@ impl AtomicLabels {
                 root = next;
             }
             labels[i].store(root, Ordering::Relaxed);
-        });
+        })
     }
 
     /// Host-side finalization: returns the canonical (smallest-member)
@@ -338,7 +343,7 @@ mod tests {
         uf.union(5, 3);
         uf.union(3, 4);
         uf.union(1, 2);
-        uf.flatten(&device);
+        uf.flatten(&device).unwrap();
         let labels = uf.snapshot();
         assert_eq!(labels[3], 3);
         assert_eq!(labels[4], 3);
@@ -357,7 +362,7 @@ mod tests {
         for i in 0..(n as u32 - 1) {
             uf.union(i, i + 1);
         }
-        uf.flatten(&device);
+        uf.flatten(&device).unwrap();
         let labels = uf.snapshot();
         assert!(labels.iter().all(|&l| l == 0));
     }
@@ -369,9 +374,9 @@ mod tests {
         for i in 0..50 {
             uf.union(i, i + 50);
         }
-        uf.flatten(&device);
+        uf.flatten(&device).unwrap();
         let first = uf.snapshot();
-        uf.flatten(&device);
+        uf.flatten(&device).unwrap();
         assert_eq!(first, uf.snapshot());
     }
 
@@ -398,7 +403,7 @@ mod tests {
         assert_eq!(forward.canonicalize(), reversed.canonicalize());
 
         // The host-side canonical form agrees with the device flatten.
-        forward.flatten(&device);
+        forward.flatten(&device).unwrap();
         assert_eq!(forward.snapshot(), reversed.canonicalize());
     }
 
@@ -472,7 +477,7 @@ mod tests {
             let (a, b) = edges_ref[e];
             uf_ref.union(a, b);
         });
-        uf.flatten(&device);
+        uf.flatten(&device).unwrap();
 
         let mut dsu = SequentialDsu::new(n as usize);
         for &(a, b) in &edges {
@@ -499,7 +504,7 @@ mod tests {
         device.launch(n - 1, |i| {
             uf_ref.union(i as u32, i as u32 + 1);
         });
-        uf.flatten(&device);
+        uf.flatten(&device).unwrap();
         assert_eq!(uf.count_sets(), 1);
         assert!(uf.snapshot().iter().all(|&l| l == 0));
     }

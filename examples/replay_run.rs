@@ -17,8 +17,6 @@
 //! The checkpoint and manifest files stay in `fdbscan-replay` under the
 //! system temporary directory for inspection.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use fdbscan::fdbscan_impl::FDBSCAN_ALGORITHM;
 use fdbscan::labels::assert_core_equivalent;
 use fdbscan::{build_manifest, checkpoint_for, fdbscan_run_from, run_fingerprint, Params};
@@ -118,29 +116,22 @@ fn main() {
 }
 
 /// Runs to the injected fault, returning a description of the death.
-/// Faults in fallible kernels surface as `Err`; faults landing in
-/// infrastructure kernels on the infallible API unwind — either way the
-/// checkpoint retains every phase completed before the fault.
+/// The fault surfaces as an `Err`, and the checkpoint retains every
+/// phase completed before it.
 fn run_to_death(
     device: &Device,
     points: &[Point2],
     params: Params,
     ckpt: &mut PipelineCheckpoint,
 ) -> String {
-    // Silence the default hook while dying on purpose: the death is
-    // the demonstration, not a bug to backtrace.
+    // Silence the default hook while the injected panic fires: the death
+    // is the demonstration, not a bug to backtrace.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        fdbscan_run_from(device, points, params, Default::default(), ckpt)
-    }));
+    let outcome = fdbscan_run_from(device, points, params, Default::default(), ckpt);
     std::panic::set_hook(hook);
     match outcome {
-        Ok(Ok(_)) => panic!("the fault plan should have killed this run"),
-        Ok(Err(err)) => format!("{err}"),
-        Err(payload) => match payload.downcast_ref::<String>() {
-            Some(s) => s.clone(),
-            None => "kernel panic".to_string(),
-        },
+        Ok(_) => panic!("the fault plan should have killed this run"),
+        Err(err) => format!("{err}"),
     }
 }

@@ -259,22 +259,17 @@ fn sweep(algo: Algo) {
         let plan = FaultPlan::new(chaos_seed()).with_kernel_panic_at(kill_ordinal, 0);
         let kill_dev = Device::new(DeviceConfig::sequential().with_fault_plan(plan));
         let mut crash_ckpt = checkpoint_for(algo.name(), &points, params);
-        // Faults landing in kernels on the fallible API surface as
-        // `Err`; faults in infrastructure kernels on the infallible API
-        // unwind — both are a dead run whose checkpoint survives.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            algo.run_from(&kill_dev, &points, params, &mut crash_ckpt)
-        }));
-        match outcome {
-            Ok(Ok(_)) => panic!("{algo:?} boundary {boundary}: injected panic must kill the run"),
-            Ok(Err(err)) => assert!(
+        // Every kernel launches through the fallible API, so the fault
+        // surfaces as an `Err`: a dead run whose checkpoint survives.
+        match algo.run_from(&kill_dev, &points, params, &mut crash_ckpt) {
+            Ok(_) => panic!("{algo:?} boundary {boundary}: injected panic must kill the run"),
+            Err(err) => assert!(
                 matches!(
                     err,
                     DeviceError::KernelPanicked { .. } | DeviceError::FaultInjected { .. }
                 ),
                 "{algo:?} boundary {boundary}: unexpected failure {err:?}"
             ),
-            Err(_) => {} // unwound out of an infallible-API kernel
         }
 
         let recover_dev = sequential();

@@ -37,7 +37,7 @@ use fdbscan::baselines::{cuda_dclust, gdbscan};
 use fdbscan::labels::{assert_core_equivalent, NOISE};
 use fdbscan::seq::dbscan_classic;
 use fdbscan::verify::assert_valid_clustering;
-use fdbscan::{fdbscan, fdbscan_densebox, fdbscan_kdtree, Params};
+use fdbscan::{fdbscan, fdbscan_densebox, fdbscan_kdtree, MinptsSweep, Params};
 use fdbscan_data::{blobs, uniform};
 use fdbscan_device::{Device, DeviceConfig};
 use fdbscan_geom::{Point, Point2, Point3};
@@ -104,10 +104,14 @@ fn dataset(family: &str, n: usize, seed: u64) -> Vec<Point2> {
 fn check_case<const D: usize>(family: &str, seed: u64, points: &[Point<D>], params: Params) {
     let oracle = dbscan_classic(points, params);
     for (backend, dev) in backends() {
-        let runs: [(&str, Box<dyn Fn() -> _>); 5] = [
+        let runs: [(&str, Box<dyn Fn() -> _>); 6] = [
             ("fdbscan", Box::new(|| fdbscan(&dev, points, params))),
             ("fdbscan-densebox", Box::new(|| fdbscan_densebox(&dev, points, params))),
             ("fdbscan-kdtree", Box::new(|| fdbscan_kdtree(&dev, points, params))),
+            (
+                "fdbscan-sweep",
+                Box::new(|| MinptsSweep::new(&dev, points, params.eps)?.run(params.minpts)),
+            ),
             ("g-dbscan", Box::new(|| gdbscan(&dev, points, params))),
             ("cuda-dclust", Box::new(|| cuda_dclust(&dev, points, params))),
         ];

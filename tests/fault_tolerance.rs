@@ -11,7 +11,7 @@ use fdbscan::seq::dbscan_classic;
 use fdbscan::verify::assert_valid_clustering;
 use fdbscan::{fdbscan, fdbscan_densebox, run_resilient, LadderLevel, Params, ResiliencePolicy};
 use fdbscan_data::Dataset2;
-use fdbscan_device::{Device, DeviceConfig, DeviceError, FaultPlan};
+use fdbscan_device::{Device, DeviceConfig, DeviceError, FaultPlan, SpanKind};
 use fdbscan_geom::Point2;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -244,21 +244,49 @@ fn watchdog_timeout_is_recoverable() {
             .with_fault_plan(plan)
             .with_kernel_timeout(Duration::from_millis(20)),
     );
-    // Launch 0 may belong to an infrastructure kernel (BVH build) still
-    // on the panicking API; either surface — Err or escaped panic — is a
-    // clean, recoverable failure.
-    let signature = outcome_signature(catch_unwind(AssertUnwindSafe(|| {
-        fdbscan(&device, &points, params).map(|_| ())
-    })));
+    let outcome = fdbscan(&device, &points, params).map(|_| ());
     assert!(
-        signature.contains("timeout") || signature.contains("timed out"),
-        "expected a watchdog timeout, got {signature}"
+        matches!(outcome, Err(DeviceError::KernelTimeout { .. })),
+        "expected a watchdog timeout, got {outcome:?}"
     );
     assert_eq!(device.memory().in_use(), device.arena().held_bytes());
 
     let oracle = dbscan_classic(&points, params);
     let (got, _) = fdbscan(&device, &points, params).unwrap();
     assert_core_equivalent(&oracle, &got);
+}
+
+#[test]
+fn panic_in_the_flatten_launch_is_an_error() {
+    // Finalization's union-find flatten is the last launch of both tree
+    // algorithms: count a clean run's launches, then fault the last one.
+    let points = random_points(2000, 4.0, 19);
+    let params = Params::new(0.2, 4);
+    for algo in ["fdbscan", "fdbscan-densebox"] {
+        let run = |d: &Device| match algo {
+            "fdbscan" => fdbscan(d, &points, params).map(|_| ()),
+            _ => fdbscan_densebox(d, &points, params).map(|_| ()),
+        };
+        let clean = Device::new(DeviceConfig::sequential().with_tracing());
+        run(&clean).unwrap();
+        let last_kernel = clean
+            .tracer()
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == SpanKind::Kernel)
+            .max_by_key(|e| e.start_ns)
+            .map(|e| e.label.to_string());
+        assert_eq!(last_kernel.as_deref(), Some("uf.flatten"), "{algo}");
+
+        let last = clean.launches_started() - 1;
+        let plan = FaultPlan::new(7).with_kernel_panic_at(last, 0);
+        let device = Device::new(DeviceConfig::sequential().with_fault_plan(plan));
+        match run(&device) {
+            Err(DeviceError::KernelPanicked { launch, .. }) => assert_eq!(launch, last, "{algo}"),
+            other => panic!("{algo}: expected KernelPanicked at launch {last}, got {other:?}"),
+        }
+        assert_eq!(device.memory().in_use(), device.arena().held_bytes(), "{algo}");
+    }
 }
 
 // ---------------------------------------------------------------------------

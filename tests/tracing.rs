@@ -4,8 +4,8 @@
 
 use fdbscan::baselines::{cuda_dclust, gdbscan};
 use fdbscan::{
-    fdbscan, fdbscan_densebox, run_resilient, LadderLevel, MinptsSweep, Params, ResiliencePolicy,
-    RunStats,
+    fdbscan, fdbscan_densebox, fdbscan_kdtree, kdist_curve, run_resilient, LadderLevel,
+    MinptsSweep, Params, ResiliencePolicy, RunStats,
 };
 use fdbscan_device::{json, Device, DeviceConfig, Histogram, SpanKind, TraceFormat};
 use fdbscan_geom::Point2;
@@ -86,6 +86,27 @@ fn densebox_and_gdbscan_record_their_own_phase_trees() {
     }
     assert!(events.iter().any(|e| e.kind == SpanKind::Kernel && e.label == "densebox.main_fused"));
     assert!(events.iter().any(|e| e.kind == SpanKind::Kernel && e.label == "gdbscan.bfs_level"));
+}
+
+#[test]
+fn library_kernels_are_named() {
+    // Traces and the kernel histogram key on launch labels, so no entry
+    // point may launch a kernel as "unnamed".
+    let device = Device::new(DeviceConfig::sequential().with_tracing());
+    let points = random_points(2000, 10.0, 14);
+    let params = Params::new(0.3, 5);
+    fdbscan(&device, &points, params).unwrap();
+    fdbscan_densebox(&device, &points, params).unwrap();
+    fdbscan_kdtree(&device, &points, params).unwrap();
+    gdbscan(&device, &points, params).unwrap();
+    cuda_dclust(&device, &points, params).unwrap();
+    MinptsSweep::new(&device, &points, params.eps).unwrap().run(params.minpts).unwrap();
+    kdist_curve(&device, &points, params.minpts, 256).unwrap();
+    let events = device.tracer().events();
+    let kernels: Vec<&str> =
+        events.iter().filter(|e| e.kind == SpanKind::Kernel).map(|e| e.label.as_ref()).collect();
+    assert!(kernels.contains(&"tuning.kdist"), "{kernels:?}");
+    assert!(!kernels.contains(&"unnamed"), "{kernels:?}");
 }
 
 #[test]
