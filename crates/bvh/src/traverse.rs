@@ -12,7 +12,7 @@
 //!   sorted-leaf range with *no* per-leaf distance tests (counted in
 //!   [`QueryStats::contained_hits`]).
 //!
-//! Three walks share that one rope loop:
+//! Four walks share that one rope loop:
 //!
 //! * [`Bvh::for_each_in_radius`] starts at the root and takes any centre
 //!   and any index cutoff (paper Fig. 1's mask),
@@ -20,10 +20,13 @@
 //!   at leaf `pos`'s rope, so it walks only the preorder suffix after the
 //!   leaf — exactly the subtrees the mask `pos + 1` lets through — and
 //!   never tests an ancestor of `pos` or a mask,
+//! * [`Bvh::for_each_before`] is its mirror image: it starts at leaf
+//!   `pos`'s *mirrored* rope and walks only the prefix before the leaf
+//!   (right-child-first preorder), nearest subtrees first,
 //! * [`Bvh::for_each_around`] is the unmasked query of a leaf: the leaf
-//!   itself, then the suffix, then the prefix through the *mirrored*
-//!   ropes (right-child-first preorder), so the subtrees nearest the
-//!   leaf on both sides come first and an early exit comes sooner.
+//!   itself, then the suffix, then the prefix — the two walks above
+//!   back to back, so the subtrees nearest the leaf on both sides come
+//!   first and an early exit comes sooner.
 //!
 //! The leaf-anchored walks skip the ancestors' tests, and with them the
 //! containment fast path those ancestors offered: where an ancestor of
@@ -194,8 +197,33 @@ impl<const D: usize> Bvh<D> {
         F: FnMut(u32, u32, bool) -> ControlFlow<()>,
     {
         let mut stats = QueryStats::default();
-        let start = self.leaf_skip[pos as usize];
-        self.rope_walk::<C, F, false>(start, 0, center, eps * eps, &mut stats, &mut callback);
+        self.walk_from::<C, F, false>(pos, center, eps * eps, &mut stats, &mut callback);
+        stats
+    }
+
+    /// The prefix query of leaf `pos`: invokes `callback(leaf_pos,
+    /// payload, contained)` for every leaf *before* `pos` in sorted order
+    /// whose bounds lie within `eps` of `center` — the hits of
+    /// [`Self::for_each_in_radius_flagged`] with cutoff `0` below `pos`,
+    /// for any centre.
+    ///
+    /// The walk starts at the leaf's mirrored rope and descends right
+    /// children first, so the subtrees nearest the leaf come first and a
+    /// callback that stops at a count stops early. No ancestor of `pos`
+    /// is tested.
+    pub fn for_each_before<C, F>(
+        &self,
+        pos: u32,
+        center: &C,
+        eps: f32,
+        mut callback: F,
+    ) -> QueryStats
+    where
+        C: QueryCenter<D>,
+        F: FnMut(u32, u32, bool) -> ControlFlow<()>,
+    {
+        let mut stats = QueryStats::default();
+        self.walk_from::<C, F, true>(pos, center, eps * eps, &mut stats, &mut callback);
         stats
     }
 
@@ -207,9 +235,8 @@ impl<const D: usize> Bvh<D> {
     ///
     /// Leaf `pos` itself is reported first, without a bounds test
     /// (`contained` when its bounds lie within `eps` of all of `center`,
-    /// as for a point leaf queried from its own point). Then the walk
-    /// covers the preorder suffix after `pos`, and then the prefix before
-    /// it through the mirrored ropes, descending right children first:
+    /// as for a point leaf queried from its own point). Then come the
+    /// walks of [`Self::for_each_after`] and [`Self::for_each_before`]:
     /// the subtrees nearest the leaf come first on both sides, so a
     /// callback that stops at a count stops early. No ancestor of `pos`
     /// is tested.
@@ -235,11 +262,30 @@ impl<const D: usize> Bvh<D> {
             stats.terminated_early = true;
             return stats;
         }
-        let (after, before) = (self.leaf_skip[pos as usize], self.leaf_lskip[pos as usize]);
-        if !self.rope_walk::<C, F, false>(after, 0, center, eps_sq, &mut stats, &mut callback) {
-            self.rope_walk::<C, F, true>(before, 0, center, eps_sq, &mut stats, &mut callback);
+        if !self.walk_from::<C, F, false>(pos, center, eps_sq, &mut stats, &mut callback) {
+            self.walk_from::<C, F, true>(pos, center, eps_sq, &mut stats, &mut callback);
         }
         stats
+    }
+
+    /// The rope loop from leaf `pos`'s rope: the preorder suffix after
+    /// the leaf, or `MIRRORED`, the prefix before it. Returns `true` if
+    /// the callback broke out.
+    #[inline(always)]
+    fn walk_from<C, F, const MIRRORED: bool>(
+        &self,
+        pos: u32,
+        center: &C,
+        eps_sq: f32,
+        stats: &mut QueryStats,
+        callback: &mut F,
+    ) -> bool
+    where
+        C: QueryCenter<D>,
+        F: FnMut(u32, u32, bool) -> ControlFlow<()>,
+    {
+        let ropes = if MIRRORED { &self.leaf_lskip } else { &self.leaf_skip };
+        self.rope_walk::<C, F, MIRRORED>(ropes[pos as usize], 0, center, eps_sq, stats, callback)
     }
 
     /// The rope loop every walk shares: from `node` until the ropes run
@@ -780,10 +826,12 @@ mod tests {
     /// Checks the leaf-anchored walks of leaf `pos` against the root walk:
     /// * `for_each_after` reports the masked root walk's exact sequence
     ///   from `center` (the leaf's own primitive) and from `elsewhere`,
+    /// * `for_each_before` reports the unmasked root walk's hits below
+    ///   `pos`, each once, from both centres,
     /// * `for_each_around` reports its own leaf first and the unmasked
     ///   root walk's hits, each once,
     /// * a callback that breaks after `k` hits stops after exactly
-    ///   `min(k, |N|)` in both walks.
+    ///   `min(k, |N|)` in every walk.
     fn assert_anchored_walks_match<const D: usize, C, E>(
         bvh: &Bvh<D>,
         pos: u32,
@@ -808,6 +856,22 @@ mod tests {
         bvh.for_each_after(pos, elsewhere, eps, |l, p, _| push(&mut after_elsewhere, l, p));
         assert_eq!(after_elsewhere, masked_elsewhere, "for_each_after({pos}) from elsewhere");
 
+        let (mut prefix, mut before) = (Vec::new(), Vec::new());
+        bvh.for_each_in_radius(center, eps, 0, |l, p| push(&mut prefix, l, p));
+        bvh.for_each_before(pos, center, eps, |l, p, _| push(&mut before, l, p));
+        let (mut prefix_elsewhere, mut before_elsewhere) = (Vec::new(), Vec::new());
+        bvh.for_each_in_radius(elsewhere, eps, 0, |l, p| push(&mut prefix_elsewhere, l, p));
+        bvh.for_each_before(pos, elsewhere, eps, |l, p, _| push(&mut before_elsewhere, l, p));
+        for (name, expected, got) in [
+            ("its own centre", &mut prefix, &mut before),
+            ("elsewhere", &mut prefix_elsewhere, &mut before_elsewhere),
+        ] {
+            expected.retain(|&(l, _)| l < pos);
+            expected.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, expected, "for_each_before({pos}) from {name}");
+        }
+
         let (mut all, mut around) = (Vec::new(), Vec::new());
         bvh.for_each_in_radius(center, eps, 0, |l, p| push(&mut all, l, p));
         bvh.for_each_around(pos, center, eps, |l, p, _| push(&mut around, l, p));
@@ -816,7 +880,8 @@ mod tests {
         around.sort_unstable();
         assert_eq!(around, all, "for_each_around({pos}) hit set");
 
-        for (walk, total) in [("after", masked.len()), ("around", all.len())] {
+        let walks = [("after", masked.len()), ("before", prefix.len()), ("around", all.len())];
+        for (walk, total) in walks {
             let mut hits = 0usize;
             let stop = |_, _, _| {
                 hits += 1;
@@ -826,10 +891,10 @@ mod tests {
                     ControlFlow::Continue(())
                 }
             };
-            let stats = if walk == "after" {
-                bvh.for_each_after(pos, center, eps, stop)
-            } else {
-                bvh.for_each_around(pos, center, eps, stop)
+            let stats = match walk {
+                "after" => bvh.for_each_after(pos, center, eps, stop),
+                "before" => bvh.for_each_before(pos, center, eps, stop),
+                _ => bvh.for_each_around(pos, center, eps, stop),
             };
             assert_eq!(hits, k.min(total), "{walk}({pos}) breaking after {k} of {total}");
             assert_eq!(stats.leaf_hits as usize, hits);

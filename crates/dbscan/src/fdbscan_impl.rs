@@ -7,16 +7,19 @@
 //! 2. **main** — one kernel fusing core determination with pair
 //!    resolution, launched in tree order: thread `pos` takes the point
 //!    at sorted leaf `pos`, so consecutive threads query neighbouring
-//!    parts of the tree. Each thread first decides its point's core
-//!    status via [`crate::framework::LazyCore`] (an early-terminating
-//!    counting traversal, run exactly once per point no matter how many
-//!    pairs touch it, walking outward from the point's own leaf:
-//!    [`Bvh::for_each_around`]), then runs the *index-masked* traversal
+//!    parts of the tree. Each thread runs the *index-masked* traversal
 //!    (cutoff = `pos + 1`, Fig. 1) so each close pair is discovered
 //!    exactly once — as a walk of the tree after its own leaf,
 //!    [`Bvh::for_each_after`] — resolving it per Algorithm 3 (union for
-//!    core–core, CAS border claim otherwise) after lazily deciding the
-//!    partner's core status.
+//!    core–core, CAS border claim otherwise). Core status is decided on
+//!    first demand, exactly once per point no matter how many pairs
+//!    touch it ([`crate::framework::LazyCore`]). A thread that claims its
+//!    own undecided point counts the point's neighbours in that same
+//!    search, and walks the prefix before its leaf
+//!    ([`Bvh::for_each_before`]) only while the count is short of
+//!    `minpts`. A partner nobody has decided yet is counted by an
+//!    early-terminating walk outward from its own leaf
+//!    ([`Bvh::for_each_around`]).
 //!    `minpts <= 2` needs no counting at all (Algorithm 3 line 2): with
 //!    `minpts == 2` any matched pair proves both endpoints core, and
 //!    with `minpts == 1` every point is core. The kernel is
@@ -34,8 +37,8 @@
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 
-use fdbscan_bvh::Bvh;
-use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
+use fdbscan_bvh::{Bvh, QueryStats};
+use fdbscan_device::{Counters, Device, DeviceError, PipelineCheckpoint};
 use fdbscan_geom::{Aabb, Point};
 use fdbscan_unionfind::AtomicLabels;
 
@@ -191,16 +194,20 @@ pub enum Cores<'a> {
 /// in tree order over `bvh`, the tree of `points` ([`point_bvh`]).
 /// Thread `pos` takes the point at sorted leaf `pos` and runs the
 /// index-masked search ([`Bvh::for_each_after`]), which finds each close
-/// pair exactly once, deciding core status first where `cores` is lazy.
-/// Each pair is resolved into `labels`: a union for core–core, a CAS
-/// border claim otherwise, and no claim under DBSCAN* (`options.star`).
-/// `labels` and the core flags are indexed by point id.
+/// pair exactly once. Where `cores` is lazy, a thread that wins the
+/// claim on its own point counts the point's neighbours in that search
+/// and publishes its core status mid-walk; a point some other thread
+/// already claimed is decided before the search starts. Each pair is
+/// resolved into `labels`: a union for core–core, a CAS border claim
+/// otherwise, and no claim under DBSCAN* (`options.star`). `labels` and
+/// the core flags are indexed by point id.
 ///
 /// Without `options.masked_traversal` the query walks the whole
 /// neighbourhood ([`Bvh::for_each_around`], minus the point itself), so
 /// each pair is resolved from both ends; without
 /// `options.early_termination` a lazy count enumerates the whole
-/// neighbourhood.
+/// neighbourhood. Both ablations decide the point's core status by a
+/// separate count before the search.
 ///
 /// # Errors
 /// Propagates [`DeviceError`] from the launch.
@@ -255,36 +262,139 @@ pub fn main_fused<const D: usize>(
     device.try_launch_named("fdbscan.main_fused", points.len(), |pos| {
         let pos = pos as u32;
         let i = bvh.leaf_payload(pos);
-        ensure_core(i, pos);
+        let q = &points[i as usize];
         let resolve = |j_pos: u32, j: u32| {
             ensure_core(j, j_pos);
             rule.resolve(labels, core, i, j);
-            ControlFlow::Continue(())
         };
-        // The masked search walks only the tree after the point's own
-        // leaf (cutoff `pos + 1`, so each close pair once).
-        let q = &points[i as usize];
-        let stats = if masked {
-            bvh.for_each_after(pos, q, eps, |j_pos, j, _| resolve(j_pos, j))
-        } else {
-            bvh.for_each_around(pos, q, eps, |j_pos, j, _| {
-                if j_pos == pos {
-                    ControlFlow::Continue(())
+        let stats = match lazy {
+            // This thread won the claim on its point (no earlier thread
+            // has asked): the masked search counts its neighbours, so
+            // the suffix is walked once.
+            Some((lazy, minpts)) if masked && early && lazy.claim(i).is_none() => {
+                let decide = |is_core| lazy.decide(core, i, is_core);
+                search_claimed(bvh, pos, q, eps, minpts, counters, decide, resolve)
+            }
+            _ => {
+                ensure_core(i, pos);
+                // The masked search walks only the tree after the point's
+                // own leaf (cutoff `pos + 1`, so each close pair once).
+                if masked {
+                    bvh.for_each_after(pos, q, eps, |j_pos, j, _| {
+                        resolve(j_pos, j);
+                        ControlFlow::Continue(())
+                    })
                 } else {
-                    resolve(j_pos, j)
+                    bvh.for_each_around(pos, q, eps, |j_pos, j, _| {
+                        if j_pos != pos {
+                            resolve(j_pos, j);
+                        }
+                        ControlFlow::Continue(())
+                    })
                 }
-            })
+            }
         };
         stats.charge(counters);
         counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
     })
 }
 
+/// Thread `pos`'s masked search while it holds the claim on its own
+/// point `q`: the search also counts the point's neighbours, so the
+/// suffix after the leaf is walked once.
+///
+/// The count starts at 1 (the point itself) and takes every suffix hit.
+/// If the suffix ends short of `minpts`, it goes on through the prefix
+/// ([`Bvh::for_each_before`], stopping at `minpts`). `decide` publishes
+/// the decision the moment it is known. Suffix hits found before then
+/// are held and resolved in order right after it, later ones at once:
+/// the pairs resolve in the plain masked search's order, and the thread
+/// never waits on another point while its own is undecided. Returns the
+/// suffix walk's statistics; the prefix walk is charged here.
+#[allow(clippy::too_many_arguments)]
+fn search_claimed<const D: usize>(
+    bvh: &Bvh<D>,
+    pos: u32,
+    q: &Point<D>,
+    eps: f32,
+    minpts: usize,
+    counters: &Counters,
+    decide: impl Fn(bool),
+    resolve: impl Fn(u32, u32),
+) -> QueryStats {
+    let mut count = 1usize;
+    let mut held = HeldHits::default();
+    let mut decided = count >= minpts;
+    if decided {
+        decide(true);
+    }
+    let stats = bvh.for_each_after(pos, q, eps, |j_pos, j, _| {
+        if decided {
+            resolve(j_pos, j);
+        } else {
+            count += 1;
+            held.push(j_pos);
+            if count >= minpts {
+                decided = true;
+                decide(true);
+                held.resolve(bvh, &resolve);
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    if !decided {
+        bvh.for_each_before(pos, q, eps, |_, _, _| {
+            count += 1;
+            if count >= minpts {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .charge(counters);
+        decide(count >= minpts);
+        held.resolve(bvh, &resolve);
+    }
+    stats
+}
+
+/// The suffix hits [`search_claimed`] holds until its point is decided:
+/// at most `minpts − 1` leaf positions, inline up to [`HeldHits::INLINE`]
+/// and on the heap past that, so common `minpts` values allocate
+/// nothing per point.
+#[derive(Default)]
+struct HeldHits {
+    inline: [u32; HeldHits::INLINE],
+    len: usize,
+    spill: Vec<u32>,
+}
+
+impl HeldHits {
+    /// Hits held without allocating: enough for `minpts` up to 16.
+    const INLINE: usize = 15;
+
+    fn push(&mut self, pos: u32) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = pos,
+            None => self.spill.push(pos),
+        }
+        self.len += 1;
+    }
+
+    /// Resolves every held hit, in the order it was found.
+    fn resolve<const D: usize>(&self, bvh: &Bvh<D>, resolve: impl Fn(u32, u32)) {
+        let inline = &self.inline[..self.len.min(Self::INLINE)];
+        for &j_pos in inline.iter().chain(&self.spill) {
+            resolve(j_pos, bvh.leaf_payload(j_pos));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::labels::{assert_core_equivalent, PointClass, NOISE};
-    use crate::seq::dbscan_classic;
+    use crate::seq::{dbscan_canonical, dbscan_classic};
     use crate::verify::assert_valid_clustering;
     use fdbscan_device::DeviceConfig;
     use fdbscan_geom::Point2;
@@ -546,6 +656,78 @@ mod tests {
             work(&with_et),
             work(&without_et)
         );
+    }
+
+    #[test]
+    fn isolated_points_walk_each_suffix_once() {
+        // A lattice spaced wider than eps: no point has a neighbour, so
+        // every thread claims its own point, walks its suffix once
+        // (searching and counting) and then its prefix (counting on).
+        let mut points = Vec::new();
+        for x in 0..8 {
+            for y in 0..8 {
+                for z in 0..8 {
+                    points.push(Point::new([x as f32, y as f32, z as f32]));
+                }
+            }
+        }
+        let (eps, minpts) = (0.5, 5);
+        let d = Device::new(DeviceConfig::sequential());
+        let (c, stats) = fdbscan(&d, &points, Params::new(eps, minpts)).unwrap();
+        assert_eq!(c.num_noise(), points.len());
+        let bvh = point_bvh(&d, &points).unwrap();
+        let go = |_, _, _| ControlFlow::Continue(());
+        let walks: u64 = (0..bvh.len() as u32)
+            .map(|pos| {
+                let q = &points[bvh.leaf_payload(pos) as usize];
+                bvh.for_each_after(pos, q, eps, go).nodes_visited
+                    + bvh.for_each_before(pos, q, eps, go).nodes_visited
+            })
+            .sum();
+        assert_eq!(stats.phase_counters.main.bvh_nodes_visited, walks);
+        assert_eq!(stats.phase_counters.main.distance_computations, 0);
+    }
+
+    #[test]
+    fn minpts_past_the_inline_hits_matches_oracle() {
+        // At minpts 40 a point that opens a blob in tree order holds more
+        // suffix hits than fit inline before it is decided.
+        let points = fdbscan_data::blobs::<3>(1000, 6, 0.4, 20.0, 0.2, 41);
+        let params = Params::new(0.6, 40);
+        let d = Device::new(DeviceConfig::sequential());
+        let bvh = point_bvh(&d, &points).unwrap();
+        let go = |_, _, _| ControlFlow::Continue(());
+        let spills = (0..bvh.len() as u32).any(|pos| {
+            let q = &points[bvh.leaf_payload(pos) as usize];
+            bvh.for_each_before(pos, q, params.eps, go).leaf_hits == 0
+                && bvh.for_each_after(pos, q, params.eps, go).leaf_hits > HeldHits::INLINE as u64
+        });
+        assert!(spills, "no claimant holds more than {} hits", HeldHits::INLINE);
+        let oracle = dbscan_canonical(&points, params);
+        assert!(oracle.num_clusters > 0 && oracle.num_noise() > 0);
+        for d in [d, device()] {
+            let (got, _) = fdbscan(&d, &points, params).unwrap();
+            assert_core_equivalent(&oracle, &got);
+            assert_valid_clustering(&points, &got, params);
+        }
+    }
+
+    #[test]
+    fn claimants_publishing_mid_walk_agree_with_oracle_on_four_workers() {
+        // Threads that wait on a point while its claimant is still
+        // walking must read the claimant's decision, at every minpts.
+        let d = Device::new(DeviceConfig::default().with_workers(4).with_block_size(32));
+        for seed in [1u64, 2] {
+            let points = fdbscan_data::blobs::<3>(1000, 8, 0.4, 20.0, 0.2, seed);
+            for minpts in [3usize, 5, 40] {
+                let params = Params::new(0.6, minpts);
+                let oracle = dbscan_canonical(&points, params);
+                for _ in 0..3 {
+                    let (got, _) = fdbscan(&d, &points, params).unwrap();
+                    assert_core_equivalent(&oracle, &got);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -84,20 +84,25 @@ impl CoreFlags {
 /// read definitive core flags from, and racing half-written flags would
 /// be incorrect: [`resolve_pair`] drops a pair when *neither* endpoint
 /// looks core yet. Instead every point carries a tri-state — unknown,
-/// claimed, decided — and [`LazyCore::ensure`] resolves it on first
-/// demand:
+/// claimed, decided — driven by two calls:
 ///
-/// * the CAS winner runs the (early-terminated) neighbor count exactly
-///   once, publishes the [`CoreFlags`] bit, then the decision,
-/// * losers spin until the decision lands — the claimant is an active
-///   worker inside the same launch, and on a sequential device a claim
-///   is always decided within the same kernel item, so the wait is
-///   bounded,
-/// * later calls are a single atomic load.
+/// * [`LazyCore::claim`] returns the decision if there is one, waits for
+///   it if another thread holds the claim, and otherwise makes the
+///   caller the claimant,
+/// * [`LazyCore::decide`] is the claimant's one publication: the
+///   [`CoreFlags`] bit first, then the decision.
 ///
-/// Exactly-once evaluation keeps the work counters deterministic: each
-/// point's counting traversal contributes once, regardless of how many
-/// pairs touch the point or which thread gets there first.
+/// [`LazyCore::ensure`] is the two back to back around a counting
+/// traversal. FDBSCAN's main kernel also claims a thread's own point
+/// directly, so that it can count the neighbours its masked search finds
+/// and publish the decision mid-walk. A waiter spins on an active worker
+/// inside the same launch, and a claimant never waits on another point
+/// before it decides (on a sequential device a claim is always decided
+/// within the same kernel item), so the wait is bounded.
+///
+/// Exactly-once evaluation keeps each point's decision single-valued:
+/// every point is claimed once, regardless of how many pairs touch it or
+/// which thread gets there first.
 pub struct LazyCore {
     state: Vec<AtomicU8>,
 }
@@ -114,8 +119,8 @@ impl LazyCore {
     }
 
     /// All points pre-decided from restored flags (checkpoint resume or
-    /// the resilient ladder's salvaged-core-flag handoff): `ensure` then
-    /// never runs a counting traversal.
+    /// the resilient ladder's salvaged-core-flag handoff): `claim` then
+    /// never makes a claimant.
     pub fn from_decided(flags: &[bool]) -> Self {
         Self {
             state: flags
@@ -125,46 +130,59 @@ impl LazyCore {
         }
     }
 
+    /// Returns `Some(is_core)` once point `i` is decided — at once, or
+    /// after waiting for another thread's claim to be decided — and
+    /// `None` when the caller has won the claim: it must then call
+    /// [`LazyCore::decide`] for `i`, and must not wait on any other
+    /// point's claim before it does.
+    #[inline]
+    pub fn claim(&self, i: u32) -> Option<bool> {
+        let slot = &self.state[i as usize];
+        let s = slot.load(Ordering::Acquire);
+        if s >= CORE_DECIDED_NO {
+            return Some(s == CORE_DECIDED_YES);
+        }
+        if slot
+            .compare_exchange(CORE_UNKNOWN, CORE_CLAIMED, Ordering::Acquire, Ordering::Acquire)
+            .is_ok()
+        {
+            return None;
+        }
+        loop {
+            let s = slot.load(Ordering::Acquire);
+            if s >= CORE_DECIDED_NO {
+                return Some(s == CORE_DECIDED_YES);
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Publishes the claimant's decision for point `i`: a positive one to
+    /// `core` *before* the decision state, so any thread that observes
+    /// "decided" also observes the flag [`resolve_pair`] reads.
+    #[inline]
+    pub fn decide(&self, core: &CoreFlags, i: u32, is_core: bool) {
+        let slot = &self.state[i as usize];
+        debug_assert_eq!(slot.load(Ordering::Relaxed), CORE_CLAIMED, "point {i} is not claimed");
+        if is_core {
+            core.set(i);
+        }
+        slot.store(if is_core { CORE_DECIDED_YES } else { CORE_DECIDED_NO }, Ordering::Release);
+    }
+
     /// Returns whether point `i` is core, computing it via `count` (which
     /// must return the definitive core decision for `i`) if no thread has
-    /// yet. Publishes positive decisions to `core` *before* the decision
-    /// state, so any thread that observes "decided" also observes the
-    /// flag [`resolve_pair`] reads.
+    /// claimed it yet.
     #[inline]
     pub fn ensure<F>(&self, core: &CoreFlags, i: u32, count: F) -> bool
     where
         F: FnOnce() -> bool,
     {
-        let slot = &self.state[i as usize];
-        let s = slot.load(Ordering::Acquire);
-        if s >= CORE_DECIDED_NO {
-            return s == CORE_DECIDED_YES;
-        }
-        match slot.compare_exchange(
-            CORE_UNKNOWN,
-            CORE_CLAIMED,
-            Ordering::Acquire,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {
-                let is_core = count();
-                if is_core {
-                    core.set(i);
-                }
-                slot.store(
-                    if is_core { CORE_DECIDED_YES } else { CORE_DECIDED_NO },
-                    Ordering::Release,
-                );
-                is_core
-            }
-            Err(_) => loop {
-                let s = slot.load(Ordering::Acquire);
-                if s >= CORE_DECIDED_NO {
-                    return s == CORE_DECIDED_YES;
-                }
-                std::hint::spin_loop();
-            },
-        }
+        self.claim(i).unwrap_or_else(|| {
+            let is_core = count();
+            self.decide(core, i, is_core);
+            is_core
+        })
     }
 }
 
@@ -348,6 +366,59 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert!(core.get(0));
+    }
+
+    #[test]
+    fn claim_makes_one_claimant_and_decide_publishes() {
+        let lazy = LazyCore::new(3);
+        let core = CoreFlags::new(3);
+        assert_eq!(lazy.claim(1), None, "the first claim wins");
+        lazy.decide(&core, 1, true);
+        assert!(core.get(1));
+        assert_eq!(lazy.claim(1), Some(true), "a decided point is never claimed again");
+        assert_eq!(lazy.claim(2), None);
+        lazy.decide(&core, 2, false);
+        assert!(!core.get(2));
+        assert_eq!(lazy.claim(2), Some(false));
+        // `ensure` reads a decision `decide` published.
+        assert!(lazy.ensure(&core, 1, || unreachable!("decided point recounted")));
+        // And `claim` reads one `ensure` made.
+        assert!(!lazy.ensure(&core, 0, || false));
+        assert_eq!(lazy.claim(0), Some(false));
+        assert_eq!(LazyCore::from_decided(&[true]).claim(0), Some(true));
+    }
+
+    #[test]
+    fn claim_concurrent_single_winner_publishes_to_every_waiter() {
+        // One claimant among eight racing threads; the others wait and
+        // all read its decision, flag included, once it lands.
+        use std::sync::atomic::AtomicUsize;
+        for round in 0..20u32 {
+            let is_core = round % 2 == 0;
+            let lazy = LazyCore::new(1);
+            let core = CoreFlags::new(1);
+            let winners = AtomicUsize::new(0);
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        start.wait();
+                        match lazy.claim(0) {
+                            None => {
+                                winners.fetch_add(1, Ordering::Relaxed);
+                                lazy.decide(&core, 0, is_core);
+                            }
+                            Some(seen) => {
+                                assert_eq!(seen, is_core);
+                                assert_eq!(core.get(0), is_core, "flag published with decision");
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(winners.load(Ordering::Relaxed), 1);
+            assert_eq!(core.get(0), is_core);
+        }
     }
 
     #[test]

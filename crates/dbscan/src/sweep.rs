@@ -12,10 +12,11 @@
 //! sweep over.
 
 use std::ops::ControlFlow;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use fdbscan_bvh::Bvh;
-use fdbscan_device::shared::SharedMut;
+use fdbscan_device::shared::as_atomic_u32;
 use fdbscan_device::{Device, DeviceError, MemoryReservation};
 use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
@@ -40,8 +41,10 @@ pub struct MinptsSweep<'a, const D: usize> {
 }
 
 impl<'a, const D: usize> MinptsSweep<'a, D> {
-    /// Builds the index and the full neighbor counts (one unmasked,
-    /// non-terminating traversal per point, from the point's own leaf).
+    /// Builds the index and the full neighbor counts: one masked walk per
+    /// leaf ([`Bvh::for_each_after`], no early exit), each close pair
+    /// found once and added to both ends' counts, which start at 1 for
+    /// the point itself.
     pub fn new(device: &'a Device, points: &'a [Point<D>], eps: f32) -> Result<Self, DeviceError> {
         assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
         crate::validate_len(points.len())?;
@@ -55,21 +58,21 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
         let bvh = point_bvh(device, points)?;
         memory.push(device.memory().reserve(bvh.memory_bytes())?);
 
-        let mut counts = vec![0u32; n];
+        let mut counts = vec![1u32; n];
         {
-            let counts_view = SharedMut::new(&mut counts);
+            let counts = as_atomic_u32(&mut counts);
             let bvh_ref = &bvh;
             let counters = device.counters();
             device.try_launch_named("sweep.full_count", n, |pos| {
-                let i = bvh_ref.leaf_payload(pos as u32) as usize;
-                let mut count = 0u32;
-                let stats = bvh_ref.for_each_around(pos as u32, &points[i], eps, |_, _, _| {
-                    count += 1;
-                    ControlFlow::Continue(())
-                });
-                // SAFETY: one writer per index (`leaf_payload` is a
-                // bijection on `0..n`).
-                unsafe { counts_view.write(i, count) };
+                let i = bvh_ref.leaf_payload(pos as u32);
+                let mut found = 0u32;
+                let stats =
+                    bvh_ref.for_each_after(pos as u32, &points[i as usize], eps, |_, j, _| {
+                        counts[j as usize].fetch_add(1, Ordering::Relaxed);
+                        found += 1;
+                        ControlFlow::Continue(())
+                    });
+                counts[i as usize].fetch_add(found, Ordering::Relaxed);
                 stats.charge(counters);
             })?;
         }

@@ -422,10 +422,11 @@ fn run_distributed<const D: usize>(
             rank_stats[set.rank].ghosts = set.to_global.len() - set.owned_count;
         }
 
-        // Core pass: each rank determines core status of its *owned*
-        // points only (ghost core status would be truncated).
+        // Core pass: each rank builds its local tree and determines core
+        // status of its *owned* points only (ghost core status would be
+        // truncated). The tree serves the main phase too.
         let global_core = CoreFlags::new(n);
-        let core_outcomes: Vec<(usize, Result<(), DeviceError>)> = std::thread::scope(|scope| {
+        let core_outcomes: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = local_sets
                 .iter()
                 .map(|set| {
@@ -458,7 +459,7 @@ fn run_distributed<const D: usize>(
                                 // In tree order; a ghost's ε-ball is
                                 // truncated here, so only owned points
                                 // count.
-                                rank_device.try_launch_named("dist.core_count", bvh.len(), |pos| {
+                                let count_core = |pos: usize| {
                                     let pos = pos as u32;
                                     let li = bvh.leaf_payload(pos) as usize;
                                     if li >= set.owned_count {
@@ -478,7 +479,13 @@ fn run_distributed<const D: usize>(
                                     if count >= minpts {
                                         global_core.set(set.to_global[li]);
                                     }
-                                })
+                                };
+                                rank_device.try_launch_named(
+                                    "dist.core_count",
+                                    bvh.len(),
+                                    count_core,
+                                )?;
+                                Ok(bvh)
                             },
                         );
                         (rank, outcome)
@@ -487,8 +494,13 @@ fn run_distributed<const D: usize>(
                 .collect();
             handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
         });
+        let mut trees = Vec::with_capacity(local_sets.len());
         for (rank, outcome) in core_outcomes {
-            outcome.map_err(|source| DistError::RankFailed { rank, phase: "core", source })?;
+            trees.push(outcome.map_err(|source| DistError::RankFailed {
+                rank,
+                phase: "core",
+                source,
+            })?);
         }
 
         // Ghost core flags travel over the same faulty transport.
@@ -525,7 +537,8 @@ fn run_distributed<const D: usize>(
                 let handles: Vec<_> = local_sets
                     .iter()
                     .zip(&ghost_core)
-                    .map(|(set, gflags)| {
+                    .zip(&trees)
+                    .map(|((set, gflags), bvh)| {
                         let rank = set.rank;
                         let rank_device = &devices[device_of(rank)];
                         let global_core = &global_core;
@@ -545,9 +558,7 @@ fn run_distributed<const D: usize>(
                                 recovery,
                                 || {
                                     let local_points = &set.local_points;
-                                    fdbscan::validate_finite(local_points)?;
                                     let local_n = local_points.len();
-                                    let bvh = point_bvh(rank_device, local_points)?;
 
                                     // Owned flags were computed here;
                                     // ghost flags arrived over the wire.
@@ -566,7 +577,7 @@ fn run_distributed<const D: usize>(
                                     main_fused(
                                         rank_device,
                                         local_points,
-                                        &bvh,
+                                        bvh,
                                         eps,
                                         Cores::Exact(&local_core),
                                         FdbscanOptions::default(),
@@ -928,6 +939,23 @@ mod tests {
             assert!(labels.iter().any(|l| l == label), "no {label} kernel in {labels:?}");
         }
         assert!(!labels.iter().any(|l| l == "unnamed"), "unnamed kernel in {labels:?}");
+    }
+
+    #[test]
+    fn each_rank_builds_its_tree_once_per_round() {
+        // The core pass's tree serves the main phase too.
+        let points: Vec<Point2> = fdbscan_data::blobs(4000, 5, 0.2, 8.0, 0.2, 7);
+        for ranks in [1usize, 3, 4] {
+            let d = Device::new(DeviceConfig::sequential().with_tracing());
+            distributed_fdbscan(&d, &points, Params::new(0.15, 5), ranks).unwrap();
+            let builds = d
+                .tracer()
+                .events()
+                .into_iter()
+                .filter(|e| e.kind == SpanKind::Kernel && e.label == "bvh.build_bottom_up")
+                .count();
+            assert_eq!(builds, ranks, "tree builds at {ranks} ranks");
+        }
     }
 
     #[test]

@@ -143,24 +143,15 @@ impl<const D: usize> DenseGrid<D> {
 
     /// [`DenseGrid::build`] with device errors propagated instead of
     /// panicking.
-    pub fn build_in(
-        device: &Device,
-        points: &[Point<D>],
-        eps: f32,
-        minpts: usize,
-    ) -> Result<Self, DeviceError> {
-        assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
-        Self::build_with_cell_len_in(device, points, eps / (D as f32).sqrt(), minpts)
-    }
-
-    /// Builds the grid with an explicit cell edge length, with scratch
-    /// checked out of the device's buffer arena and device errors
-    /// propagated. Used by CUDA-DClust's directory index, which wants
-    /// `cell_len == eps` so a point's neighbors all live in the 3^D
-    /// surrounding cells. Note that dense classification (`is_dense`) is
-    /// only meaningful when the cell diameter is at most `eps` —
-    /// directory users should pass a `minpts` that disables it (e.g.
-    /// `usize::MAX`).
+    ///
+    /// A cell is dense when it holds at least `minpts` points *and* its
+    /// tight box's corner pair passes the oracle's own test,
+    /// `min.dist_sq(&max) <= eps * eps`: then every member pair passes
+    /// too, because `f32` subtraction, squaring and the in-order sum are
+    /// monotone. (With the `f32` cell side `eps / sqrt(D)` a full cell's
+    /// diagonal can come out one rounding longer than `eps`.) A cell that
+    /// fails stays sparse, so its members become point leaves of the
+    /// DenseBox tree.
     ///
     /// The whole directory is produced in four launches:
     /// 1. `grid.scene_bounds` — reduction fixing the origin,
@@ -174,14 +165,48 @@ impl<const D: usize> DenseGrid<D> {
     ///
     /// # Errors
     /// [`DeviceError::InvalidInput`] when an axis needs more cells than
-    /// its Morton key bits can number (`cell_len` too small for the data
+    /// its Morton key bits can number (`eps` too small for the data
     /// extent). Propagates [`DeviceError`] from scratch allocation
     /// (budget exhaustion or injected faults) and from the device
     /// launches.
+    pub fn build_in(
+        device: &Device,
+        points: &[Point<D>],
+        eps: f32,
+        minpts: usize,
+    ) -> Result<Self, DeviceError> {
+        assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
+        Self::build_directory(device, points, eps / (D as f32).sqrt(), eps * eps, minpts)
+    }
+
+    /// Builds the grid with an explicit cell edge length, in the same
+    /// four launches as [`DenseGrid::build_in`]. Used by CUDA-DClust's
+    /// directory index, which wants `cell_len == eps` so a point's
+    /// neighbors all live in the 3^D surrounding cells. Dense
+    /// classification (`is_dense`) is by count alone here, so it is only
+    /// meaningful when the cell diameter is at most `eps` — directory
+    /// users should pass a `minpts` that disables it (e.g. `usize::MAX`).
+    ///
+    /// # Errors
+    /// As [`DenseGrid::build_in`], with `cell_len` too small for the data
+    /// extent.
     pub fn build_with_cell_len_in(
         device: &Device,
         points: &[Point<D>],
         cell_len: f32,
+        minpts: usize,
+    ) -> Result<Self, DeviceError> {
+        Self::build_directory(device, points, cell_len, f32::INFINITY, minpts)
+    }
+
+    /// The grid with cell edge `cell_len`, where a cell holding at least
+    /// `minpts` points is dense if its tight box's corner pair is within
+    /// `eps_sq` ([`DenseGrid::build_in`]).
+    fn build_directory(
+        device: &Device,
+        points: &[Point<D>],
+        cell_len: f32,
+        eps_sq: f32,
         minpts: usize,
     ) -> Result<Self, DeviceError> {
         assert!(cell_len > 0.0 && cell_len.is_finite(), "eps must be positive and finite");
@@ -336,8 +361,15 @@ impl<const D: usize> DenseGrid<D> {
                             if c >= total_view.read(0) as usize {
                                 return;
                             }
-                            let count = (starts_view.read(c + 1) - starts_view.read(c)) as usize;
-                            dense_view.write(c, count >= minpts);
+                            let start = starts_view.read(c) as usize;
+                            let end = starts_view.read(c + 1) as usize;
+                            let dense = end - start >= minpts && {
+                                let members = ids_ref[start..end].iter();
+                                let tight =
+                                    Aabb::from_points(members.map(|&id| &points[id as usize]));
+                                tight.min.dist_sq(&tight.max) <= eps_sq
+                            };
+                            dense_view.write(c, dense);
                         }
                     }),
                 ],
@@ -670,6 +702,26 @@ mod tests {
         let grid = DenseGrid::<3>::build(&device(), &[Point::new([0.0, 0.0, 0.0])], eps, 2);
         let diag = grid.cell_aabb(0).diagonal();
         assert!(diag <= eps * 1.0001, "cell diagonal {diag} exceeds eps {eps}");
+    }
+
+    #[test]
+    fn full_cell_whose_corners_are_past_eps_stays_sparse() {
+        // Both points fill cell (0, 0, 0) at minpts 2, but the cell's f32
+        // diagonal is one rounding longer than eps and so is their
+        // distance: the cell is demoted, its members stay point leaves.
+        let x = f32::from_bits(0x3bff_74f7);
+        let eps = f32::from_bits(0x3c5d_3b6f);
+        let points = [Point::new([0.0, 0.0, 0.0]), Point::new([x, x, x])];
+        let grid = DenseGrid::build_in(&device(), &points, eps, 2).unwrap();
+        assert_eq!(grid.num_cells(), 1);
+        assert_eq!((grid.num_dense_cells(), grid.points_in_dense_cells()), (0, 0));
+        assert_eq!(grid.mixed_primitives(&points).refs.len(), 2);
+        // One ulp closer, the corners pass and the cell is dense.
+        let closer = f32::from_bits(x.to_bits() - 1);
+        let points = [Point::new([0.0, 0.0, 0.0]), Point::new([closer, closer, closer])];
+        assert!(points[0].dist_sq(&points[1]) <= eps * eps);
+        let grid = DenseGrid::build_in(&device(), &points, eps, 2).unwrap();
+        assert_eq!(grid.num_dense_cells(), 1);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //!   instead of panicking,
 //! * [`radix::sort_by_key_fused`] — sorts virtual `(keygen(i), i)` pairs,
 //!   generating keys on the fly and delivering results through an `emit`
-//!   epilogue fused into the final scatter pass,
-//! * [`radix::argsort`] — convenience wrapper returning the sorting
-//!   permutation.
+//!   epilogue fused into the final scatter pass.
 //!
 //! The radix sort skips passes whose digit is constant across all keys
 //! (computed from the maximum key, or analytically via `key_bits` on the
@@ -44,5 +42,5 @@
 pub mod radix;
 pub mod scan;
 
-pub use radix::{argsort, sort_by_key_fused, sort_pairs, sort_pairs_in};
+pub use radix::{sort_by_key_fused, sort_pairs, sort_pairs_in};
 pub use scan::exclusive_scan;

@@ -298,19 +298,6 @@ where
     device.try_batch_named("sort.pipeline", stages)
 }
 
-/// Returns the permutation that stably sorts `keys`, along with the sorted
-/// keys themselves.
-///
-/// `perm[rank] = original_index`, i.e. `sorted_keys[rank] ==
-/// keys[perm[rank]]`.
-pub fn argsort(device: &Device, keys: &[u64]) -> (Vec<u64>, Vec<u32>) {
-    assert!(keys.len() <= u32::MAX as usize, "argsort payload is u32");
-    let mut sorted_keys = keys.to_vec();
-    let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
-    sort_pairs(device, &mut sorted_keys, &mut perm);
-    (sorted_keys, perm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,18 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn argsort_returns_permutation() {
-        let device = Device::with_defaults();
-        let keys = vec![30u64, 10, 20];
-        let (sorted, perm) = argsort(&device, &keys);
-        assert_eq!(sorted, vec![10, 20, 30]);
-        assert_eq!(perm, vec![1, 2, 0]);
-        for (rank, &orig) in perm.iter().enumerate() {
-            assert_eq!(sorted[rank], keys[orig as usize]);
-        }
-    }
-
-    #[test]
     fn already_sorted_and_reversed() {
         let device = Device::new(DeviceConfig::default().with_workers(2));
         let n = 30_000u64;
@@ -590,29 +565,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-        #[test]
-        fn argsort_is_a_sorting_permutation(
-            seed in any::<u64>(),
-            n in 0usize..3000,
-        ) {
-            let device = Device::new(DeviceConfig::default().with_workers(2));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..1000)).collect();
-            let (sorted, perm) = argsort(&device, &keys);
-            // perm is a permutation of 0..n.
-            let mut check = perm.clone();
-            check.sort_unstable();
-            prop_assert!(check.iter().enumerate().all(|(i, &p)| p == i as u32));
-            // sorted agrees with std.
-            let mut expected = keys.clone();
-            expected.sort_unstable();
-            prop_assert_eq!(&sorted, &expected);
-            // perm indexes the original keys.
-            for (rank, &orig) in perm.iter().enumerate() {
-                prop_assert_eq!(sorted[rank], keys[orig as usize]);
-            }
-        }
-
         #[test]
         fn radix_matches_std_sort(
             seed in any::<u64>(),

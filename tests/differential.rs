@@ -37,7 +37,10 @@ use fdbscan::baselines::{cuda_dclust, gdbscan};
 use fdbscan::labels::{assert_core_equivalent, NOISE};
 use fdbscan::seq::dbscan_classic;
 use fdbscan::verify::assert_valid_clustering;
-use fdbscan::{fdbscan, fdbscan_densebox, fdbscan_kdtree, MinptsSweep, Params};
+use fdbscan::{
+    fdbscan, fdbscan_auto, fdbscan_densebox, fdbscan_kdtree, run_resilient, MinptsSweep, Params,
+    ResiliencePolicy,
+};
 use fdbscan_data::{blobs, uniform};
 use fdbscan_device::{Device, DeviceConfig};
 use fdbscan_geom::{Point, Point2, Point3};
@@ -269,5 +272,27 @@ fn minpts_equal_to_n_and_one_above() {
         let params = Params::new(1.0, minpts);
         assert_eq!(oracle_counts(&points, params), expected, "{name}");
         check_case(name, 0, &points, params);
+    }
+}
+
+#[test]
+fn dense_cell_whose_diagonal_rounds_past_eps() {
+    // Both points bin into grid cell (0, 0, 0) and fill it at minpts 2,
+    // but the f32 cell side eps / sqrt(3) makes the cell's diagonal one
+    // rounding longer than eps: the oracle's `dist_sq` reads 1.8232939e-4
+    // against an eps^2 of 1.8232937e-4, so both points are noise. A cell
+    // whose tight box fails that test must not be trusted as dense.
+    let x = f32::from_bits(0x3bff_74f7);
+    let points = vec![Point3::new([0.0, 0.0, 0.0]), Point3::new([x, x, x])];
+    let params = Params::new(f32::from_bits(0x3c5d_3b6f), 2);
+    assert!(points[0].dist_sq(&points[1]) > params.eps * params.eps);
+    assert_eq!(oracle_counts(&points, params), (0, 2, 0));
+    check_case("diagonal-one-rounding-past-eps", 0, &points, params);
+    for (backend, dev) in backends() {
+        let (auto, _, choice) = fdbscan_auto(&dev, &points, params).unwrap();
+        assert_eq!(auto.num_clusters, 0, "fdbscan_auto ({choice:?}) on {backend}");
+        let (ladder, _, report) =
+            run_resilient(&dev, &points, params, ResiliencePolicy::default()).unwrap();
+        assert_eq!(ladder.num_clusters, 0, "run_resilient on {backend}: {report:?}");
     }
 }
