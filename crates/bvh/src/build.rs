@@ -352,10 +352,10 @@ impl<const D: usize> Bvh<D> {
     /// the dimension-major leaf corners — from the core arrays.
     ///
     /// [`Bvh::build_in`] fills the same data inside the
-    /// `bvh.build_bottom_up` kernel; this host-side twin serves snapshot
-    /// restore, where no device is in scope. Parent links are not
-    /// serialized (they are build scaffolding) and are rederived from
-    /// `children` here.
+    /// `bvh.build_bottom_up` kernel; this host-side twin is the reference
+    /// that derivation is tested against. Parent links are build
+    /// scaffolding and are rederived from `children` here.
+    #[cfg(test)]
     pub(crate) fn derive_traversal(&mut self) {
         let n = self.len();
         let mins: Vec<_> = self.leaf_bounds.iter().map(|b| b.min).collect();
@@ -403,6 +403,7 @@ impl<const D: usize> Bvh<D> {
 /// Walks up while `node` is the child visited second; the first ancestor
 /// visited first yields its sibling. Every step strictly decreases the
 /// subtree depth, so the walk is bounded by the tree depth.
+#[cfg(test)]
 fn skip_link(
     children: &[[NodeRef; 2]],
     internal_parent: &[u32],
@@ -740,7 +741,7 @@ mod tests {
     #[test]
     fn matches_host_derived_traversal() {
         // The in-kernel ropes (both kinds) and SoA corners must agree
-        // exactly with the host-side twin used by snapshot restore.
+        // exactly with the host-side reference derivation.
         let device = Device::new(DeviceConfig::default().with_workers(3));
         for n in [2usize, 3, 255, 2048] {
             let bvh = Bvh::build(&device, &point_boxes(&random_points(n, 77 + n as u64)));

@@ -12,20 +12,21 @@
 //!
 //! Resume contract, shared by all `run_from` entry points:
 //!
-//! * a phase records its artifact the moment it completes; if a later
-//!   phase faults, the caller's checkpoint retains everything completed,
-//! * on entry, each phase first tries to restore its artifact and only
-//!   runs its kernels when restoration fails (missing phase, kind
-//!   mismatch, undecodable data — all treated as "recompute"),
+//! * a phase records a frozen copy of its artifact the moment it
+//!   completes; if a later phase faults, the caller's checkpoint retains
+//!   everything completed,
+//! * on entry, each phase first tries to restore its artifact (a clone
+//!   of the recorded value) and only runs its kernels when there is none
+//!   of the right type,
 //! * an algorithm or fingerprint mismatch resets the checkpoint: stale
 //!   state is discarded, never resumed.
+//!
+//! The artifacts' JSON encodings feed only phase hashes and the saved
+//! checkpoint file; nothing decodes them.
 
 use fdbscan_device::json::Json;
-use fdbscan_device::snapshot::{
-    self as snap, bools_to_json, json_to_bools, json_to_u32s, json_to_u64s, req_field, req_u64,
-    u32s_to_json, u64s_to_json,
-};
-use fdbscan_device::{Checkpointable, Device, PipelineCheckpoint, RunManifest, SnapshotError};
+use fdbscan_device::snapshot::{self as snap, bools_to_json, u32s_to_json, u64s_to_json};
+use fdbscan_device::{Checkpointable, Device, PipelineCheckpoint, RunManifest};
 use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
@@ -52,6 +53,7 @@ pub const PHASE_CORE_FLAGS: &str = "core_flags";
 /// status depends only on `(points, eps, minpts)`, so the resilient
 /// ladder hands it from a failed rung to the next one (see
 /// [`crate::resilient`]).
+#[derive(Clone)]
 pub struct CoreSnapshot(pub CoreFlags);
 
 impl Checkpointable for CoreSnapshot {
@@ -59,10 +61,6 @@ impl Checkpointable for CoreSnapshot {
 
     fn to_snapshot(&self) -> Json {
         bools_to_json(&self.0.to_vec())
-    }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        Ok(CoreSnapshot(CoreFlags::from_flags(&json_to_bools(snapshot)?)))
     }
 }
 
@@ -77,6 +75,15 @@ pub struct LabelState {
     pub core: CoreFlags,
 }
 
+/// A frozen copy: the parents as they are now, without the original's
+/// work counters. Finalization flattens the live labels in place, so a
+/// checkpoint must never share them.
+impl Clone for LabelState {
+    fn clone(&self) -> Self {
+        Self { labels: AtomicLabels::from_labels(self.labels.snapshot()), core: self.core.clone() }
+    }
+}
+
 impl Checkpointable for LabelState {
     const KIND: &'static str = "dbscan.label_state";
 
@@ -86,22 +93,13 @@ impl Checkpointable for LabelState {
             ("core", bools_to_json(&self.core.to_vec())),
         ])
     }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        let labels = json_to_u32s(req_field(snapshot, "labels")?)?;
-        let core = json_to_bools(req_field(snapshot, "core")?)?;
-        if labels.len() != core.len() {
-            return Err(SnapshotError::Corrupt("label/core length mismatch".to_string()));
-        }
-        Ok(Self { labels: AtomicLabels::from_labels(labels), core: CoreFlags::from_flags(&core) })
-    }
 }
 
 /// FDBSCAN-DenseBox's index phase output: the dense-cell grid and the
 /// BVH over the mixed primitive set. The mixed primitive *references*
 /// are not stored — they are a deterministic O(n) host-side function of
 /// `(grid, points)` and are recomputed on restore.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct DenseIndex<const D: usize> {
     /// The dense-cell grid.
     pub grid: fdbscan_grid::DenseGrid<D>,
@@ -114,13 +112,6 @@ impl<const D: usize> Checkpointable for DenseIndex<D> {
 
     fn to_snapshot(&self) -> Json {
         Json::obj([("grid", self.grid.to_snapshot()), ("bvh", self.bvh.to_snapshot())])
-    }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            grid: fdbscan_grid::DenseGrid::from_snapshot(req_field(snapshot, "grid")?)?,
-            bvh: fdbscan_bvh::Bvh::from_snapshot(req_field(snapshot, "bvh")?)?,
-        })
     }
 }
 
@@ -147,20 +138,6 @@ impl Checkpointable for CsrGraph {
             ("core", bools_to_json(&self.core)),
         ])
     }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        let graph = Self {
-            offsets: json_to_u64s(req_field(snapshot, "offsets")?)?,
-            adjacency: json_to_u32s(req_field(snapshot, "adjacency")?)?,
-            core: json_to_bools(req_field(snapshot, "core")?)?,
-        };
-        let consistent = graph.offsets.len() == graph.core.len() + 1
-            && graph.offsets.last().copied() == Some(graph.adjacency.len() as u64);
-        if !consistent {
-            return Err(SnapshotError::Corrupt("CSR graph arrays inconsistent".to_string()));
-        }
-        Ok(graph)
-    }
 }
 
 /// G-DBSCAN's main phase output: per-point cluster labels (`u32::MAX`
@@ -181,13 +158,6 @@ impl Checkpointable for BfsLabels {
             ("labels", u32s_to_json(&self.labels)),
             ("num_clusters", Json::U64(self.num_clusters as u64)),
         ])
-    }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            labels: json_to_u32s(req_field(snapshot, "labels")?)?,
-            num_clusters: req_u64(snapshot, "num_clusters")? as u32,
-        })
     }
 }
 
@@ -214,14 +184,6 @@ impl Checkpointable for ChainState {
             ("num_clusters", Json::U64(self.num_clusters as u64)),
         ])
     }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        Ok(Self {
-            chain_of: json_to_u32s(req_field(snapshot, "chain_of")?)?,
-            cluster_of_chain: json_to_u32s(req_field(snapshot, "cluster_of_chain")?)?,
-            num_clusters: req_u64(snapshot, "num_clusters")? as u32,
-        })
-    }
 }
 
 /// A finished clustering checkpoints as its three output arrays; the
@@ -245,23 +207,6 @@ impl Checkpointable for Clustering {
             ("num_clusters", Json::U64(self.num_clusters as u64)),
             ("classes", u32s_to_json(&classes)),
         ])
-    }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
-        let assignments = snap::json_to_i64s(req_field(snapshot, "assignments")?)?;
-        let classes = json_to_u32s(req_field(snapshot, "classes")?)?
-            .into_iter()
-            .map(|c| match c {
-                0 => Ok(PointClass::Core),
-                1 => Ok(PointClass::Border),
-                2 => Ok(PointClass::Noise),
-                other => Err(SnapshotError::Corrupt(format!("unknown point class tag {other}"))),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if classes.len() != assignments.len() {
-            return Err(SnapshotError::Corrupt("assignment/class length mismatch".to_string()));
-        }
-        Ok(Self { assignments, num_clusters: req_u64(snapshot, "num_clusters")? as usize, classes })
     }
 }
 
@@ -346,7 +291,7 @@ pub fn build_manifest<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels::NOISE;
+    use fdbscan_device::DeviceConfig;
     use fdbscan_geom::Point2;
 
     #[test]
@@ -383,45 +328,25 @@ mod tests {
     }
 
     #[test]
-    fn clustering_round_trips() {
-        let clustering = Clustering {
-            assignments: vec![0, 0, 1, NOISE, 1],
-            num_clusters: 2,
-            classes: vec![
-                PointClass::Core,
-                PointClass::Border,
-                PointClass::Core,
-                PointClass::Noise,
-                PointClass::Core,
-            ],
-        };
-        let restored = Clustering::from_snapshot(&clustering.to_snapshot()).unwrap();
-        assert_eq!(restored, clustering);
-    }
-
-    #[test]
-    fn composite_artifacts_round_trip() {
+    fn recorded_label_state_is_frozen_at_record_time() {
+        let device = Device::new(DeviceConfig::sequential());
         let state = LabelState {
-            labels: AtomicLabels::from_labels(vec![0, 0, 2]),
-            core: CoreFlags::from_flags(&[true, false, true]),
+            labels: AtomicLabels::new(6),
+            core: CoreFlags::from_flags(&[true, true, false, true, false, false]),
         };
-        let restored = LabelState::from_snapshot(&state.to_snapshot()).unwrap();
-        assert_eq!(restored.labels.snapshot(), state.labels.snapshot());
-        assert_eq!(restored.core.to_vec(), state.core.to_vec());
-        let graph = CsrGraph {
-            offsets: vec![0, 2, 2, 3],
-            adjacency: vec![1, 2, 0],
-            core: vec![true, false, true],
-        };
-        assert_eq!(CsrGraph::from_snapshot(&graph.to_snapshot()).unwrap(), graph);
-        let chains = ChainState {
-            chain_of: vec![0, 0, u32::MAX],
-            cluster_of_chain: vec![0],
-            num_clusters: 1,
-        };
-        assert_eq!(ChainState::from_snapshot(&chains.to_snapshot()).unwrap(), chains);
-        // Inconsistent CSR is rejected.
-        let bad = CsrGraph { offsets: vec![0, 5], adjacency: vec![1], core: vec![true] };
-        assert!(CsrGraph::from_snapshot(&bad.to_snapshot()).is_err());
+        state.labels.union(3, 5);
+        let recorded = state.labels.snapshot();
+        let mut ckpt = PipelineCheckpoint::new("fdbscan", 1);
+        ckpt.record(PHASE_MAIN, &state);
+        let hash = ckpt.phase_hash(PHASE_MAIN);
+        // What finalization does to the live artifact after recording.
+        state.labels.union(0, 3);
+        state.core.set(4);
+        state.labels.flatten(&device).unwrap();
+        assert_ne!(state.labels.snapshot(), recorded, "the original did change");
+        let restored = ckpt.restore::<LabelState>(PHASE_MAIN).unwrap();
+        assert_eq!(restored.labels.snapshot(), recorded);
+        assert_eq!(restored.core.to_vec(), [true, true, false, true, false, false]);
+        assert_eq!(ckpt.phase_hash(PHASE_MAIN), hash);
     }
 }

@@ -28,8 +28,7 @@ impl CoreFlags {
         Self { words: (0..n.div_ceil(32)).map(|_| AtomicU32::new(0)).collect(), len: n }
     }
 
-    /// Rebuilds a flag set from a restored snapshot (see
-    /// [`crate::checkpoint::CoreSnapshot`]).
+    /// Builds a flag set from plain flags.
     pub fn from_flags(flags: &[bool]) -> Self {
         let set = Self::new(flags.len());
         for (i, &f) in flags.iter().enumerate() {
@@ -74,6 +73,16 @@ impl CoreFlags {
     /// Copies the flags into a `Vec<bool>`.
     pub fn to_vec(&self) -> Vec<bool> {
         (0..self.len as u32).map(|i| self.get(i)).collect()
+    }
+}
+
+/// A relaxed copy of the words: the flags as set when the copy is taken.
+impl Clone for CoreFlags {
+    fn clone(&self) -> Self {
+        Self {
+            words: self.words.iter().map(|w| AtomicU32::new(w.load(Ordering::Relaxed))).collect(),
+            len: self.len,
+        }
     }
 }
 

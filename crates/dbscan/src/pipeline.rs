@@ -13,9 +13,9 @@
 //! * at the end: the run time and the assembled [`RunStats`].
 //!
 //! A phase stays open after its body returns, until the next phase
-//! starts: work done there (a reservation sized by the artifact, a
-//! restored tree's derived layout) is charged to that phase on both the
-//! computed and the restored path. Work before the first phase, and
+//! starts: work done there (a reservation sized by the artifact, the
+//! mixed primitives DenseBox derives from a restored grid) is charged to
+//! that phase on both the computed and the restored path. Work before the first phase, and
 //! index work the caller did before the start ([`CallerIndex`]), belongs
 //! to the index phase.
 

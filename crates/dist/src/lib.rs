@@ -21,8 +21,8 @@
 //!    owned points, exchanges ghost core flags, runs the FDBSCAN main
 //!    phase over its local set, and distills the result into a
 //!    [`RankSummary`] (core edge log + border claim log) that is
-//!    **checkpointed** through `device::snapshot` into a durable
-//!    [`SummaryStore`] *before* the merge begins; transient failures
+//!    **checkpointed** — framed by `device::snapshot::frame` — into a
+//!    durable [`SummaryStore`] *before* the merge begins; transient failures
 //!    retry on a deterministic backoff ([`recovery`]),
 //! 4. **cross-rank merge** ([`merge`]) — the lowest live rank folds the
 //!    checkpointed logs into one global union-find. The merge is
@@ -89,7 +89,6 @@ use fdbscan::fdbscan_impl::{main_fused, point_bvh, Cores};
 use fdbscan::framework::CoreFlags;
 use fdbscan::labels::Clustering;
 use fdbscan::{FdbscanOptions, Params};
-use fdbscan_device::snapshot::fnv1a_64;
 use fdbscan_device::{trace, CountersSnapshot, Device, DeviceError};
 use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
@@ -283,13 +282,6 @@ fn run_distributed<const D: usize>(
 
     let network = SimNetwork::new(plan, root_counters);
     let store = SummaryStore::new();
-    let fingerprint = {
-        let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&(n as u64).to_le_bytes());
-        bytes.extend_from_slice(&eps.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&(minpts as u64).to_le_bytes());
-        fnv1a_64(&bytes)
-    };
 
     let mut phase_work = PhaseWorkTable::default();
     let mut prev_owner: Option<Vec<usize>> = None;
@@ -641,7 +633,7 @@ fn run_distributed<const D: usize>(
                 outcome.map_err(|source| DistError::RankFailed { rank, phase: "main", source })?;
             // The durable checkpoint: everything the merge needs from
             // this rank, written *before* the merge phase begins.
-            store.put(rank, checkpoint_summary(&summary, fingerprint));
+            store.put(rank, checkpoint_summary(&summary));
             summaries[rank] = Some(summary);
         }
         phase_work.local.accumulate(work_since(&before));
@@ -686,8 +678,7 @@ fn run_distributed<const D: usize>(
         let before = snap_all();
         let merge_start = Instant::now();
         let participants: Vec<usize> = decomposition.slabs.iter().map(|s| s.rank).collect();
-        let fetched =
-            fetch_summaries(&store, &participants, &alive, &summaries, recovery, fingerprint)?;
+        let fetched = fetch_summaries(&store, &participants, &alive, &summaries, recovery)?;
         let merge_device = &devices[device_of(coordinator)];
         let refs: Vec<&RankSummary> = fetched.iter().collect();
         let (labels, core) = merge_summaries(merge_device, n, &refs)?;

@@ -5,11 +5,12 @@
 //! `(gid, local_root_gid)` union edge per local core point — and a
 //! **border claim log** — one `(border_gid, core_root_gid)` entry per
 //! distinct local cluster adjacent to each owned border point. The
-//! summary is checkpointed through `device::snapshot` (length +
-//! checksum framing, plus an inner content checksum over the logs) into
-//! the [`crate::recovery::SummaryStore`] *before* the merge begins, so
-//! the merge is replayable: any coordinator, original or elected after
-//! a crash, folds the same logs into the same global labeling.
+//! summary's JSON is framed directly by `device::snapshot::frame`
+//! (length + checksum header, plus an inner content checksum over the
+//! logs) and put into the [`crate::recovery::SummaryStore`] *before*
+//! the merge begins, so the merge is replayable: any coordinator,
+//! original or elected after a crash, folds the same logs into the same
+//! global labeling.
 //!
 //! Determinism is structural, not procedural. Core edges feed a
 //! union-find whose canonical representative is the *smallest global
@@ -23,9 +24,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
-use fdbscan_device::json::Json;
-use fdbscan_device::snapshot::{fnv1a_64, json_to_u32s, req_u64, u32s_to_json};
-use fdbscan_device::{Checkpointable, Device, DeviceError, PipelineCheckpoint, SnapshotError};
+use fdbscan_device::json::{self, Json};
+use fdbscan_device::snapshot::{
+    fnv1a_64, frame, json_to_u32s, req_field, req_u64, u32s_to_json, unframe,
+};
+use fdbscan_device::{Device, DeviceError, SnapshotError};
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::error::DistError;
@@ -62,7 +65,7 @@ fn unflatten_pairs(flat: &[u32]) -> Result<Vec<(u32, u32)>, SnapshotError> {
 
 impl RankSummary {
     /// Content checksum over the logs: the integrity anchor verified on
-    /// every decode, over and above the checkpoint's outer framing.
+    /// every decode, over and above the outer frame.
     pub fn log_checksum(&self) -> u64 {
         let mut bytes = Vec::with_capacity(
             8 + 4 * (self.core_gids.len() + 2 * self.edges.len() + 2 * self.claims.len()),
@@ -77,12 +80,10 @@ impl RankSummary {
         }
         fnv1a_64(&bytes)
     }
-}
 
-impl Checkpointable for RankSummary {
-    const KIND: &'static str = "dist.rank_summary";
-
-    fn to_snapshot(&self) -> Json {
+    /// The summary as a JSON tree, its [`RankSummary::log_checksum`]
+    /// included.
+    pub fn to_json(&self) -> Json {
         Json::obj([
             ("rank", Json::U64(self.rank as u64)),
             ("core_gids", u32s_to_json(&self.core_gids)),
@@ -92,26 +93,16 @@ impl Checkpointable for RankSummary {
         ])
     }
 
-    fn from_snapshot(snapshot: &Json) -> Result<Self, SnapshotError> {
+    /// Rebuilds a summary from its JSON tree, verifying the recorded
+    /// log checksum against the decoded logs.
+    pub fn from_json(value: &Json) -> Result<Self, SnapshotError> {
         let summary = Self {
-            rank: req_u64(snapshot, "rank")? as usize,
-            core_gids: json_to_u32s(
-                snapshot
-                    .get("core_gids")
-                    .ok_or_else(|| SnapshotError::Corrupt("missing core_gids".to_string()))?,
-            )?,
-            edges: unflatten_pairs(&json_to_u32s(
-                snapshot
-                    .get("edges")
-                    .ok_or_else(|| SnapshotError::Corrupt("missing edges".to_string()))?,
-            )?)?,
-            claims: unflatten_pairs(&json_to_u32s(
-                snapshot
-                    .get("claims")
-                    .ok_or_else(|| SnapshotError::Corrupt("missing claims".to_string()))?,
-            )?)?,
+            rank: req_u64(value, "rank")? as usize,
+            core_gids: json_to_u32s(req_field(value, "core_gids")?)?,
+            edges: unflatten_pairs(&json_to_u32s(req_field(value, "edges")?)?)?,
+            claims: unflatten_pairs(&json_to_u32s(req_field(value, "claims")?)?)?,
         };
-        let recorded = req_u64(snapshot, "log_checksum")?;
+        let recorded = req_u64(value, "log_checksum")?;
         let actual = summary.log_checksum();
         if recorded != actual {
             return Err(SnapshotError::Corrupt(format!(
@@ -122,20 +113,20 @@ impl Checkpointable for RankSummary {
     }
 }
 
-/// Encodes a summary as durable checkpoint bytes (outer length +
-/// checksum framing from `device::snapshot`).
-pub fn checkpoint_summary(summary: &RankSummary, fingerprint: u64) -> Vec<u8> {
-    let mut checkpoint = PipelineCheckpoint::new("fdbscan-dist", fingerprint);
-    checkpoint.record("summary", summary);
-    checkpoint.to_bytes()
+/// Encodes a summary as durable bytes: its compact JSON behind the
+/// length + checksum [`frame`] of `device::snapshot`.
+pub fn checkpoint_summary(summary: &RankSummary) -> Vec<u8> {
+    frame(summary.to_json().to_compact().as_bytes())
 }
 
-/// Decodes and integrity-checks checkpoint bytes back into a summary.
+/// Decodes and integrity-checks durable bytes back into a summary: the
+/// outer frame first, then the inner log checksum.
 pub fn decode_summary(bytes: &[u8]) -> Result<RankSummary, SnapshotError> {
-    let checkpoint = PipelineCheckpoint::from_bytes(bytes)?;
-    checkpoint
-        .decode::<RankSummary>("summary")
-        .ok_or_else(|| SnapshotError::Corrupt("checkpoint has no summary phase".to_string()))?
+    let text = std::str::from_utf8(unframe(bytes)?)
+        .map_err(|_| SnapshotError::Corrupt("payload is not UTF-8".to_string()))?;
+    let value =
+        json::parse(text).map_err(|e| SnapshotError::Corrupt(format!("payload parse: {e}")))?;
+    RankSummary::from_json(&value)
 }
 
 /// Reads every participant's summary back from the durable store,
@@ -150,7 +141,6 @@ pub fn fetch_summaries(
     alive: &[bool],
     in_memory: &[Option<RankSummary>],
     recovery: &RecoveryLog,
-    fingerprint: u64,
 ) -> Result<Vec<RankSummary>, DistError> {
     let mut out = Vec::with_capacity(participants.len());
     for &rank in participants {
@@ -164,7 +154,7 @@ pub fn fetch_summaries(
                 let owner_alive = alive.get(rank).copied().unwrap_or(false);
                 match in_memory.get(rank).and_then(|s| s.as_ref()) {
                     Some(summary) if owner_alive => {
-                        store.put(rank, checkpoint_summary(summary, fingerprint));
+                        store.put(rank, checkpoint_summary(summary));
                         recovery.summary_refetches.fetch_add(1, Ordering::Relaxed);
                         out.push(summary.clone());
                     }
@@ -237,14 +227,14 @@ mod tests {
     #[test]
     fn checkpoint_round_trips() {
         let summary = sample();
-        let bytes = checkpoint_summary(&summary, 0xfeed);
+        let bytes = checkpoint_summary(&summary);
         assert_eq!(decode_summary(&bytes).unwrap(), summary);
     }
 
     #[test]
     fn corrupt_bytes_are_rejected() {
         let summary = sample();
-        let mut bytes = checkpoint_summary(&summary, 0xfeed);
+        let mut bytes = checkpoint_summary(&summary);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         assert!(decode_summary(&bytes).is_err(), "outer framing must catch bit flips");
@@ -264,14 +254,13 @@ mod tests {
         let store = SummaryStore::new();
         let s0 = sample();
         let in_memory = vec![None, None, Some(s0.clone())];
-        store.put(2, checkpoint_summary(&s0, 0xbeef));
+        store.put(2, checkpoint_summary(&s0));
 
         // Corrupt blob, owner alive: refetched transparently.
         store.corrupt(2);
         let recovery = RecoveryLog::default();
         let fetched =
-            fetch_summaries(&store, &[2], &[true, true, true], &in_memory, &recovery, 0xbeef)
-                .unwrap();
+            fetch_summaries(&store, &[2], &[true, true, true], &in_memory, &recovery).unwrap();
         assert_eq!(fetched, vec![s0.clone()]);
         assert_eq!(recovery.snapshot().summary_refetches, 1);
         assert_eq!(decode_summary(&store.get(2).unwrap()).unwrap(), s0, "store was repaired");
@@ -279,15 +268,13 @@ mod tests {
         // Corrupt blob, owner dead: typed error, never a panic.
         store.corrupt(2);
         let err =
-            fetch_summaries(&store, &[2], &[true, true, false], &in_memory, &recovery, 0xbeef)
-                .unwrap_err();
+            fetch_summaries(&store, &[2], &[true, true, false], &in_memory, &recovery).unwrap_err();
         assert!(matches!(err, DistError::SummaryCorrupt { rank: 2, .. }), "got {err:?}");
 
         // Missing blob, owner dead: same typed error.
         store.remove(2);
         let err =
-            fetch_summaries(&store, &[2], &[true, true, false], &in_memory, &recovery, 0xbeef)
-                .unwrap_err();
+            fetch_summaries(&store, &[2], &[true, true, false], &in_memory, &recovery).unwrap_err();
         assert!(matches!(err, DistError::SummaryCorrupt { rank: 2, .. }), "got {err:?}");
     }
 

@@ -158,8 +158,9 @@ pub fn run_rank_phase<T>(
 
 /// The simulated durable medium for checkpointed rank summaries: a
 /// keyed blob store the merge coordinator — original or elected — reads
-/// back from. Ranks `put` their encoded `PipelineCheckpoint`s here at
-/// the end of the local phase; the store outlives any rank death.
+/// back from. Ranks `put` their framed summaries
+/// ([`crate::merge::checkpoint_summary`]) here at the end of the local
+/// phase; the store outlives any rank death.
 ///
 /// Tests reach for [`SummaryStore::corrupt`] and
 /// [`SummaryStore::remove`] to model storage-level damage between the

@@ -549,10 +549,11 @@ impl<const D: usize> DenseGrid<D> {
     }
 }
 
-/// A built grid checkpoints as its flat directory arrays — cell edge
-/// length and origin as exact `f32` bit patterns, plus the sorted-id /
-/// cell-start / key / density arrays. Restoring skips the entire sort
-/// and classification pipeline.
+/// A built grid is a checkpointable phase output: restoring it clones
+/// the recorded directory and skips the entire sort and classification
+/// pipeline. It encodes as its flat directory arrays — cell edge length
+/// and origin as exact `f32` bit patterns, plus the sorted-id /
+/// cell-start / key / density arrays.
 impl<const D: usize> fdbscan_device::Checkpointable for DenseGrid<D> {
     const KIND: &'static str = "grid.dense";
 
@@ -571,50 +572,6 @@ impl<const D: usize> fdbscan_device::Checkpointable for DenseGrid<D> {
             ("points_in_dense", Json::U64(self.points_in_dense as u64)),
             ("minpts", Json::U64(self.minpts as u64)),
         ])
-    }
-
-    fn from_snapshot(snapshot: &Json) -> Result<Self, fdbscan_device::SnapshotError> {
-        use fdbscan_device::snapshot as snap;
-        use fdbscan_device::SnapshotError;
-        let dims = snap::req_u64(snapshot, "dims")?;
-        if dims != D as u64 {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot is {dims}-dimensional, expected {D}"
-            )));
-        }
-        let cell_len_bits = snap::req_u64(snapshot, "cell_len")?;
-        let origin_coords = snap::json_to_f32s(snap::req_field(snapshot, "origin")?)?;
-        if cell_len_bits > u32::MAX as u64 || origin_coords.len() != D {
-            return Err(SnapshotError::Corrupt("bad grid geometry fields".to_string()));
-        }
-        let mut origin = Point::new([0.0; D]);
-        origin.coords.copy_from_slice(&origin_coords);
-        let sorted_ids = snap::json_to_u32s(snap::req_field(snapshot, "sorted_ids")?)?;
-        let cell_starts = snap::json_to_u32s(snap::req_field(snapshot, "cell_starts")?)?;
-        let cell_keys = snap::json_to_u64s(snap::req_field(snapshot, "cell_keys")?)?;
-        let point_cell = snap::json_to_u32s(snap::req_field(snapshot, "point_cell")?)?;
-        let dense = snap::json_to_bools(snap::req_field(snapshot, "dense")?)?;
-        if cell_starts.len() != cell_keys.len() + 1
-            || dense.len() != cell_keys.len()
-            || point_cell.len() != sorted_ids.len()
-            || cell_starts.last().copied() != Some(sorted_ids.len() as u32)
-        {
-            return Err(SnapshotError::Corrupt(
-                "grid snapshot arrays have inconsistent lengths".to_string(),
-            ));
-        }
-        Ok(Self {
-            cell_len: f32::from_bits(cell_len_bits as u32),
-            origin,
-            sorted_ids,
-            cell_starts,
-            cell_keys,
-            point_cell,
-            dense,
-            num_dense: snap::req_u64(snapshot, "num_dense")? as usize,
-            points_in_dense: snap::req_u64(snapshot, "points_in_dense")? as usize,
-            minpts: snap::req_u64(snapshot, "minpts")? as usize,
-        })
     }
 }
 
@@ -754,32 +711,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn snapshot_round_trips_full_directory() {
-        use fdbscan_device::Checkpointable;
-        let mut rng = StdRng::seed_from_u64(17);
-        let points: Vec<Point<2>> = (0..800)
-            .map(|_| Point::new([rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)]))
-            .collect();
-        let grid = DenseGrid::build(&device(), &points, 0.3, 4);
-        let restored = DenseGrid::<2>::from_snapshot(&grid.to_snapshot()).unwrap();
-        assert_eq!(restored.to_snapshot(), grid.to_snapshot());
-        assert_eq!(restored.num_cells(), grid.num_cells());
-        assert_eq!(restored.num_dense_cells(), grid.num_dense_cells());
-        assert_eq!(restored.minpts(), grid.minpts());
-        for id in 0..points.len() as u32 {
-            assert_eq!(restored.cell_of_point(id), grid.cell_of_point(id));
-            assert_eq!(restored.point_in_dense_cell(id), grid.point_in_dense_cell(id));
-        }
-        // Wrong dimension and inconsistent arrays are rejected.
-        assert!(DenseGrid::<3>::from_snapshot(&grid.to_snapshot()).is_err());
-        let mut broken = grid.to_snapshot();
-        if let Json::Obj(map) = &mut broken {
-            map.insert("sorted_ids".to_string(), Json::Arr(vec![]));
-        }
-        assert!(DenseGrid::<2>::from_snapshot(&broken).is_err());
     }
 
     #[test]

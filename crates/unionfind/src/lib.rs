@@ -88,9 +88,9 @@ impl AtomicLabels {
     }
 
     /// Rebuilds the structure from a parent array previously captured
-    /// with [`AtomicLabels::snapshot`] — the resume path of a
-    /// checkpointed run. No validation beyond length is performed; the
-    /// checkpoint layer guards integrity.
+    /// with [`AtomicLabels::snapshot`] — how a checkpoint takes a frozen
+    /// copy of union-find state. No validation beyond length is
+    /// performed, and the copy carries no counters.
     ///
     /// # Panics
     /// Panics if `labels.len() > u32::MAX as usize`.
@@ -292,22 +292,6 @@ impl std::fmt::Debug for AtomicLabels {
     }
 }
 
-/// Union-find parents checkpoint as their plain parent array. The
-/// restored structure carries no counters.
-impl fdbscan_device::Checkpointable for AtomicLabels {
-    const KIND: &'static str = "unionfind.labels";
-
-    fn to_snapshot(&self) -> fdbscan_device::json::Json {
-        fdbscan_device::snapshot::u32s_to_json(&self.snapshot())
-    }
-
-    fn from_snapshot(
-        snapshot: &fdbscan_device::json::Json,
-    ) -> Result<Self, fdbscan_device::SnapshotError> {
-        Ok(Self::from_labels(fdbscan_device::snapshot::json_to_u32s(snapshot)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,12 +432,11 @@ mod tests {
 
     #[test]
     fn snapshot_restore_preserves_sets() {
-        use fdbscan_device::Checkpointable;
         let uf = AtomicLabels::new(8);
         uf.union(0, 3);
         uf.union(3, 5);
         uf.union(6, 7);
-        let restored = AtomicLabels::from_snapshot(&uf.to_snapshot()).unwrap();
+        let restored = AtomicLabels::from_labels(uf.snapshot());
         assert_eq!(restored.len(), 8);
         for i in 0..8u32 {
             for j in 0..8u32 {

@@ -6,9 +6,13 @@
 //! dataset from the recorded seed, re-arms the same fault plan on a
 //! fresh device, re-executes — and dies the same death, producing
 //! bit-identical phase hashes (sequential devices make the execution
-//! order exact). Finally the persisted checkpoint resumes the run on a
+//! order exact). Finally the replayed run's checkpoint resumes it on a
 //! healthy device and the output is checked against an uninterrupted
 //! run.
+//!
+//! The saved checkpoint file is read back once, to check that its
+//! frame and JSON payload describe the in-memory checkpoint; no run
+//! resumes from it.
 //!
 //! ```sh
 //! cargo run --release -p fdbscan --example replay_run
@@ -17,10 +21,13 @@
 //! The checkpoint and manifest files stay in `fdbscan-replay` under the
 //! system temporary directory for inspection.
 
+use std::path::Path;
+
 use fdbscan::fdbscan_impl::FDBSCAN_ALGORITHM;
 use fdbscan::labels::assert_core_equivalent;
 use fdbscan::{build_manifest, checkpoint_for, fdbscan_run_from, run_fingerprint, Params};
-use fdbscan_device::snapshot::{PipelineCheckpoint, RunManifest};
+use fdbscan_device::json::{self, Json};
+use fdbscan_device::snapshot::{self, PipelineCheckpoint, RunManifest};
 use fdbscan_device::{Device, DeviceConfig, FaultPlan};
 use fdbscan_geom::Point2;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -64,6 +71,7 @@ fn main() {
         build_manifest(RUN_ID, FDBSCAN_ALGORITHM, &points, params, DATA_SEED, &device, &ckpt);
     let manifest_path = manifest.save_to_dir(&dir).expect("save manifest");
     println!("saved {} and {}", ckpt_path.display(), manifest_path.display());
+    check_saved_checkpoint(&ckpt_path, &ckpt);
 
     // --- 2. replay from the manifest alone -------------------------------
     // Pretend this is a different process days later: all it has is the
@@ -113,6 +121,26 @@ fn main() {
          {resumed_launches} launches vs {total_launches} from scratch",
         recovered.num_clusters
     );
+}
+
+/// Reads the saved checkpoint file back: its frame must verify, and
+/// its JSON payload must name the same algorithm, fingerprint and
+/// phases as the checkpoint it was written from.
+fn check_saved_checkpoint(path: &Path, ckpt: &PipelineCheckpoint) {
+    let bytes = std::fs::read(path).expect("read saved checkpoint");
+    let payload = snapshot::unframe(&bytes).expect("saved checkpoint frame");
+    let text = std::str::from_utf8(payload).expect("saved checkpoint is UTF-8");
+    let saved = json::parse(text).expect("saved checkpoint parses");
+    assert_eq!(snapshot::req_str(&saved, "algorithm"), Ok(ckpt.algorithm()));
+    assert_eq!(snapshot::req_u64(&saved, "fingerprint"), Ok(ckpt.fingerprint()));
+    let phases = snapshot::req_field(&saved, "phases").ok().and_then(Json::as_arr);
+    let names: Vec<&str> = phases
+        .expect("saved checkpoint lists its phases")
+        .iter()
+        .map(|phase| snapshot::req_str(phase, "name").expect("phase name"))
+        .collect();
+    assert_eq!(names, ckpt.phase_names());
+    println!("read back {} B: phases {names:?}", bytes.len());
 }
 
 /// Runs to the injected fault, returning a description of the death.

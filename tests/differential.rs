@@ -161,6 +161,45 @@ proptest! {
     }
 }
 
+/// Largest pairwise distance of `points` (0 for fewer than two).
+fn diameter<const D: usize>(points: &[Point<D>]) -> f32 {
+    let mut max = 0.0f32;
+    for (i, a) in points.iter().enumerate() {
+        for b in &points[i + 1..] {
+            max = max.max(a.dist(b));
+        }
+    }
+    max
+}
+
+/// `minpts` at the dataset size and one above, with ε around the
+/// dataset diameter, so most points see every other point: a point
+/// turns core only at its very last neighbour, wherever the leaf walks
+/// (the masked suffix search, the prefix walk that finishes a short
+/// count, and the outward count) happen to meet it.
+fn check_minpts_at_n<const D: usize>(family: &str, seed: u64, points: &[Point<D>], scale: f32) {
+    let diameter = diameter(points);
+    let eps = if diameter > 0.0 { diameter * scale } else { scale };
+    for minpts in [points.len(), points.len() + 1] {
+        check_case(family, seed, points, Params::new(eps, minpts));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+    #[test]
+    fn minpts_at_n_and_one_above_on_every_family(
+        seed in any::<u64>(),
+        n in 2usize..40,
+        scale in 0.5f32..1.5,
+    ) {
+        for family in FAMILIES {
+            check_minpts_at_n(family, seed, &dataset(family, n, seed), scale);
+        }
+        check_minpts_at_n("clustered-3d", seed, &clustered_3d(n, seed), scale);
+    }
+}
+
 #[test]
 fn fixed_regression_cases() {
     // Deterministic anchors independent of the proptest RNG: one case
