@@ -45,7 +45,7 @@
 
 use std::ops::ControlFlow;
 
-use fdbscan_device::Counters;
+use fdbscan_device::{Counters, Hot};
 use fdbscan_geom::{Point, QueryCenter};
 
 use crate::node::NodeRef;
@@ -82,8 +82,8 @@ impl QueryStats {
     /// `leaf_hits` with that count and `contained_hits` with zero first.
     #[inline]
     pub fn charge(&self, counters: &Counters) {
-        counters.add_nodes_visited(self.nodes_visited);
-        counters.add_distances(self.distance_tests());
+        counters.add(Hot::Nodes, self.nodes_visited);
+        counters.add(Hot::Distances, self.distance_tests());
     }
 }
 

@@ -27,14 +27,14 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use fdbscan_device::shared::SharedMut;
-use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
+use fdbscan_device::{Device, DeviceError, Hot, PipelineCheckpoint};
 use fdbscan_geom::Point;
 use fdbscan_grid::DenseGrid;
 use fdbscan_unionfind::SequentialDsu;
 use parking_lot::Mutex;
 
 use crate::checkpoint::{
-    ChainState, CoreSnapshot, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS,
+    self, ChainState, CoreSnapshot, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS,
 };
 use crate::framework::CoreFlags;
 use crate::labels::{Clustering, PointClass, NOISE};
@@ -92,6 +92,7 @@ pub fn cuda_dclust_run_from<const D: usize>(
     config: CudaDclustConfig,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
+    checkpoint::prepare(ckpt, CUDA_DCLUST_ALGORITHM, points, params);
     cuda_dclust_core(device, points, params, config, Some(ckpt))
 }
 
@@ -105,7 +106,7 @@ fn cuda_dclust_core<const D: usize>(
     if points.is_empty() {
         return Ok((Clustering::from_union_find(&[], &[]), RunStats::default()));
     }
-    let mut run = Pipeline::start(device, CUDA_DCLUST_ALGORITHM, points, params, ckpt, None)?;
+    let mut run = Pipeline::start(device, CUDA_DCLUST_ALGORITHM, points, ckpt, None)?;
     let n = points.len();
     let Params { eps, minpts } = params;
     let eps_sq = eps * eps;
@@ -176,7 +177,7 @@ fn cuda_dclust_core<const D: usize>(
             if count >= minpts {
                 core.set(i as u32);
             }
-            counters.add_distances(distances);
+            counters.add(Hot::Distances, distances);
         })?;
         Ok(CoreSnapshot(core))
     })?;
@@ -234,7 +235,7 @@ fn cuda_dclust_core<const D: usize>(
                         }),
                     );
                 }
-                counters.add_distances(total_distances);
+                counters.add(Hot::Distances, total_distances);
             })?;
         }
 
@@ -288,7 +289,7 @@ fn cuda_dclust_core<const D: usize>(
                     }
                 }),
             );
-            counters.add_distances(distances);
+            counters.add(Hot::Distances, distances);
             if let Some(v) = found {
                 let chain = chain_of[v as usize];
                 // SAFETY: one writer per index.

@@ -16,11 +16,12 @@
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use fdbscan_device::shared::SharedMut;
-use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
+use fdbscan_device::{Device, DeviceError, Hot, PipelineCheckpoint};
 use fdbscan_geom::{simd, Point, SoaPoints};
 
 use crate::checkpoint::{
-    BfsLabels, CoreSnapshot, CsrGraph, PHASE_CORE_FLAGS, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN,
+    self, BfsLabels, CoreSnapshot, CsrGraph, PHASE_CORE_FLAGS, PHASE_FINALIZE, PHASE_INDEX,
+    PHASE_MAIN,
 };
 use crate::framework::CoreFlags;
 use crate::labels::{Clustering, PointClass, NOISE};
@@ -60,10 +61,12 @@ pub fn gdbscan_run_from<const D: usize>(
     params: Params,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
+    checkpoint::prepare(ckpt, GDBSCAN_ALGORITHM, points, params);
     gdbscan_core(device, points, params, Some(ckpt))
 }
 
-fn gdbscan_core<const D: usize>(
+/// G-DBSCAN on a checkpoint made for this input, if any.
+pub(crate) fn gdbscan_core<const D: usize>(
     device: &Device,
     points: &[Point<D>],
     params: Params,
@@ -72,7 +75,7 @@ fn gdbscan_core<const D: usize>(
     if points.is_empty() {
         return Ok((Clustering::from_union_find(&[], &[]), RunStats::default()));
     }
-    let mut run = Pipeline::start(device, GDBSCAN_ALGORITHM, points, params, ckpt, None)?;
+    let mut run = Pipeline::start(device, GDBSCAN_ALGORITHM, points, ckpt, None)?;
     let n = points.len();
 
     let _points_mem = device.memory().reserve_array::<Point<D>>(n)?;
@@ -119,7 +122,7 @@ fn gdbscan_core<const D: usize>(
                             Ordering::Relaxed,
                         );
                         if claim.is_ok() {
-                            counters.label_cas.fetch_add(1, Ordering::Relaxed);
+                            counters.add(Hot::LabelCas, 1);
                             if core[v as usize] {
                                 let slot = next_len.fetch_add(1, Ordering::Relaxed);
                                 // SAFETY: `slot` is unique per claim and
@@ -190,7 +193,7 @@ fn build_graph<const D: usize>(
         // The self-distance always passes, so subtract the point itself
         // back out of the lane count.
         let count = simd::count_within(&soa, &points[i], eps_sq) as u64 - 1;
-        counters.add_distances(n as u64);
+        counters.add(Hot::Distances, n as u64);
         // SAFETY: one writer per index.
         unsafe { deg_view.write(i, count) };
     })?;
@@ -222,7 +225,7 @@ fn build_graph<const D: usize>(
                 cursor += 1;
             }
         });
-        counters.add_distances(n as u64);
+        counters.add(Hot::Distances, n as u64);
         debug_assert_eq!(cursor as u64, offsets[i + 1]);
     })?;
     Ok(CsrGraph { offsets, adjacency, core })

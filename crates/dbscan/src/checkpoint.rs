@@ -328,6 +328,54 @@ mod tests {
     }
 
     #[test]
+    fn run_from_entry_points_reset_a_checkpoint_of_another_input() {
+        use crate::baselines::cudadclust::CUDA_DCLUST_ALGORITHM;
+        use crate::baselines::gdbscan::GDBSCAN_ALGORITHM;
+        use crate::baselines::{cuda_dclust_run_from, gdbscan_run_from};
+        use crate::densebox::DENSEBOX_ALGORITHM;
+        use crate::fdbscan_impl::FDBSCAN_ALGORITHM;
+        use crate::labels::assert_core_equivalent;
+        use crate::seq::dbscan_canonical;
+        use crate::stats::RunStats;
+        use crate::{fdbscan_densebox_run_from, fdbscan_run_from};
+        use fdbscan_device::DeviceError;
+
+        type RunFrom = fn(
+            &Device,
+            &[Point2],
+            Params,
+            &mut PipelineCheckpoint,
+        ) -> Result<(Clustering, RunStats), DeviceError>;
+        let entry_points: [(&str, RunFrom); 4] = [
+            (FDBSCAN_ALGORITHM, |d, p, params, c| {
+                fdbscan_run_from(d, p, params, Default::default(), c)
+            }),
+            (DENSEBOX_ALGORITHM, |d, p, params, c| {
+                fdbscan_densebox_run_from(d, p, params, Default::default(), c)
+            }),
+            (GDBSCAN_ALGORITHM, gdbscan_run_from),
+            (CUDA_DCLUST_ALGORITHM, |d, p, params, c| {
+                cuda_dclust_run_from(d, p, params, Default::default(), c)
+            }),
+        ];
+        let device = Device::new(DeviceConfig::sequential());
+        let points = fdbscan_data::blobs::<2>(300, 3, 0.3, 10.0, 0.2, 5);
+        let other = fdbscan_data::blobs::<2>(200, 4, 0.3, 10.0, 0.2, 6);
+        let params = Params::new(0.4, 4);
+        let oracle = dbscan_canonical(&points, params);
+        for (algorithm, run_from) in entry_points {
+            // A finished run's checkpoint: resumed, it would hand back the
+            // other input's clustering without running anything.
+            let mut ckpt = checkpoint_for(algorithm, &other, params);
+            run_from(&device, &other, params, &mut ckpt).unwrap();
+            assert!(ckpt.has_phase(PHASE_FINALIZE), "{algorithm}");
+            let (got, _) = run_from(&device, &points, params, &mut ckpt).unwrap();
+            assert_eq!(ckpt.fingerprint(), run_fingerprint(&points, params), "{algorithm}");
+            assert_core_equivalent(&oracle, &got);
+        }
+    }
+
+    #[test]
     fn recorded_label_state_is_frozen_at_record_time() {
         let device = Device::new(DeviceConfig::sequential());
         let state = LabelState {

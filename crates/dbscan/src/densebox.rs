@@ -7,11 +7,10 @@
 //! outside them — and:
 //!
 //! * core determination only examines points *outside* dense cells
-//!   (dense points are core by construction); the counting traversal
-//!   walks outward from the point's own leaf, nearest subtrees first,
-//!   and when it hits a box, a linear scan over the cell's members counts
-//!   matches, stopping at `minpts` — unless the box is *contained* in
-//!   the query ball, in which case every member counts with no scan,
+//!   (dense points are core by construction). A point counts one
+//!   neighbour; a box hit counts its members within `eps` by a linear
+//!   scan that stops at `minpts` — unless the box is *contained* in the
+//!   query ball, in which case every member counts with no scan,
 //! * the main phase first unions each dense cell internally (one
 //!   kernel), then runs one fused kernel with one query per **tree
 //!   leaf**, lazily deciding core status on first demand (see
@@ -21,7 +20,13 @@
 //!   a dense cell never traverse:
 //!   * a point leaf runs a point query: a point hit resolves like
 //!     FDBSCAN, and a box hit needs just *one* member within `eps` to
-//!     connect the whole cell,
+//!     connect the whole cell. The thread that claims the leaf's
+//!     undecided point counts its neighbours in this same walk, holding
+//!     the pairs it finds (with their partner member) until the point is
+//!     decided, and walks the prefix before its leaf only while the
+//!     count is short of `minpts` (`framework::search_claimed`). A point
+//!     a partner needs first is counted by a walk outward from its own
+//!     leaf, nearest subtrees first (`framework::count_around`),
 //!   * a dense cell queries with its tight box: a point hit needs one
 //!     member within `eps` of the point, and a box hit joins the two
 //!     cells through an early-exit closest-pair test over the members
@@ -35,16 +40,17 @@
 //! the (up to 16×) speedups to.
 
 use std::ops::ControlFlow;
-use std::sync::atomic::Ordering;
 
 use fdbscan_bvh::{Bvh, QueryStats};
-use fdbscan_device::{Device, DeviceError, PipelineCheckpoint};
+use fdbscan_device::{Counters, Device, DeviceError, Hot, PipelineCheckpoint};
 use fdbscan_geom::{Aabb, Point};
-use fdbscan_grid::DenseGrid;
+use fdbscan_grid::{DenseGrid, PrimitiveRef};
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{DenseIndex, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
-use crate::framework::{finalize, CoreFlags, LazyCore, PairRule};
+use crate::checkpoint::{self, DenseIndex, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
+use crate::framework::{
+    count_around, finalize, search_claimed, Claimant, CoreFlags, LazyCore, PairRule,
+};
 use crate::labels::Clustering;
 use crate::pipeline::{CallerIndex, Pipeline};
 use crate::stats::{DenseStats, RunStats};
@@ -95,6 +101,7 @@ pub fn fdbscan_densebox_run_from<const D: usize>(
     options: DenseBoxOptions,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
+    checkpoint::prepare(ckpt, DENSEBOX_ALGORITHM, points, params);
     densebox_core(device, points, params, options, None, Some(ckpt))
 }
 
@@ -112,7 +119,9 @@ pub(crate) fn densebox_with_grid<const D: usize>(
     densebox_core(device, points, params, options, Some((grid, caller)), None)
 }
 
-fn densebox_core<const D: usize>(
+/// FDBSCAN-DenseBox over a grid the caller built, if any, on a
+/// checkpoint made for this input, if any.
+pub(crate) fn densebox_core<const D: usize>(
     device: &Device,
     points: &[Point<D>],
     params: Params,
@@ -124,7 +133,7 @@ fn densebox_core<const D: usize>(
         return Ok((Clustering::from_union_find(&[], &[]), RunStats::default()));
     }
     let (prebuilt, caller) = prebuilt.unzip();
-    let mut run = Pipeline::start(device, DENSEBOX_ALGORITHM, points, params, ckpt, caller)?;
+    let mut run = Pipeline::start(device, DENSEBOX_ALGORITHM, points, ckpt, caller)?;
     let n = points.len();
     let Params { eps, minpts } = params;
 
@@ -187,7 +196,7 @@ fn run_main<const D: usize>(
     options: DenseBoxOptions,
     grid: &DenseGrid<D>,
     bvh: &Bvh<D>,
-    refs: &[fdbscan_grid::PrimitiveRef],
+    refs: &[PrimitiveRef],
     labels: &AtomicLabels,
     core: &CoreFlags,
     lazy: &LazyCore,
@@ -196,209 +205,282 @@ fn run_main<const D: usize>(
     let rule = PairRule::of(minpts, options.star);
 
     // Phase 3a: union all points within each dense cell.
-    {
-        let grid_ref = grid;
-        let labels_ref = labels;
-        let core_ref = core;
-        device.try_launch_named("densebox.cell_union", grid.num_cells(), |c| {
-            let c = c as u32;
-            if !grid_ref.is_dense(c) {
-                return;
-            }
-            let members = grid_ref.cell_members(c);
-            let anchor = members[0];
-            core_ref.set(anchor);
-            for &m in &members[1..] {
-                core_ref.set(m);
-                labels_ref.union(anchor, m);
-            }
-        })?;
-    }
+    device.try_launch_named("densebox.cell_union", grid.num_cells(), |c| {
+        let c = c as u32;
+        if !grid.is_dense(c) {
+            return;
+        }
+        let members = grid.cell_members(c);
+        let anchor = members[0];
+        core.set(anchor);
+        for &m in &members[1..] {
+            core.set(m);
+            labels.union(anchor, m);
+        }
+    })?;
 
     // Phase 3b: one masked query per tree leaf. Core status is decided
     // lazily on first demand (exactly once per point): dense-cell members
-    // are core by construction, outside points run the counting traversal
-    // that the unfused formulation launched as a separate kernel.
-    {
-        let bvh_ref = bvh;
-        let grid_ref = grid;
-        let labels_ref = labels;
-        let core_ref = core;
-        let lazy_ref = lazy;
-        let counters = device.counters();
-        let eps_sq = eps * eps;
-        // Point `p` sits at leaf `p_pos`; its count walks outward from
-        // that leaf, nearest subtrees first.
-        let ensure_core = |p: u32, p_pos: u32| -> bool {
-            lazy_ref.ensure(core_ref, p, || match minpts {
-                0 => unreachable!("Params::new validates minpts >= 1"),
-                // Every point is trivially core. (With minpts == 1 every
-                // non-empty cell is dense, so this is also what the grid
-                // implies.)
-                1 => true,
-                2 => unreachable!("minpts == 2 marks cores inline, never lazily"),
-                _ if grid_ref.point_in_dense_cell(p) => true,
-                _ => {
-                    let mut count = 0usize;
-                    let mut distances = 0u64;
-                    let mut box_scans = 0u64;
-                    let q = &points[p as usize];
-                    let stats = bvh_ref.for_each_around(p_pos, q, eps, |_, payload, contained| {
-                        let r = refs[payload as usize];
-                        if r.is_cell() {
-                            let members = grid_ref.cell_members(r.index());
-                            if contained {
-                                // Whole cell within eps: every member
-                                // counts, no scan.
-                                count += members.len();
-                            } else {
-                                // Linear scan of the dense cell, stopping
-                                // at minpts.
-                                for &m in members {
-                                    distances += 1;
-                                    box_scans += 1;
-                                    if points[m as usize].dist_sq(q) <= eps_sq {
-                                        count += 1;
-                                        if count >= minpts {
-                                            return ControlFlow::Break(());
-                                        }
-                                    }
-                                }
-                            }
-                        } else {
-                            // Point primitive: the leaf-bounds test was
-                            // already the exact distance test, free when
-                            // contained (as `p` itself, reported first).
-                            if !contained {
-                                distances += 1;
-                            }
-                            count += 1;
-                        }
-                        if count >= minpts {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    });
-                    QueryStats { leaf_hits: distances, contained_hits: 0, ..stats }
-                        .charge(counters);
-                    counters.dense_box_scans.fetch_add(box_scans, Ordering::Relaxed);
-                    count >= minpts
-                }
-            })
+    // are core by construction, outside points are counted inside their
+    // own leaf's query, or by a walk of their own when a partner needs
+    // them first.
+    let main = MainKernel {
+        points,
+        grid,
+        bvh,
+        refs,
+        labels,
+        core,
+        lazy,
+        counters: device.counters(),
+        rule,
+        minpts,
+        eps,
+        eps_sq: eps * eps,
+    };
+    // Leaf `pos` queries the tree after its own leaf (cutoff `pos + 1`),
+    // so each pair of leaves is resolved once, by its lower position, and
+    // the members of a dense cell never traverse. Highest position first:
+    // a query then starts after every pair among the leaves it can reach
+    // has been resolved, so the `same_set` short-circuits see those
+    // connections.
+    let leaves = bvh.len();
+    device.try_launch_named("densebox.main_fused", leaves, |k| {
+        main.query_leaf((leaves - 1 - k) as u32);
+    })
+}
+
+/// `densebox.main_fused`'s view of one run: the input, the index, the
+/// union-find state and the lazy core decisions.
+struct MainKernel<'a, const D: usize> {
+    points: &'a [Point<D>],
+    grid: &'a DenseGrid<D>,
+    bvh: &'a Bvh<D>,
+    refs: &'a [PrimitiveRef],
+    labels: &'a AtomicLabels,
+    core: &'a CoreFlags,
+    lazy: &'a LazyCore,
+    counters: &'a Counters,
+    rule: PairRule,
+    minpts: usize,
+    eps: f32,
+    eps_sq: f32,
+}
+
+impl<const D: usize> MainKernel<'_, D> {
+    /// Leaf `pos`'s masked query, with its work charged to the counters.
+    fn query_leaf(&self, pos: u32) {
+        let r = self.refs[self.bvh.leaf_payload(pos) as usize];
+        let mut tally = Tally::default();
+        let stats = if r.is_cell() {
+            self.cell_query(pos, r.index(), &mut tally)
+        } else {
+            self.point_query(pos, r.index(), &mut tally)
         };
-        // Leaf `pos` queries the tree after its own leaf (cutoff
-        // `pos + 1`), so each pair of leaves is resolved once, by its lower
-        // position, and the members of a dense cell never traverse.
-        // Highest position first: a query then starts after every pair
-        // among the leaves it can reach has been resolved, so the
-        // `same_set` short-circuits see those connections.
-        let leaves = bvh.len();
-        device.try_launch_named("densebox.main_fused", leaves, |k| {
-            let pos = (leaves - 1 - k) as u32;
-            let r = refs[bvh_ref.leaf_payload(pos) as usize];
-            let mut tally = Tally::default();
-            let stats = if r.is_cell() {
-                // A dense cell queries with its tight box.
-                let members = grid_ref.cell_members(r.index());
-                let own_box = bvh_ref.leaf_bounds(pos);
-                let mut near = Vec::new();
-                bvh_ref.for_each_after(pos, own_box, eps, |hit, payload, contained| {
-                    let r = refs[payload as usize];
-                    if r.is_cell() {
-                        // Both cells are core and internally joined:
-                        // one member pair within eps joins them.
-                        let other = grid_ref.cell_members(r.index());
-                        if labels_ref.same_set(members[0], other[0]) {
-                            return ControlFlow::Continue(());
-                        }
-                        let pair = if contained {
-                            Some((members[0], other[0]))
-                        } else {
-                            closest_pair(
-                                points,
-                                eps_sq,
-                                (members, own_box),
-                                (other, bvh_ref.leaf_bounds(hit)),
-                                &mut near,
-                                &mut tally,
-                            )
-                        };
-                        if let Some((a, b)) = pair {
-                            labels_ref.union(a, b);
-                        }
-                    } else {
-                        let j = r.index();
-                        if labels_ref.same_set(j, members[0]) {
-                            return ControlFlow::Continue(());
-                        }
-                        let q = &points[j as usize];
-                        if let Some(m) =
-                            first_within(points, members, q, eps_sq, contained, &mut tally)
-                        {
-                            if rule != PairRule::Connect {
-                                ensure_core(j, hit);
-                            }
-                            rule.resolve(labels_ref, core_ref, j, m);
-                        }
-                    }
-                    ControlFlow::Continue(())
-                })
-            } else {
-                let i = r.index();
-                if rule != PairRule::Connect {
-                    ensure_core(i, pos);
-                }
-                let q = &points[i as usize];
-                bvh_ref.for_each_after(pos, q, eps, |hit, payload, contained| {
-                    let r = refs[payload as usize];
-                    if r.is_cell() {
-                        let members = grid_ref.cell_members(r.index());
-                        // Short-circuit (the ArborX callback optimization):
-                        // all members of a dense cell share one set, so if
-                        // this point is already in it, any union found by
-                        // the scan would be a no-op — skip the distance
-                        // work.
-                        if labels_ref.same_set(i, members[0]) {
-                            return ControlFlow::Continue(());
-                        }
-                        // One member within eps connects the whole cell.
-                        // `i` was ensured above; `m` is a dense member,
-                        // core since phase 3a.
-                        if let Some(m) =
-                            first_within(points, members, q, eps_sq, contained, &mut tally)
-                        {
-                            rule.resolve(labels_ref, core_ref, i, m);
-                        }
-                    } else {
-                        // The leaf-bounds test was the exact distance test,
-                        // free when contained.
-                        let j = r.index();
-                        if !contained {
-                            tally.point_tests += 1;
-                        }
-                        if rule != PairRule::Connect {
-                            ensure_core(j, hit);
-                        }
-                        rule.resolve(labels_ref, core_ref, i, j);
-                    }
-                    ControlFlow::Continue(())
-                })
-            };
-            counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
-            // The callbacks counted the distance tests they really made;
-            // the cell-pair box filters are leaf-bounds tests.
-            QueryStats {
-                nodes_visited: stats.nodes_visited + tally.filters,
-                leaf_hits: tally.point_tests + tally.member_tests,
-                contained_hits: 0,
-                ..stats
-            }
-            .charge(counters);
-            counters.dense_box_scans.fetch_add(tally.member_tests, Ordering::Relaxed);
-        })?;
+        self.counters.add(Hot::Neighbors, stats.leaf_hits);
+        self.charge(stats.nodes_visited, &tally);
     }
-    Ok(())
+
+    /// Charges `nodes` tested nodes and the tests a query's callbacks
+    /// tallied. The callbacks count the distance tests they really made;
+    /// the cell-pair box filters are leaf-bounds tests.
+    fn charge(&self, nodes: u64, tally: &Tally) {
+        self.counters.add(Hot::Nodes, nodes + tally.filters);
+        self.counters.add(Hot::Distances, tally.point_tests + tally.member_tests);
+        self.counters.add(Hot::DenseBoxScans, tally.member_tests);
+    }
+
+    /// A point leaf's query, from point `i`. The thread that wins the
+    /// claim on `i` counts its neighbours inside this walk
+    /// ([`search_claimed`]); otherwise `i` was decided before the walk
+    /// starts. Returns the suffix walk's statistics, with the nodes of a
+    /// claimant's prefix count added.
+    fn point_query(&self, pos: u32, i: u32, tally: &mut Tally) -> QueryStats {
+        let q = &self.points[i as usize];
+        let mut hits = PointHits { kernel: self, i, q, tally };
+        // `Connect` marks cores per pair instead of deciding them.
+        if self.rule != PairRule::Connect && self.lazy.claim(i).is_none() {
+            let decide = |is_core| self.lazy.decide(self.core, i, is_core);
+            let (suffix, prefix) =
+                search_claimed(self.bvh, pos, q, self.eps, self.minpts, decide, &mut hits);
+            return QueryStats {
+                nodes_visited: suffix.nodes_visited + prefix.nodes_visited,
+                ..suffix
+            };
+        }
+        self.bvh.for_each_after(pos, q, self.eps, |hit, payload, contained| {
+            hits.resolve(hit, payload, contained);
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// A dense cell's query, with its tight box: a point hit needs one
+    /// member within `eps` of the point, and a cell hit joins the two
+    /// cells through [`closest_pair`].
+    fn cell_query(&self, pos: u32, c: u32, tally: &mut Tally) -> QueryStats {
+        let members = self.grid.cell_members(c);
+        let own_box = self.bvh.leaf_bounds(pos);
+        let mut near = Vec::new();
+        self.bvh.for_each_after(pos, own_box, self.eps, |hit, payload, contained| {
+            let r = self.refs[payload as usize];
+            if r.is_cell() {
+                // Both cells are core and internally joined: one member
+                // pair within eps joins them.
+                let other = self.grid.cell_members(r.index());
+                if self.labels.same_set(members[0], other[0]) {
+                    return ControlFlow::Continue(());
+                }
+                let pair = if contained {
+                    Some((members[0], other[0]))
+                } else {
+                    closest_pair(
+                        self.points,
+                        self.eps_sq,
+                        (members, own_box),
+                        (other, self.bvh.leaf_bounds(hit)),
+                        &mut near,
+                        tally,
+                    )
+                };
+                if let Some((a, b)) = pair {
+                    self.labels.union(a, b);
+                }
+            } else {
+                let j = r.index();
+                if self.labels.same_set(j, members[0]) {
+                    return ControlFlow::Continue(());
+                }
+                // The first member within eps of the point connects it.
+                let q = &self.points[j as usize];
+                if let (_, Some(m)) = self.weigh(q, PrimitiveRef::cell(c), contained, 1, tally) {
+                    self.ensure_core(j, hit);
+                    self.rule.resolve(self.labels, self.core, j, m);
+                }
+            }
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// How many neighbours of `q` the primitive `r` holds, counted no
+    /// further than `need`, and the first of them, which a pair with `q`
+    /// resolves with. A point is one: its leaf-bounds test was the exact
+    /// distance test, free when `contained`. A cell within `eps` as a
+    /// whole holds all its members, with no scan. Any other cell is
+    /// scanned in member order, stopping once `need` members are within
+    /// `eps`.
+    fn weigh(
+        &self,
+        q: &Point<D>,
+        r: PrimitiveRef,
+        contained: bool,
+        need: usize,
+        tally: &mut Tally,
+    ) -> (usize, Option<u32>) {
+        if !r.is_cell() {
+            tally.point_tests += u64::from(!contained);
+            return (1, Some(r.index()));
+        }
+        let members = self.grid.cell_members(r.index());
+        if contained {
+            return (members.len(), Some(members[0]));
+        }
+        let (mut count, mut first) = (0, None);
+        for &m in members {
+            tally.member_tests += 1;
+            if self.points[m as usize].dist_sq(q) <= self.eps_sq {
+                first.get_or_insert(m);
+                count += 1;
+                if count == need {
+                    break;
+                }
+            }
+        }
+        (count, first)
+    }
+
+    /// Decides point `p` at leaf `p_pos` on first demand (exactly once
+    /// per point). `p` lies outside every dense cell: the members of a
+    /// dense cell are core since phase 3a and never asked about. The
+    /// count walks outward from `p`'s leaf ([`count_around`]).
+    fn ensure_core(&self, p: u32, p_pos: u32) {
+        // `Connect` marks cores per pair instead of deciding them.
+        if self.rule == PairRule::Connect {
+            return;
+        }
+        self.lazy.ensure(self.core, p, || {
+            let q = &self.points[p as usize];
+            let mut tally = Tally::default();
+            let (count, stats) = count_around(
+                self.bvh,
+                p_pos,
+                q,
+                self.eps,
+                self.minpts,
+                |payload, contained, need| {
+                    self.weigh(q, self.refs[payload as usize], contained, need, &mut tally).0
+                },
+            );
+            self.charge(stats.nodes_visited, &tally);
+            count >= self.minpts
+        });
+    }
+}
+
+/// The hits of point `i`'s leaf query, as [`search_claimed`] weighs and
+/// resolves them.
+struct PointHits<'k, 'a, const D: usize> {
+    kernel: &'k MainKernel<'a, D>,
+    i: u32,
+    q: &'k Point<D>,
+    tally: &'k mut Tally,
+}
+
+impl<const D: usize> Claimant for PointHits<'_, '_, D> {
+    fn weigh(&mut self, payload: u32, contained: bool, need: usize) -> (usize, Option<u32>) {
+        let k = self.kernel;
+        k.weigh(self.q, k.refs[payload as usize], contained, need, self.tally)
+    }
+
+    fn resolve_held(&mut self, hit: u32, partner: u32) {
+        let k = self.kernel;
+        let r = k.refs[k.bvh.leaf_payload(hit) as usize];
+        if r.is_cell() {
+            // Short-circuit, as in `resolve`.
+            if k.labels.same_set(self.i, k.grid.cell_members(r.index())[0]) {
+                return;
+            }
+        } else {
+            k.ensure_core(partner, hit);
+        }
+        k.rule.resolve(k.labels, k.core, self.i, partner);
+    }
+
+    fn resolve(&mut self, hit: u32, payload: u32, contained: bool) {
+        let k = self.kernel;
+        let r = k.refs[payload as usize];
+        let partner = if r.is_cell() {
+            let members = k.grid.cell_members(r.index());
+            // Short-circuit (the ArborX callback optimization): all
+            // members of a dense cell share one set, so if this point is
+            // already in it, any union found by the scan would be a no-op
+            // — skip the distance work.
+            if k.labels.same_set(self.i, members[0]) {
+                return;
+            }
+            // The first member within eps connects the whole cell; it is
+            // core since phase 3a.
+            k.weigh(self.q, r, contained, 1, self.tally).1
+        } else {
+            // The leaf-bounds test was the exact distance test, free when
+            // contained.
+            self.tally.point_tests += u64::from(!contained);
+            k.ensure_core(r.index(), hit);
+            Some(r.index())
+        };
+        if let Some(partner) = partner {
+            k.rule.resolve(k.labels, k.core, self.i, partner);
+        }
+    }
 }
 
 /// Work a main-kernel query did outside its traversal's own accounting.
@@ -410,25 +492,6 @@ struct Tally {
     member_tests: u64,
     /// Cell-pair box filters: one leaf-bounds test per member.
     filters: u64,
-}
-
-/// The first member of a dense cell within `eps` of `q`: the first member
-/// outright when the query found the whole cell within `eps`.
-fn first_within<const D: usize>(
-    points: &[Point<D>],
-    members: &[u32],
-    q: &Point<D>,
-    eps_sq: f32,
-    contained: bool,
-    tally: &mut Tally,
-) -> Option<u32> {
-    if contained {
-        return Some(members[0]);
-    }
-    members.iter().copied().find(|&m| {
-        tally.member_tests += 1;
-        points[m as usize].dist_sq(q) <= eps_sq
-    })
 }
 
 /// Early-exit bichromatic closest-pair test of two dense cells (the cell
@@ -482,7 +545,7 @@ fn closest_pair<const D: usize>(
 mod tests {
     use super::*;
     use crate::labels::{assert_core_equivalent, PointClass, NOISE};
-    use crate::seq::dbscan_classic;
+    use crate::seq::{dbscan_canonical, dbscan_classic};
     use crate::verify::assert_valid_clustering;
     use fdbscan_device::DeviceConfig;
     use fdbscan_geom::Point2;
@@ -652,6 +715,103 @@ mod tests {
         let points = random_points(1000, 5.0, 3);
         let err = fdbscan_densebox(&tiny, &points, Params::new(0.3, 4)).unwrap_err();
         assert!(matches!(err, DeviceError::OutOfMemory { .. }));
+    }
+
+    /// The mixed-primitive tree `densebox_core` builds for this input.
+    fn mixed_tree<const D: usize>(
+        d: &Device,
+        points: &[Point<D>],
+        params: Params,
+    ) -> (Bvh<D>, Vec<PrimitiveRef>) {
+        let grid = DenseGrid::build_in(d, points, params.eps, params.minpts).unwrap();
+        let mixed = grid.mixed_primitives(points);
+        (Bvh::build_in(d, &mixed.bounds).unwrap(), mixed.refs)
+    }
+
+    #[test]
+    fn point_leaves_walk_each_suffix_once() {
+        // A lattice spaced wider than eps: no dense cell and no
+        // neighbour, so every leaf is a point whose thread claims it,
+        // walks its suffix once (searching and counting) and then its
+        // prefix (counting on).
+        let mut points = Vec::new();
+        for x in 0..8 {
+            for y in 0..8 {
+                for z in 0..8 {
+                    points.push(Point::new([x as f32, y as f32, z as f32]));
+                }
+            }
+        }
+        let params = Params::new(0.5, 5);
+        let d = Device::new(DeviceConfig::sequential());
+        let (c, stats) = fdbscan_densebox(&d, &points, params).unwrap();
+        assert_eq!(c.num_noise(), points.len());
+        assert_eq!(stats.dense.unwrap().num_dense_cells, 0);
+        let (bvh, refs) = mixed_tree(&d, &points, params);
+        let go = |_, _, _| ControlFlow::Continue(());
+        let walks: u64 = (0..bvh.len() as u32)
+            .map(|pos| {
+                let q = &points[refs[bvh.leaf_payload(pos) as usize].index() as usize];
+                bvh.for_each_after(pos, q, params.eps, go).nodes_visited
+                    + bvh.for_each_before(pos, q, params.eps, go).nodes_visited
+            })
+            .sum();
+        assert_eq!(stats.phase_counters.main.bvh_nodes_visited, walks);
+        assert_eq!(stats.phase_counters.main.distance_computations, 0);
+    }
+
+    #[test]
+    fn point_leaves_holding_dozens_of_hits_match_oracle() {
+        // At minpts 40 and 64 the blobs' cells stay below minpts, so
+        // their points are point leaves, and some leaf's suffix holds
+        // more than 16 points and no cell: its claimant holds more than
+        // 16 pairs before it is decided.
+        let points = fdbscan_data::blobs::<3>(1000, 6, 0.4, 20.0, 0.2, 41);
+        let seq = Device::new(DeviceConfig::sequential());
+        let four = Device::new(DeviceConfig::default().with_workers(4).with_block_size(16));
+        for minpts in [40, 64] {
+            let params = Params::new(0.6, minpts);
+            let (bvh, refs) = mixed_tree(&seq, &points, params);
+            let holds_many = (0..bvh.len() as u32).any(|pos| {
+                let r = refs[bvh.leaf_payload(pos) as usize];
+                let q = &points[r.index() as usize];
+                let (mut hits, mut cells) = (0, 0);
+                bvh.for_each_after(pos, q, params.eps, |_, payload, _| {
+                    hits += 1;
+                    cells += u32::from(refs[payload as usize].is_cell());
+                    ControlFlow::Continue(())
+                });
+                !r.is_cell() && cells == 0 && hits > 16
+            });
+            assert!(holds_many, "minpts {minpts}: no point leaf holds more than 16 hits");
+            let oracle = dbscan_canonical(&points, params);
+            assert!(oracle.num_clusters > 0 && oracle.num_noise() > 0, "minpts {minpts}");
+            for d in [&seq, &four] {
+                let (got, _) = fdbscan_densebox(d, &points, params).unwrap();
+                assert_core_equivalent(&oracle, &got);
+                assert_valid_clustering(&points, &got, params);
+            }
+        }
+    }
+
+    #[test]
+    fn claimants_agree_with_oracle_around_dense_cells_on_four_workers() {
+        // Threads that wait on a point while its claimant is still
+        // walking must read the claimant's decision, next to dense cells
+        // and at every minpts.
+        let d = Device::new(DeviceConfig::default().with_workers(4).with_block_size(16));
+        for seed in [1u64, 2] {
+            let points = fdbscan_data::blobs::<2>(4000, 8, 0.2, 20.0, 0.2, seed);
+            for minpts in [3usize, 5, 40] {
+                let params = Params::new(0.3, minpts);
+                let oracle = dbscan_canonical(&points, params);
+                for _ in 0..3 {
+                    let (got, stats) = fdbscan_densebox(&d, &points, params).unwrap();
+                    assert!(stats.dense.unwrap().num_dense_cells > 0, "minpts {minpts}");
+                    assert_core_equivalent(&oracle, &got);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -35,15 +35,16 @@
 //! counting work is attributed to the main phase where it now happens.
 
 use std::ops::ControlFlow;
-use std::sync::atomic::Ordering;
 
-use fdbscan_bvh::{Bvh, QueryStats};
-use fdbscan_device::{Counters, Device, DeviceError, PipelineCheckpoint};
+use fdbscan_bvh::Bvh;
+use fdbscan_device::{Device, DeviceError, Hot, PipelineCheckpoint};
 use fdbscan_geom::{Aabb, Point};
 use fdbscan_unionfind::AtomicLabels;
 
-use crate::checkpoint::{LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
-use crate::framework::{finalize, CoreFlags, LazyCore, PairRule};
+use crate::checkpoint::{self, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
+use crate::framework::{
+    count_around, finalize, search_claimed, Claimant, CoreFlags, LazyCore, PairRule,
+};
 use crate::labels::Clustering;
 use crate::pipeline::{CallerIndex, Pipeline};
 use crate::stats::RunStats;
@@ -116,9 +117,12 @@ pub fn fdbscan_run_from<const D: usize>(
     options: FdbscanOptions,
     ckpt: &mut PipelineCheckpoint,
 ) -> Result<(Clustering, RunStats), DeviceError> {
+    checkpoint::prepare(ckpt, FDBSCAN_ALGORITHM, points, params);
     fdbscan_core(device, points, params, options, Some(ckpt), None)
 }
 
+/// FDBSCAN on a checkpoint made for this input, if any, after index work
+/// the caller did, if any.
 pub(crate) fn fdbscan_core<const D: usize>(
     device: &Device,
     points: &[Point<D>],
@@ -127,7 +131,7 @@ pub(crate) fn fdbscan_core<const D: usize>(
     ckpt: Option<&mut PipelineCheckpoint>,
     caller: Option<CallerIndex>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    let mut run = Pipeline::start(device, FDBSCAN_ALGORITHM, points, params, ckpt, caller)?;
+    let mut run = Pipeline::start(device, FDBSCAN_ALGORITHM, points, ckpt, caller)?;
     let n = points.len();
     let Params { eps, minpts } = params;
 
@@ -235,8 +239,6 @@ pub fn main_fused<const D: usize>(
     };
     // Decides the core status of point `p` at leaf `pos` on first
     // demand (exactly once per point, whichever thread asks first).
-    // The count walks outward from the point's own leaf, nearest
-    // subtrees first.
     let ensure_core = |p: u32, pos: u32| {
         let Some((lazy, minpts)) = lazy else { return };
         lazy.ensure(core, p, || match minpts {
@@ -245,15 +247,9 @@ pub fn main_fused<const D: usize>(
             // itself).
             1 => true,
             _ => {
-                let mut count = 0usize;
-                let stats = bvh.for_each_around(pos, &points[p as usize], eps, |_, _, _| {
-                    count += 1;
-                    if early && count >= minpts {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
+                let stop = if early { minpts } else { usize::MAX };
+                let q = &points[p as usize];
+                let (count, stats) = count_around(bvh, pos, q, eps, stop, |_, _, _| 1);
                 stats.charge(counters);
                 count >= minpts
             }
@@ -273,7 +269,10 @@ pub fn main_fused<const D: usize>(
             // the suffix is walked once.
             Some((lazy, minpts)) if masked && early && lazy.claim(i).is_none() => {
                 let decide = |is_core| lazy.decide(core, i, is_core);
-                search_claimed(bvh, pos, q, eps, minpts, counters, decide, resolve)
+                let (suffix, prefix) =
+                    search_claimed(bvh, pos, q, eps, minpts, decide, &mut PointHits(resolve));
+                prefix.charge(counters);
+                suffix
             }
             _ => {
                 ensure_core(i, pos);
@@ -295,98 +294,26 @@ pub fn main_fused<const D: usize>(
             }
         };
         stats.charge(counters);
-        counters.neighbors_found.fetch_add(stats.leaf_hits, Ordering::Relaxed);
+        counters.add(Hot::Neighbors, stats.leaf_hits);
     })
 }
 
-/// Thread `pos`'s masked search while it holds the claim on its own
-/// point `q`: the search also counts the point's neighbours, so the
-/// suffix after the leaf is walked once.
-///
-/// The count starts at 1 (the point itself) and takes every suffix hit.
-/// If the suffix ends short of `minpts`, it goes on through the prefix
-/// ([`Bvh::for_each_before`], stopping at `minpts`). `decide` publishes
-/// the decision the moment it is known. Suffix hits found before then
-/// are held and resolved in order right after it, later ones at once:
-/// the pairs resolve in the plain masked search's order, and the thread
-/// never waits on another point while its own is undecided. Returns the
-/// suffix walk's statistics; the prefix walk is charged here.
-#[allow(clippy::too_many_arguments)]
-fn search_claimed<const D: usize>(
-    bvh: &Bvh<D>,
-    pos: u32,
-    q: &Point<D>,
-    eps: f32,
-    minpts: usize,
-    counters: &Counters,
-    decide: impl Fn(bool),
-    resolve: impl Fn(u32, u32),
-) -> QueryStats {
-    let mut count = 1usize;
-    let mut held = HeldHits::default();
-    let mut decided = count >= minpts;
-    if decided {
-        decide(true);
-    }
-    let stats = bvh.for_each_after(pos, q, eps, |j_pos, j, _| {
-        if decided {
-            resolve(j_pos, j);
-        } else {
-            count += 1;
-            held.push(j_pos);
-            if count >= minpts {
-                decided = true;
-                decide(true);
-                held.resolve(bvh, &resolve);
-            }
-        }
-        ControlFlow::Continue(())
-    });
-    if !decided {
-        bvh.for_each_before(pos, q, eps, |_, _, _| {
-            count += 1;
-            if count >= minpts {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .charge(counters);
-        decide(count >= minpts);
-        held.resolve(bvh, &resolve);
-    }
-    stats
-}
+/// FDBSCAN's [`Claimant`]: every leaf is a point, so a hit is one
+/// neighbour and its own partner, and the pair resolves through `.0(leaf,
+/// point)`.
+struct PointHits<F>(F);
 
-/// The suffix hits [`search_claimed`] holds until its point is decided:
-/// at most `minpts − 1` leaf positions, inline up to [`HeldHits::INLINE`]
-/// and on the heap past that, so common `minpts` values allocate
-/// nothing per point.
-#[derive(Default)]
-struct HeldHits {
-    inline: [u32; HeldHits::INLINE],
-    len: usize,
-    spill: Vec<u32>,
-}
-
-impl HeldHits {
-    /// Hits held without allocating: enough for `minpts` up to 16.
-    const INLINE: usize = 15;
-
-    fn push(&mut self, pos: u32) {
-        match self.inline.get_mut(self.len) {
-            Some(slot) => *slot = pos,
-            None => self.spill.push(pos),
-        }
-        self.len += 1;
+impl<F: FnMut(u32, u32)> Claimant for PointHits<F> {
+    fn weigh(&mut self, payload: u32, _: bool, _: usize) -> (usize, Option<u32>) {
+        (1, Some(payload))
     }
 
-    /// Resolves every held hit, in the order it was found.
-    fn resolve<const D: usize>(&self, bvh: &Bvh<D>, resolve: impl Fn(u32, u32)) {
-        let inline = &self.inline[..self.len.min(Self::INLINE)];
-        for &j_pos in inline.iter().chain(&self.spill) {
-            resolve(j_pos, bvh.leaf_payload(j_pos));
-        }
+    fn resolve_held(&mut self, hit: u32, partner: u32) {
+        (self.0)(hit, partner);
+    }
+
+    fn resolve(&mut self, hit: u32, payload: u32, _: bool) {
+        (self.0)(hit, payload);
     }
 }
 
@@ -689,20 +616,21 @@ mod tests {
     }
 
     #[test]
-    fn minpts_past_the_inline_hits_matches_oracle() {
+    fn claimants_holding_dozens_of_hits_match_oracle() {
         // At minpts 40 a point that opens a blob in tree order holds more
-        // suffix hits than fit inline before it is decided.
+        // than 16 suffix hits before it is decided, so the held buffer
+        // grows mid-walk.
         let points = fdbscan_data::blobs::<3>(1000, 6, 0.4, 20.0, 0.2, 41);
         let params = Params::new(0.6, 40);
         let d = Device::new(DeviceConfig::sequential());
         let bvh = point_bvh(&d, &points).unwrap();
         let go = |_, _, _| ControlFlow::Continue(());
-        let spills = (0..bvh.len() as u32).any(|pos| {
+        let holds_many = (0..bvh.len() as u32).any(|pos| {
             let q = &points[bvh.leaf_payload(pos) as usize];
             bvh.for_each_before(pos, q, params.eps, go).leaf_hits == 0
-                && bvh.for_each_after(pos, q, params.eps, go).leaf_hits > HeldHits::INLINE as u64
+                && bvh.for_each_after(pos, q, params.eps, go).leaf_hits > 16
         });
-        assert!(spills, "no claimant holds more than {} hits", HeldHits::INLINE);
+        assert!(holds_many, "no claimant holds more than 16 hits");
         let oracle = dbscan_canonical(&points, params);
         assert!(oracle.num_clusters > 0 && oracle.num_noise() > 0);
         for d in [d, device()] {

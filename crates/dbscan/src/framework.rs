@@ -1,13 +1,33 @@
 //! Shared pieces of the parallel disjoint-set framework (paper §3.2).
 //!
 //! Both tree-based algorithms — and any future instantiation of
-//! Algorithm 3 — share three ingredients: a concurrent core-point flag
-//! array, the per-pair resolution rule (union vs. atomic border claim),
-//! and the finalization step (flatten + relabel).
+//! Algorithm 3 — share these ingredients: a concurrent core-point flag
+//! array with its exactly-once lazy decision ([`LazyCore`]), the
+//! per-pair resolution rule (union vs. atomic border claim), and the
+//! finalization step (flatten + relabel).
+//!
+//! The two fused main kernels (FDBSCAN's and FDBSCAN-DenseBox's) also
+//! share how a point's core status is counted on the tree:
+//!
+//! * the thread whose leaf holds an undecided point claims it and counts
+//!   its neighbours inside its own masked search (`search_claimed`), so
+//!   the suffix after the leaf is walked once, and the prefix before it
+//!   only while the count is short of `minpts`;
+//! * a point some other thread needs before its own thread got to it is
+//!   counted by an early-terminating walk outward from its leaf
+//!   (`count_around`).
+//!
+//! Both are parameterised by how a hit weighs in the count (a point is
+//! one neighbour; a dense cell holds as many as its members within
+//! `eps`) and how the pair it makes resolves (`Claimant`).
 
+use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
+use fdbscan_bvh::{Bvh, QueryStats};
 use fdbscan_device::{Device, DeviceError};
+use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::labels::Clustering;
@@ -102,9 +122,9 @@ impl Clone for CoreFlags {
 ///   [`CoreFlags`] bit first, then the decision.
 ///
 /// [`LazyCore::ensure`] is the two back to back around a counting
-/// traversal. FDBSCAN's main kernel also claims a thread's own point
-/// directly, so that it can count the neighbours its masked search finds
-/// and publish the decision mid-walk. A waiter spins on an active worker
+/// traversal. The main kernels also claim a thread's own point directly,
+/// so that it can count the neighbours its masked search finds and
+/// publish the decision mid-walk (`search_claimed`). A waiter spins on an active worker
 /// inside the same launch, and a claimant never waits on another point
 /// before it decides (on a sequential device a claim is always decided
 /// within the same kernel item), so the wait is bounded.
@@ -193,6 +213,128 @@ impl LazyCore {
             is_core
         })
     }
+}
+
+/// A main kernel's hooks into [`search_claimed`]: how a hit of the
+/// claimant's walks weighs in its point's neighbour count, and how the
+/// pair it makes resolves.
+pub(crate) trait Claimant {
+    /// How many neighbours of the query point the leaf with `payload`
+    /// holds (`contained` as the walk reports it), counted no further than
+    /// `need`, and the partner the pair resolves with: `None` when nothing
+    /// in the leaf is within `eps`.
+    fn weigh(&mut self, payload: u32, contained: bool, need: usize) -> (usize, Option<u32>);
+
+    /// Resolves the pair with `partner` that leaf `hit` made before the
+    /// query point was decided.
+    fn resolve_held(&mut self, hit: u32, partner: u32);
+
+    /// Resolves leaf `hit`, found by the masked search once the query
+    /// point is decided.
+    fn resolve(&mut self, hit: u32, payload: u32, contained: bool);
+}
+
+thread_local! {
+    /// The (leaf, partner) pairs [`search_claimed`] holds until its point
+    /// is decided. One buffer per thread, reused: holding allocates only
+    /// while the buffer grows to the most hits a thread has held.
+    static HELD: Cell<Vec<(u32, u32)>> = const { Cell::new(Vec::new()) };
+}
+
+/// Thread `pos`'s masked search ([`Bvh::for_each_after`]) while it holds
+/// the claim on its own point `q` ([`LazyCore::claim`]): the search also
+/// counts the point's neighbours, so the suffix after the leaf is walked
+/// once.
+///
+/// The count starts at 1 (the point itself) and adds each suffix hit's
+/// [`Claimant::weigh`]. If the suffix ends short of `minpts`, the count
+/// goes on through the prefix ([`Bvh::for_each_before`]), stopping at
+/// `minpts`. `decide` publishes the decision the moment it is known. The
+/// pairs found before then are held and resolved in order right after it
+/// ([`Claimant::resolve_held`]), later hits at once
+/// ([`Claimant::resolve`]): the pairs resolve in the plain masked
+/// search's order, and the thread never waits on another point while its
+/// own is undecided.
+///
+/// Returns the suffix walk's statistics and the prefix walk's (empty when
+/// the suffix decided the point).
+pub(crate) fn search_claimed<const D: usize>(
+    bvh: &Bvh<D>,
+    pos: u32,
+    q: &Point<D>,
+    eps: f32,
+    minpts: usize,
+    decide: impl Fn(bool),
+    claimant: &mut impl Claimant,
+) -> (QueryStats, QueryStats) {
+    let mut held = HELD.take();
+    held.clear();
+    let mut count = 1usize;
+    let mut decided = count >= minpts;
+    if decided {
+        decide(true);
+    }
+    let suffix = bvh.for_each_after(pos, q, eps, |hit, payload, contained| {
+        if decided {
+            claimant.resolve(hit, payload, contained);
+        } else {
+            let (weight, partner) = claimant.weigh(payload, contained, minpts - count);
+            count += weight;
+            held.extend(partner.map(|partner| (hit, partner)));
+            if count >= minpts {
+                decided = true;
+                decide(true);
+                for &(hit, partner) in &held {
+                    claimant.resolve_held(hit, partner);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    let mut prefix = QueryStats::default();
+    if !decided {
+        prefix = bvh.for_each_before(pos, q, eps, |_, payload, contained| {
+            count += claimant.weigh(payload, contained, minpts - count).0;
+            if count >= minpts {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        decide(count >= minpts);
+        for &(hit, partner) in &held {
+            claimant.resolve_held(hit, partner);
+        }
+    }
+    HELD.set(held);
+    (suffix, prefix)
+}
+
+/// Counts the neighbours of point `q` at leaf `pos` for a thread that
+/// needs its core status before the point's own thread decided it: a walk
+/// outward from the leaf ([`Bvh::for_each_around`]), nearest subtrees
+/// first, that stops once the count reaches `stop` (`usize::MAX` counts
+/// them all). `weigh(payload, contained, need)` is how many neighbours
+/// one hit holds, counted no further than `need`. Returns the count and
+/// the walk's statistics.
+pub(crate) fn count_around<const D: usize>(
+    bvh: &Bvh<D>,
+    pos: u32,
+    q: &Point<D>,
+    eps: f32,
+    stop: usize,
+    mut weigh: impl FnMut(u32, bool, usize) -> usize,
+) -> (usize, QueryStats) {
+    let mut count = 0usize;
+    let stats = bvh.for_each_around(pos, q, eps, |_, payload, contained| {
+        count += weigh(payload, contained, stop - count);
+        if count >= stop {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    (count, stats)
 }
 
 /// Resolves one discovered close pair `(x, y)` according to Algorithm 3

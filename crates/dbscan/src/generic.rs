@@ -11,7 +11,7 @@
 use std::ops::ControlFlow;
 use std::time::Instant;
 
-use fdbscan_device::{Device, DeviceError};
+use fdbscan_device::{Device, DeviceError, Hot};
 use fdbscan_geom::Point;
 use fdbscan_kdtree::{KdQueryStats, KdTree};
 use fdbscan_unionfind::AtomicLabels;
@@ -42,7 +42,7 @@ pub fn fdbscan_kdtree<const D: usize>(
     let build_start = Instant::now();
     let tree = KdTree::build(points);
     let caller = Some(CallerIndex::host_built(device, build_start.elapsed()));
-    let mut run = Pipeline::start(device, KDTREE_ALGORITHM, points, params, None, caller)?;
+    let mut run = Pipeline::start(device, KDTREE_ALGORITHM, points, None, caller)?;
     let n = points.len();
     let Params { eps, minpts } = params;
 
@@ -52,8 +52,8 @@ pub fn fdbscan_kdtree<const D: usize>(
     let _index_mem = device.memory().reserve(tree.memory_bytes())?;
     let counters = device.counters();
     let charge = |stats: KdQueryStats| {
-        counters.add_nodes_visited(stats.nodes_visited);
-        counters.add_distances(stats.points_tested);
+        counters.add(Hot::Nodes, stats.nodes_visited);
+        counters.add(Hot::Distances, stats.points_tested);
     };
 
     // Preprocessing: `minpts == 2` marks cores per pair instead.

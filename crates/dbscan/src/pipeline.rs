@@ -4,8 +4,11 @@
 //! index → preprocess → main → finalize. A [`Pipeline`] owns what they
 //! share, so an algorithm writes only its phase bodies:
 //!
-//! * at the start: input validation, the checkpoint's identity check
-//!   ([`checkpoint::prepare`]), the memory-peak reset and the run span;
+//! * at the start: input validation, the memory-peak reset and the run
+//!   span. A checkpoint handed in is already this input's: the public
+//!   `*_run_from` entry points reset a caller's mismatched one
+//!   ([`crate::checkpoint::prepare`]), and the resilient ladder makes each
+//!   rung's from the fingerprint it computes once per request;
 //! * per phase: the phase span, restoring the phase's artifact from the
 //!   checkpoint or running the body and recording what it returns, the
 //!   work-counter delta, and the phase time, read from the phase span
@@ -26,12 +29,9 @@ use fdbscan_device::{
 };
 use fdbscan_geom::Point;
 
-use crate::checkpoint::{
-    self, CoreSnapshot, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS,
-};
+use crate::checkpoint::{CoreSnapshot, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN, PHASE_PREPROCESS};
 use crate::framework::{CoreFlags, LazyCore};
 use crate::stats::RunStats;
-use crate::Params;
 
 /// Index work the caller did before the run started (`fdbscan_auto`'s
 /// decision grid, a k-d tree build): the counters when it began and its
@@ -97,22 +97,19 @@ pub(crate) struct Pipeline<'a> {
 }
 
 impl<'a> Pipeline<'a> {
-    /// Validates the input, prepares `ckpt` for this run, resets the
-    /// memory peak and opens the run span `algorithm` (also the
-    /// checkpoint's algorithm tag).
+    /// Validates the input, resets the memory peak and opens the run span
+    /// `algorithm`. `ckpt` must have been made for this input and
+    /// algorithm.
     pub(crate) fn start<const D: usize>(
         device: &'a Device,
         algorithm: &'static str,
         points: &[Point<D>],
-        params: Params,
-        mut ckpt: Option<&'a mut PipelineCheckpoint>,
+        ckpt: Option<&'a mut PipelineCheckpoint>,
         caller: Option<CallerIndex>,
     ) -> Result<Self, DeviceError> {
         crate::validate_len(points.len())?;
         crate::validate_finite(points)?;
-        if let Some(c) = ckpt.as_deref_mut() {
-            checkpoint::prepare(c, algorithm, points, params);
-        }
+        debug_assert!(ckpt.as_deref().is_none_or(|c| c.algorithm() == algorithm));
         device.memory().reset_peak();
         let CallerIndex { counters, time } =
             caller.unwrap_or_else(|| CallerIndex::host_built(device, Duration::ZERO));

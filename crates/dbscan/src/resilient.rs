@@ -52,6 +52,11 @@
 //! the algorithm. The handoff applies only for `minpts > 2` — below
 //! that the algorithms skip preprocessing entirely (Algorithm 3,
 //! line 2).
+//!
+//! The input is hashed once per request ([`crate::run_fingerprint`]):
+//! each rung's checkpoint is made from that fingerprint and handed to
+//! the rung as this input's, so no rung hashes the input again. The
+//! ladder's trace instants are formatted only when tracing is on.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -60,10 +65,10 @@ use fdbscan_device::snapshot::PipelineCheckpoint;
 use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::Point;
 
-use crate::baselines::gdbscan::{gdbscan, gdbscan_run_from, GDBSCAN_ALGORITHM};
-use crate::checkpoint::{checkpoint_for, CoreSnapshot, PHASE_CORE_FLAGS, PHASE_PREPROCESS};
-use crate::densebox::DENSEBOX_ALGORITHM;
-use crate::fdbscan_impl::FDBSCAN_ALGORITHM;
+use crate::baselines::gdbscan::{gdbscan_core, GDBSCAN_ALGORITHM};
+use crate::checkpoint::{run_fingerprint, CoreSnapshot, PHASE_CORE_FLAGS, PHASE_PREPROCESS};
+use crate::densebox::{densebox_core, DENSEBOX_ALGORITHM};
+use crate::fdbscan_impl::{fdbscan_core, FDBSCAN_ALGORITHM};
 use crate::labels::Clustering;
 use crate::seq::dbscan_classic;
 use crate::stats::RunStats;
@@ -263,6 +268,13 @@ pub fn run_resilient<const D: usize>(
     crate::validate_finite(points)?;
     let tracer = device.tracer();
     let _ladder_span = tracer.phase("resilient");
+    // A trace instant, formatted only when tracing is on.
+    let note = |message: std::fmt::Arguments<'_>| {
+        if tracer.enabled() {
+            tracer.instant(message.to_string());
+        }
+    };
+    let fingerprint = run_fingerprint(points, params);
     let mut report = ResilienceReport::default();
     let mut level = Some(policy.start);
     let mut last_err = None;
@@ -294,10 +306,10 @@ pub fn run_resilient<const D: usize>(
                 };
                 if estimated <= available && estimated > unpooled {
                     let freed = device.arena().trim();
-                    tracer.instant(format!("resilient.trim_arena {l}: freed {freed} B"));
+                    note(format_args!("resilient.trim_arena {l}: freed {freed} B"));
                 }
                 if estimated > available {
-                    tracer.instant(format!(
+                    note(format_args!(
                         "resilient.skip {l}: estimated {estimated} B > available {available} B"
                     ));
                     report.attempts.push(Attempt {
@@ -316,10 +328,10 @@ pub fn run_resilient<const D: usize>(
         // Each device rung gets a checkpoint; phases completed before a
         // fault survive in it, so retries resume rather than recompute.
         let mut ckpt = l.algorithm().map(|alg| {
-            let mut c = checkpoint_for(alg, points, params);
+            let mut c = PipelineCheckpoint::new(alg, fingerprint);
             if params.minpts > 2 {
                 if let Some(flags) = handoff.take() {
-                    tracer.instant(format!("resilient.handoff {l}: seeded core flags"));
+                    note(format_args!("resilient.handoff {l}: seeded core flags"));
                     c.record(PHASE_PREPROCESS, &flags);
                 }
             }
@@ -330,7 +342,7 @@ pub fn run_resilient<const D: usize>(
         loop {
             match run_level(device, points, params, l, ckpt.as_mut()) {
                 Ok((clustering, mut stats)) => {
-                    tracer.instant(format!("resilient.complete {l}"));
+                    note(format_args!("resilient.complete {l}"));
                     report.attempts.push(Attempt { level: l, outcome: AttemptOutcome::Succeeded });
                     report.completed = Some(l);
                     stats.attempts = report.runs();
@@ -364,7 +376,7 @@ pub fn run_resilient<const D: usize>(
                     if transient && retries < policy.max_transient_retries {
                         retries += 1;
                         let done = ckpt.as_ref().map_or(0, PipelineCheckpoint::len);
-                        tracer.instant(format!(
+                        note(format_args!(
                             "resilient.retry {l}: attempt {} ({done} phase(s) checkpointed)",
                             retries + 1
                         ));
@@ -393,15 +405,16 @@ pub fn run_resilient<const D: usize>(
         }
         level = l.next();
         if let Some(next) = level {
-            tracer.instant(format!("resilient.degrade {l} -> {next}"));
+            note(format_args!("resilient.degrade {l} -> {next}"));
         }
     }
 
     Err(last_err.expect("ladder exhausted without running a level"))
 }
 
-/// Runs one ladder level, converting a panic that escapes the algorithm
-/// into [`DeviceError::KernelPanicked`].
+/// Runs one ladder level on `ckpt`, a checkpoint made for this input (the
+/// device rungs always have one), converting a panic that escapes the
+/// algorithm into [`DeviceError::KernelPanicked`].
 fn run_level<const D: usize>(
     device: &Device,
     points: &[Point<D>],
@@ -409,18 +422,15 @@ fn run_level<const D: usize>(
     level: LadderLevel,
     ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    let run = move || match (level, ckpt) {
-        (LadderLevel::GDbscan, Some(c)) => gdbscan_run_from(device, points, params, c),
-        (LadderLevel::GDbscan, None) => gdbscan(device, points, params),
-        (LadderLevel::DenseBox, Some(c)) => {
-            crate::fdbscan_densebox_run_from(device, points, params, Default::default(), c)
+    let run = move || match level {
+        LadderLevel::GDbscan => gdbscan_core(device, points, params, ckpt),
+        LadderLevel::DenseBox => {
+            densebox_core(device, points, params, Default::default(), None, ckpt)
         }
-        (LadderLevel::DenseBox, None) => crate::fdbscan_densebox(device, points, params),
-        (LadderLevel::Fdbscan, Some(c)) => {
-            crate::fdbscan_run_from(device, points, params, Default::default(), c)
+        LadderLevel::Fdbscan => {
+            fdbscan_core(device, points, params, Default::default(), ckpt, None)
         }
-        (LadderLevel::Fdbscan, None) => crate::fdbscan(device, points, params),
-        (LadderLevel::Sequential, _) => {
+        LadderLevel::Sequential => {
             let start = Instant::now();
             let clustering = dbscan_classic(points, params);
             let stats = RunStats { total_time: start.elapsed(), ..Default::default() };

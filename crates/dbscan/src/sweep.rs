@@ -27,7 +27,7 @@ use crate::framework::{finalize, CoreFlags};
 use crate::labels::Clustering;
 use crate::pipeline::Pipeline;
 use crate::stats::RunStats;
-use crate::{FdbscanOptions, Params};
+use crate::FdbscanOptions;
 
 /// Precomputed state for sweeping `minpts` at a fixed `eps`.
 pub struct MinptsSweep<'a, const D: usize> {
@@ -112,8 +112,7 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
         assert!(minpts >= 1, "minpts must be at least 1");
         let (device, points) = (self.device, self.points);
         let n = points.len();
-        let params = Params::new(self.eps, minpts);
-        let mut run = Pipeline::start(device, "fdbscan-sweep", points, params, None, None)?;
+        let mut run = Pipeline::start(device, "fdbscan-sweep", points, None, None)?;
 
         // Core flags directly from the precomputed counts — the
         // amortized replacement for the preprocessing traversal.
@@ -141,6 +140,7 @@ mod tests {
     use super::*;
     use crate::labels::assert_core_equivalent;
     use crate::seq::dbscan_classic;
+    use crate::Params;
     use fdbscan_device::DeviceConfig;
     use fdbscan_geom::Point2;
     use rand::{rngs::StdRng, Rng, SeedableRng};

@@ -65,7 +65,7 @@ pub mod trace;
 pub use arena::{ArenaBuf, ArenaStats, BufferArena};
 pub use backend::Backend;
 pub use cancel::{CancelCause, CancelToken};
-pub use counters::{Counters, CountersSnapshot};
+pub use counters::{Counters, CountersSnapshot, Hot};
 pub use fault::{FaultPlan, FaultSite, MessageFault};
 pub use memory::{DeviceError, MemoryReservation, MemoryTracker};
 pub use metrics::{Counter, ExpositionStats, Gauge, MetricHistogram, MetricUnit, MetricsRegistry};
@@ -506,6 +506,13 @@ impl Device {
     ) -> Result<(), DeviceError> {
         let measure = self.tracer.enabled();
         let started = measure.then(Instant::now);
+        // Each block tallies this device's hot counters per thread and
+        // flushes them when it ends (see `counters`).
+        let tallied = |range: Range<usize>| {
+            let _tally = self.counters.block_scope();
+            body(range);
+        };
+        let body = &tallied;
         let result = match self.fault_plan.as_deref() {
             // Fast path: no plan, no wrapping.
             None => self.run_on_backend(n, deadline, measure, body),

@@ -49,7 +49,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use fdbscan_device::{Counters, Device, DeviceError};
+use fdbscan_device::{Counters, Device, DeviceError, Hot};
 
 pub mod sequential;
 
@@ -79,8 +79,9 @@ impl AtomicLabels {
         Self { labels: (0..n as u32).map(AtomicU32::new).collect(), counters: None }
     }
 
-    /// Like [`AtomicLabels::new`] but increments the `unions`/`finds`
-    /// counters of `counters` on every operation.
+    /// Like [`AtomicLabels::new`] but counts every union, find and
+    /// claim in `counters` (through [`Counters::add`], so inside a launch
+    /// on their device the counts are tallied per block).
     pub fn with_counters(n: usize, counters: Arc<Counters>) -> Self {
         let mut this = Self::new(n);
         this.counters = Some(counters);
@@ -122,7 +123,7 @@ impl AtomicLabels {
     #[inline]
     pub fn find(&self, i: u32) -> u32 {
         if let Some(c) = &self.counters {
-            c.finds.fetch_add(1, Ordering::Relaxed);
+            c.add(Hot::Finds, 1);
         }
         let labels = &self.labels;
         let mut prev = i;
@@ -149,7 +150,7 @@ impl AtomicLabels {
     /// simultaneously verifies rootness.
     pub fn union(&self, a: u32, b: u32) -> bool {
         if let Some(c) = &self.counters {
-            c.unions.fetch_add(1, Ordering::Relaxed);
+            c.add(Hot::Unions, 1);
         }
         let mut a = a;
         let mut b = b;
@@ -210,7 +211,7 @@ impl AtomicLabels {
     /// again (which would "bridge" distinct clusters).
     pub fn try_claim(&self, i: u32, root: u32) -> bool {
         if let Some(c) = &self.counters {
-            c.label_cas.fetch_add(1, Ordering::Relaxed);
+            c.add(Hot::LabelCas, 1);
         }
         self.labels[i as usize]
             .compare_exchange(i, root, Ordering::Relaxed, Ordering::Relaxed)
