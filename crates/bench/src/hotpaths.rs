@@ -1,17 +1,20 @@
 //! Hot-path work accounting for the bench-regression gate.
 //!
 //! The optimizations this repo layers onto the traversal hot path
-//! (stackless rope traversal, SoA leaf tests, containment fast path,
-//! fused main kernels) are all justified by *work counters*: distance
-//! computations, BVH node visits, kernel launches. This module pins
-//! those counters on a fixed algorithm × dataset matrix so a regression
-//! — a change that silently re-inflates the hot path — fails a test
-//! instead of shipping.
+//! (stackless rope traversal, early-exit leaf tests, containment fast
+//! path, fused main kernels) are all justified by *work counters*:
+//! distance computations, BVH node visits, kernel launches. This module
+//! pins those counters on a fixed algorithm × dataset matrix so a
+//! regression — a change that silently re-inflates the hot path — fails
+//! a test instead of shipping. Next to them it pins each run's peak
+//! device memory ([`RunStats::peak_memory_bytes`]), so a change that
+//! stores an index array twice fails the same test.
 //!
 //! Counters are collected on a **sequential** device
 //! ([`fdbscan_device::DeviceConfig::sequential`]): DenseBox's same-set
 //! short-circuit makes distance counts depend on union timing, so only
-//! the single-worker schedule is run-to-run reproducible. Wall time is
+//! the single-worker schedule is run-to-run reproducible. Each case runs
+//! on a fresh device, so its peak is exact too. Wall time is
 //! machine-dependent and is not recorded here; the `perfbench`
 //! benchmark measures it.
 //!
@@ -32,15 +35,16 @@ use fdbscan_device::{Device, DeviceConfig};
 use crate::Algo;
 
 /// Schema tag of the document [`HotpathsReport::write`] produces.
-pub const HOTPATHS_SCHEMA: &str = "fdbscan.bench_hotpaths.v3";
+pub const HOTPATHS_SCHEMA: &str = "fdbscan.bench_hotpaths.v4";
 
 /// Dataset seed shared by every case, so the matrix is one deterministic
 /// function of this file.
 pub const HOTPATHS_SEED: u64 = 42;
 
-/// The work counters the regression gate guards, in serialization order.
-pub const GUARDED_COUNTERS: [&str; 3] =
-    ["kernel_launches", "distance_computations", "bvh_nodes_visited"];
+/// The values the regression gate guards, in serialization order: three
+/// work counters and the run's peak device memory in bytes.
+pub const GUARDED_COUNTERS: [&str; 4] =
+    ["kernel_launches", "distance_computations", "bvh_nodes_visited", "peak_memory_bytes"];
 
 /// Phase keys of the per-phase launch breakdown, in serialization order.
 pub const PHASE_KEYS: [&str; 4] = ["index", "preprocess", "main", "finalize"];
@@ -100,7 +104,7 @@ pub struct HotpathRecord {
     /// The matrix cell this record measured.
     pub case: HotpathCase,
     /// Guarded totals, keyed like [`GUARDED_COUNTERS`].
-    pub work: [(&'static str, u64); 3],
+    pub work: [(&'static str, u64); 4],
     /// Per-phase (index, preprocess, main, finalize) kernel launches —
     /// recorded so a fusion regression that moves launches between
     /// phases is visible, guarded via the total.
@@ -117,6 +121,7 @@ impl HotpathRecord {
                 ("kernel_launches", c.kernel_launches),
                 ("distance_computations", c.distance_computations),
                 ("bvh_nodes_visited", c.bvh_nodes_visited),
+                ("peak_memory_bytes", stats.peak_memory_bytes as u64),
             ],
             phase_launches: [
                 p.index.kernel_launches,
@@ -198,7 +203,7 @@ impl HotpathsReport {
 /// `BENCH_hotpaths.json`.
 #[derive(Clone, Debug)]
 pub struct HotpathsBaseline {
-    /// `(case id, [(counter name, value); 3])` in file order.
+    /// `(case id, [(counter name, value); 4])` in file order.
     pub cases: Vec<(String, Vec<(String, u64)>)>,
     /// `(case id, [(phase name, launches); 4])` in file order, keyed
     /// like [`PHASE_KEYS`].

@@ -55,7 +55,7 @@ use fdbscan_device::shared::{as_atomic_u32, SharedMut};
 use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::{
     morton::{bits_per_axis, morton_code},
-    Aabb, SoaPoints,
+    Aabb,
 };
 
 use crate::node::NodeRef;
@@ -99,8 +99,6 @@ impl<const D: usize> Bvh<D> {
                 leaf_skip: Vec::new(),
                 internal_lskip: Vec::new(),
                 leaf_lskip: Vec::new(),
-                leaf_lo: SoaPoints::new(),
-                leaf_hi: SoaPoints::new(),
                 scene: Aabb::empty(),
             });
         }
@@ -153,8 +151,6 @@ impl<const D: usize> Bvh<D> {
         }
 
         if n == 1 {
-            let leaf_lo = SoaPoints::from_points(&[leaf_bounds[0].min]);
-            let leaf_hi = SoaPoints::from_points(&[leaf_bounds[0].max]);
             return Ok(Self {
                 internal_bounds: Vec::new(),
                 children: Vec::new(),
@@ -166,14 +162,12 @@ impl<const D: usize> Bvh<D> {
                 leaf_skip: vec![NodeRef::NONE],
                 internal_lskip: Vec::new(),
                 leaf_lskip: vec![NodeRef::NONE],
-                leaf_lo,
-                leaf_hi,
                 scene,
             });
         }
 
-        // 3. Single bottom-up pass: topology + bounds + both rope kinds +
-        //    SoA leaf corners, one thread per leaf.
+        // 3. Single bottom-up pass: topology + bounds + both rope kinds,
+        //    one thread per leaf.
         let internal_count = n - 1;
         let mut children = vec![[NodeRef::internal(0); 2]; internal_count];
         let mut ranges = vec![[0u32; 2]; internal_count];
@@ -182,8 +176,6 @@ impl<const D: usize> Bvh<D> {
         let mut leaf_skip = vec![NodeRef::NONE; n];
         let mut internal_lskip = vec![NodeRef::NONE; internal_count];
         let mut leaf_lskip = vec![NodeRef::NONE; n];
-        let mut lo_flat = vec![0.0f32; D * n];
-        let mut hi_flat = vec![0.0f32; D * n];
 
         // Rendezvous state, one slot pair per leaf boundary b (between
         // sorted leaves b and b+1): the completed subtree ending at b
@@ -200,8 +192,6 @@ impl<const D: usize> Bvh<D> {
             let lskip_view = SharedMut::new(&mut leaf_skip);
             let ilskip_view = SharedMut::new(&mut internal_lskip);
             let llskip_view = SharedMut::new(&mut leaf_lskip);
-            let lo_view = SharedMut::new(&mut lo_flat);
-            let hi_view = SharedMut::new(&mut hi_flat);
             let pnode_view = SharedMut::new(&mut pend_node[..]);
             let codes_ref: &[u64] = &codes;
             let leaf_bounds_ref = &leaf_bounds;
@@ -234,22 +224,12 @@ impl<const D: usize> Bvh<D> {
             };
 
             device.try_launch_named("bvh.build_bottom_up", n, |leaf| {
-                // Dimension-major leaf corners (SoA traversal lanes).
-                let lb = leaf_bounds_ref[leaf];
-                // SAFETY: each leaf owns its own SoA lane entries.
-                unsafe {
-                    for d in 0..D {
-                        lo_view.write(d * n + leaf, lb.min[d]);
-                        hi_view.write(d * n + leaf, lb.max[d]);
-                    }
-                }
-
                 // Climb: `node` covers sorted leaves [first, last] and
                 // `nb` is its merged bounds.
                 let mut node = NodeRef::leaf(leaf as u32);
                 let mut first = leaf;
                 let mut last = leaf;
-                let mut nb = lb;
+                let mut nb = leaf_bounds_ref[leaf];
                 loop {
                     if first == 0 && last == n - 1 {
                         // `node` is the root: nothing follows its subtree
@@ -342,14 +322,12 @@ impl<const D: usize> Bvh<D> {
             leaf_skip,
             internal_lskip,
             leaf_lskip,
-            leaf_lo: SoaPoints::from_dim_major(lo_flat, n),
-            leaf_hi: SoaPoints::from_dim_major(hi_flat, n),
             scene,
         })
     }
 
-    /// Recomputes the derived traversal structures — both rope kinds and
-    /// the dimension-major leaf corners — from the core arrays.
+    /// Recomputes the derived traversal structures — both rope kinds —
+    /// from the core arrays.
     ///
     /// [`Bvh::build_in`] fills the same data inside the
     /// `bvh.build_bottom_up` kernel; this host-side twin is the reference
@@ -358,10 +336,6 @@ impl<const D: usize> Bvh<D> {
     #[cfg(test)]
     pub(crate) fn derive_traversal(&mut self) {
         let n = self.len();
-        let mins: Vec<_> = self.leaf_bounds.iter().map(|b| b.min).collect();
-        let maxs: Vec<_> = self.leaf_bounds.iter().map(|b| b.max).collect();
-        self.leaf_lo = SoaPoints::from_points(&mins);
-        self.leaf_hi = SoaPoints::from_points(&maxs);
         if n < 2 {
             self.internal_skip = Vec::new();
             self.leaf_skip = vec![NodeRef::NONE; n];
@@ -596,14 +570,6 @@ mod tests {
                 skip => assert_eq!(last_of(skip) + 1, pos),
             }
         }
-
-        // SoA leaf corners must mirror the AoS leaf bounds exactly.
-        for (pos, b) in bvh.leaf_bounds.iter().enumerate() {
-            for d in 0..D {
-                assert_eq!(bvh.leaf_lo.coord(d, pos), b.min[d]);
-                assert_eq!(bvh.leaf_hi.coord(d, pos), b.max[d]);
-            }
-        }
     }
 
     #[test]
@@ -740,8 +706,8 @@ mod tests {
 
     #[test]
     fn matches_host_derived_traversal() {
-        // The in-kernel ropes (both kinds) and SoA corners must agree
-        // exactly with the host-side reference derivation.
+        // The in-kernel ropes (both kinds) must agree exactly with the
+        // host-side reference derivation.
         let device = Device::new(DeviceConfig::default().with_workers(3));
         for n in [2usize, 3, 255, 2048] {
             let bvh = Bvh::build(&device, &point_boxes(&random_points(n, 77 + n as u64)));

@@ -33,9 +33,11 @@
 //! node `i` covers the contiguous sorted-leaf range `[first(i), last(i)]`
 //! — the property the masked traversal exploits. Leaves appear in Morton
 //! order of their box centers; `leaf_payload` maps a sorted position back
-//! to the caller's primitive id and `leaf_pos_of` is the inverse. Every
-//! node carries two ropes: the next node in preorder after its subtree,
-//! and the next node in right-child-first preorder (the mirrored rope).
+//! to the caller's primitive id and `leaf_pos_of` is the inverse. Each
+//! leaf's bounds are stored once, as an [`fdbscan_geom::Aabb`] in sorted
+//! order, and the leaf test reads them there. Every node carries two
+//! ropes: the next node in preorder after its subtree, and the next node
+//! in right-child-first preorder (the mirrored rope).
 //!
 //! # Example
 //!
@@ -75,7 +77,7 @@ pub mod traverse;
 pub use node::{NodeRef, LEAF_FLAG};
 pub use traverse::QueryStats;
 
-use fdbscan_geom::{Aabb, SoaPoints};
+use fdbscan_geom::Aabb;
 
 /// A linear bounding volume hierarchy over `n` boxed primitives.
 #[derive(Debug, Clone)]
@@ -107,11 +109,6 @@ pub struct Bvh<const D: usize> {
     pub(crate) internal_lskip: Vec<NodeRef>,
     /// Mirrored rope of sorted leaf `pos`.
     pub(crate) leaf_lskip: Vec<NodeRef>,
-    /// Lower leaf corners, dimension-major (`dim(d)[pos]`): the
-    /// coalescing-friendly layout the per-leaf distance test strides.
-    pub(crate) leaf_lo: SoaPoints<D>,
-    /// Upper leaf corners, dimension-major.
-    pub(crate) leaf_hi: SoaPoints<D>,
     /// Bounds of the whole scene.
     pub(crate) scene: Aabb<D>,
 }
@@ -151,19 +148,29 @@ impl<const D: usize> Bvh<D> {
         &self.leaf_bounds[pos as usize]
     }
 
-    /// Approximate device-memory footprint of the hierarchy in bytes.
+    /// Approximate device-memory footprint of the hierarchy in bytes:
+    /// [`Bvh::bytes_for`] its leaf count.
     pub fn memory_bytes(&self) -> usize {
-        self.internal_bounds.len() * std::mem::size_of::<Aabb<D>>()
-            + self.children.len() * std::mem::size_of::<[NodeRef; 2]>()
-            + self.ranges.len() * std::mem::size_of::<[u32; 2]>()
-            + self.leaf_bounds.len() * std::mem::size_of::<Aabb<D>>()
-            + self.leaf_payload.len() * std::mem::size_of::<u32>()
-            + self.positions.len() * std::mem::size_of::<u32>()
-            + self.internal_skip.len() * std::mem::size_of::<NodeRef>()
-            + self.leaf_skip.len() * std::mem::size_of::<NodeRef>()
-            + self.internal_lskip.len() * std::mem::size_of::<NodeRef>()
-            + self.leaf_lskip.len() * std::mem::size_of::<NodeRef>()
-            + self.leaf_lo.memory_bytes()
-            + self.leaf_hi.memory_bytes()
+        Self::bytes_for(self.len())
+    }
+
+    /// Device bytes of a tree over `leaves` leaves: per leaf its bounds,
+    /// payload, position and two ropes; per internal node its bounds,
+    /// children, range and two ropes.
+    pub fn bytes_for(leaves: usize) -> usize {
+        use std::mem::size_of;
+        let rope = size_of::<NodeRef>();
+        let leaf = size_of::<Aabb<D>>() + 2 * size_of::<u32>() + 2 * rope;
+        let internal = size_of::<Aabb<D>>() + size_of::<[NodeRef; 2]>() + size_of::<[u32; 2]>();
+        leaves * leaf + leaves.saturating_sub(1) * (internal + 2 * rope)
+    }
+
+    /// Device bytes a build over `leaves` leaves checks out of the
+    /// device's buffer arena, which stay held there after it: the sorted
+    /// codes, the sort's scratch, and per internal node an arrival flag
+    /// and two rendezvous slots.
+    pub fn build_scratch_bytes(leaves: usize) -> usize {
+        let internal = leaves.saturating_sub(1);
+        leaves * 8 + fdbscan_psort::fused_scratch_bytes(leaves) + internal * 3 * 4
     }
 }

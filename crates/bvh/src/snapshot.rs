@@ -1,11 +1,11 @@
 //! Checkpoint support: a built hierarchy is a [`Checkpointable`] phase
 //! output, so an index phase interrupted *after* construction never has
-//! to rebuild — the checkpoint holds a clone of the tree, ropes and
-//! leaf corners included.
+//! to rebuild — the checkpoint holds a clone of the tree, ropes
+//! included.
 //!
 //! The JSON encoding below feeds phase hashes and the saved checkpoint
-//! file. It writes the core arrays only; the ropes and SoA corners are
-//! derived from them. Bounds are stored as raw `f32` bit patterns —
+//! file. It writes the core arrays only; the ropes are derived from
+//! them. Bounds are stored as raw `f32` bit patterns —
 //! exact for every value, including the infinities of a degenerate
 //! empty scene box.
 

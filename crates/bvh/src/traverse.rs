@@ -38,10 +38,10 @@
 //! gaps and spans, so a point query does exactly the `f32` operations of
 //! [`fdbscan_geom::Aabb::dist_sq`] and [`fdbscan_geom::Aabb::max_dist_sq`].
 //!
-//! Per-leaf distance tests stride the dimension-major SoA corner arrays
-//! and exit early once the partial sum exceeds `eps²`; accepted values
-//! are bit-identical to the array-of-structures [`fdbscan_geom::Aabb`]
-//! test, so results match the stack-based reference exactly.
+//! Per-leaf distance tests read the leaf's own [`fdbscan_geom::Aabb`]
+//! and exit early once the partial sum exceeds `eps²`; the accept
+//! decision is bit-identical to [`fdbscan_geom::Aabb::dist_sq`], so
+//! results match the stack-based reference exactly.
 
 use std::ops::ControlFlow;
 
@@ -382,17 +382,17 @@ impl<const D: usize> Bvh<D> {
         false
     }
 
-    /// Exact leaf bounds test against the SoA corner lanes, with
-    /// per-dimension early exit. The per-axis gaps and their accumulation
-    /// order match [`fdbscan_geom::Aabb::dist_sq`] exactly (and `f32`
-    /// addition of non-negatives is monotone), so the accept/reject
-    /// decision is bit-identical to the array-of-structures test.
+    /// Exact leaf bounds test with per-dimension early exit. The per-axis
+    /// gaps and their accumulation order match
+    /// [`fdbscan_geom::Aabb::dist_sq`] exactly (and `f32` addition of
+    /// non-negatives is monotone), so the accept/reject decision is
+    /// bit-identical to it.
     #[inline]
     fn leaf_within<C: QueryCenter<D>>(&self, pos: u32, center: &C, eps_sq: f32) -> bool {
-        let i = pos as usize;
+        let leaf = &self.leaf_bounds[pos as usize];
         let mut acc = 0.0f32;
         for d in 0..D {
-            let delta = center.gap(d, self.leaf_lo.dim(d)[i], self.leaf_hi.dim(d)[i]);
+            let delta = center.gap(d, leaf.min[d], leaf.max[d]);
             acc += delta * delta;
             if acc > eps_sq {
                 return false;

@@ -20,10 +20,9 @@
 //! * **Out-of-memory** steps down immediately: the footprint is a
 //!   property of the algorithm, so retrying the same level cannot help.
 //! * **Transient faults** (kernel panic, watchdog timeout, injected
-//!   faults) retry the same level up to
-//!   [`ResiliencePolicy::max_transient_retries`] times before stepping
-//!   down — a fault plan that fires at one launch ordinal will not fire
-//!   again, so the retry usually lands.
+//!   faults) retry the same level up to [`MAX_TRANSIENT_RETRIES`] times
+//!   before stepping down — a fault plan that fires at one launch
+//!   ordinal will not fire again, so the retry usually lands.
 //! * **Invalid input** (NaN, too many points) is rejected before the
 //!   first rung: no algorithm can cluster it. A rung that returns
 //!   `InvalidInput` for validated input cannot take this input (for
@@ -61,9 +60,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use fdbscan_bvh::Bvh;
 use fdbscan_device::snapshot::PipelineCheckpoint;
 use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::Point;
+use fdbscan_grid::DenseGrid;
 
 use crate::baselines::gdbscan::{gdbscan_core, GDBSCAN_ALGORITHM};
 use crate::checkpoint::{run_fingerprint, CoreSnapshot, PHASE_CORE_FLAGS, PHASE_PREPROCESS};
@@ -124,16 +125,17 @@ impl std::fmt::Display for LadderLevel {
     }
 }
 
+/// How many times a *transient* failure (panic, timeout, injected
+/// fault) retries the same level before stepping down. OOM never
+/// retries.
+pub const MAX_TRANSIENT_RETRIES: usize = 2;
+
 /// Retry/degradation policy for [`run_resilient`].
 #[derive(Clone, Copy, Debug)]
 pub struct ResiliencePolicy {
     /// The rung to start from. Defaults to [`LadderLevel::DenseBox`];
     /// [`LadderLevel::GDbscan`] opts into the quadratic-memory baseline.
     pub start: LadderLevel,
-    /// How many times a *transient* failure (panic, timeout, injected
-    /// fault) retries the same level before stepping down. OOM never
-    /// retries. Default 2.
-    pub max_transient_retries: usize,
     /// Skip levels whose pre-flight memory estimate exceeds the
     /// available budget. Default true; a no-op on unbudgeted devices.
     pub preflight: bool,
@@ -141,7 +143,7 @@ pub struct ResiliencePolicy {
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
-        Self { start: LadderLevel::DenseBox, max_transient_retries: 2, preflight: true }
+        Self { start: LadderLevel::DenseBox, preflight: true }
     }
 }
 
@@ -200,20 +202,22 @@ impl ResilienceReport {
 }
 
 /// Predicted device footprint of FDBSCAN in bytes: points, labels, core
-/// flags, and a linear BVH (`n` leaves + `n-1` internal nodes).
+/// flags, the point tree ([`Bvh::bytes_for`]) and the scratch its build
+/// leaves held in the device's buffer arena, which the run's peak counts.
 pub fn estimate_fdbscan_bytes<const D: usize>(n: usize) -> usize {
-    let point = std::mem::size_of::<Point<D>>();
-    let aabb = 2 * point;
-    let leaves = n * (aabb + 4 + 4); // leaf bounds + payload + position
-    let internals = n.saturating_sub(1) * (aabb + 16 + 8); // bounds + children + range
-    n * point + n * 4 + n.div_ceil(8) + leaves + internals
+    let resident = n * std::mem::size_of::<Point<D>>() + n * 4 + n.div_ceil(8);
+    resident + Bvh::<D>::bytes_for(n) + Bvh::<D>::build_scratch_bytes(n)
 }
 
-/// Predicted device footprint of FDBSCAN-DenseBox in bytes: FDBSCAN's
-/// structures plus the dense grid (sorted ids, cell table, point→cell
-/// map). The mixed-primitive tree is never larger than the point tree.
+/// Predicted device footprint of FDBSCAN-DenseBox in bytes, an upper
+/// bound: FDBSCAN's with an `n`-leaf tree, plus a grid of one cell per
+/// point and its build scratch. The mixed-primitive tree shrinks with
+/// the dense fraction, which is unknown before the grid is built, and
+/// its build may recycle the grid's scratch.
 pub fn estimate_densebox_bytes<const D: usize>(n: usize) -> usize {
-    estimate_fdbscan_bytes::<D>(n) + n * 16
+    estimate_fdbscan_bytes::<D>(n)
+        + DenseGrid::<D>::bytes_for(n, n)
+        + DenseGrid::<D>::build_scratch_bytes(n)
 }
 
 /// Predicted device footprint of G-DBSCAN in bytes: points, CSR
@@ -373,7 +377,7 @@ pub fn run_resilient<const D: usize>(
                     if fatal {
                         return Err(err);
                     }
-                    if transient && retries < policy.max_transient_retries {
+                    if transient && retries < MAX_TRANSIENT_RETRIES {
                         retries += 1;
                         let done = ckpt.as_ref().map_or(0, PipelineCheckpoint::len);
                         note(format_args!(
@@ -463,6 +467,8 @@ mod tests {
     use super::*;
     use crate::labels::assert_core_equivalent;
     use crate::verify::assert_valid_clustering;
+    use fdbscan_data::cosmology::default_snapshot;
+    use fdbscan_data::Dataset2;
     use fdbscan_device::{DeviceConfig, FaultPlan};
     use fdbscan_geom::Point2;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -769,6 +775,41 @@ mod tests {
         let points = vec![Point2::new([0.0, 0.0]); 2000];
         let g_est = estimate_gdbscan_bytes(&points, 1.0);
         assert!(g_est > 4 * est, "dense-blob graph estimate {g_est} should dwarf {est}");
+    }
+
+    #[test]
+    fn estimates_cover_the_measured_peaks() {
+        // FDBSCAN's estimate sizes what its run holds, the arena scratch
+        // of its tree build included; DenseBox's is an n-leaf upper
+        // bound. Peaks are read on a fresh sequential device per run.
+        fn ratios<const D: usize>(points: &[Point<D>], params: Params) -> (f64, f64) {
+            let peak = |densebox: bool| {
+                let device = Device::new(DeviceConfig::sequential());
+                let run = if densebox { crate::fdbscan_densebox } else { crate::fdbscan };
+                run(&device, points, params).unwrap().1.peak_memory_bytes as f64
+            };
+            let n = points.len();
+            (
+                estimate_fdbscan_bytes::<D>(n) as f64 / peak(false),
+                estimate_densebox_bytes::<D>(n) as f64 / peak(true),
+            )
+        }
+        for n in [2_000, 8_000] {
+            let cosmo_eps = 0.042 * (36.9e6 / n as f32).cbrt();
+            for (name, (fdbscan, densebox)) in [
+                ("taxi", ratios(&Dataset2::PortoTaxi.generate(n, 1), Params::new(0.01, 20))),
+                ("cosmo", ratios(&default_snapshot(n, 1), Params::new(cosmo_eps, 5))),
+            ] {
+                assert!(
+                    (1.0..=1.25).contains(&fdbscan),
+                    "{name}-{n}: FDBSCAN estimate is {fdbscan:.3}x its peak"
+                );
+                assert!(
+                    densebox >= 1.0,
+                    "{name}-{n}: DenseBox estimate is {densebox:.3}x its peak"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`morton`] — Morton (Z-order) codes used to linearize points for the
 //!   Karras BVH construction and for dense-grid cell keys,
 //! * [`SoaPoints`] — structure-of-arrays point storage with one
-//!   contiguous slice per dimension, the coalescing-friendly layout the
-//!   distance kernels stride through,
+//!   contiguous slice per dimension, the coalescing-friendly layout
+//!   G-DBSCAN's distance scans and the Morton keygen stride through,
 //! * [`simd`] — explicit lane-width (8 × f32) distance kernels over the
 //!   SoA slices, bit-identical to the scalar accept set, for the
 //!   threaded device backend's inner loops,

@@ -21,11 +21,6 @@ pub struct SoaPoints<const D: usize> {
 }
 
 impl<const D: usize> SoaPoints<D> {
-    /// An empty container.
-    pub fn new() -> Self {
-        Self { data: Vec::new(), len: 0 }
-    }
-
     /// Transposes an array-of-structures slice into dimension-major form.
     pub fn from_points(points: &[Point<D>]) -> Self {
         let len = points.len();
@@ -38,17 +33,6 @@ impl<const D: usize> SoaPoints<D> {
         if len == 0 {
             data.clear();
         }
-        Self { data, len }
-    }
-
-    /// Wraps a buffer that is already dimension-major
-    /// (`data[d * len + i]` = coordinate `d` of point `i`), e.g. one
-    /// filled in place by a device kernel.
-    ///
-    /// # Panics
-    /// Panics unless `data.len() == D * len`.
-    pub fn from_dim_major(data: Vec<f32>, len: usize) -> Self {
-        assert_eq!(data.len(), D * len, "dimension-major buffer has wrong length");
         Self { data, len }
     }
 
@@ -71,26 +55,11 @@ impl<const D: usize> SoaPoints<D> {
         &self.data[d * self.len..(d + 1) * self.len]
     }
 
-    /// Coordinate `d` of point `i`.
-    #[inline]
-    pub fn coord(&self, d: usize, i: usize) -> f32 {
-        debug_assert!(d < D && i < self.len);
-        self.data[d * self.len + i]
-    }
-
     /// Reassembles point `i` (for callers that need the AoS view back).
     #[inline]
     pub fn get(&self, i: usize) -> Point<D> {
-        let mut coords = [0.0f32; D];
-        for (d, c) in coords.iter_mut().enumerate() {
-            *c = self.coord(d, i);
-        }
-        Point::new(coords)
-    }
-
-    /// Bytes of heap storage held.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<f32>()
+        debug_assert!(i < self.len);
+        Point::new(std::array::from_fn(|d| self.data[d * self.len + i]))
     }
 }
 
@@ -125,8 +94,8 @@ mod tests {
             (0..17).map(|i| Point::new([i as f32, -(i as f32), 0.5 * i as f32])).collect();
         let soa = SoaPoints::from_points(&pts);
         for (i, p) in pts.iter().enumerate() {
+            assert_eq!(&soa.get(i), p);
             for d in 0..3 {
-                assert_eq!(soa.coord(d, i), p[d]);
                 assert_eq!(soa.dim(d)[i], p[d]);
             }
         }
@@ -138,6 +107,5 @@ mod tests {
         let soa = SoaPoints::from_points(&pts);
         assert_eq!(soa.dim(0).len(), 5);
         assert_eq!(soa.dim(1).len(), 5);
-        assert!(soa.memory_bytes() >= 10 * std::mem::size_of::<f32>());
     }
 }

@@ -19,6 +19,12 @@
 //!    scan the marks to number the non-empty cells, record each cell's
 //!    start offset, and classify cells with `count >= minpts` as dense.
 //!
+//! The directory is the sorted ids plus, per non-empty cell, its start,
+//! key and dense flag; no per-point cell map is kept. A cell's members
+//! are a slice of the sorted ids ([`DenseGrid::cell_members`]), and the
+//! cell at given coordinates is a binary search over the keys
+//! ([`DenseGrid::find_cell`]).
+//!
 //! Together with the scene-bounds and dense-census reductions the whole
 //! build is four kernel launches, and its scratch is checked out of the
 //! device's [`fdbscan_device::BufferArena`] so repeated builds reuse it.
@@ -42,8 +48,9 @@
 //! let grid = DenseGrid::build(&device, &points, 0.5, 5);
 //! assert_eq!(grid.num_cells(), 2);
 //! assert_eq!(grid.num_dense_cells(), 1);
-//! assert!(grid.point_in_dense_cell(0));
-//! assert!(!grid.point_in_dense_cell(10));
+//! // Cells are numbered in key order: the stack's cell is dense.
+//! assert!(grid.cell_members(0).contains(&0) && grid.is_dense(0));
+//! assert_eq!((grid.cell_members(1), grid.is_dense(1)), (&[10][..], false));
 //!
 //! let mixed = grid.mixed_primitives(&points);
 //! assert_eq!(mixed.refs.len(), 2); // one box + one isolated point
@@ -115,16 +122,12 @@ pub struct DenseGrid<const D: usize> {
     cell_starts: Vec<u32>,
     /// Sorted cell key of each non-empty cell.
     cell_keys: Vec<u64>,
-    /// Non-empty-cell index of every point (indexed by point id).
-    point_cell: Vec<u32>,
     /// Whether each non-empty cell is dense (`count >= minpts`).
     dense: Vec<bool>,
     /// Number of dense cells.
     num_dense: usize,
     /// Number of points living in dense cells.
     points_in_dense: usize,
-    /// The minpts threshold the grid was classified with.
-    minpts: usize,
 }
 
 impl<const D: usize> DenseGrid<D> {
@@ -220,11 +223,9 @@ impl<const D: usize> DenseGrid<D> {
                 sorted_ids: Vec::new(),
                 cell_starts: vec![0],
                 cell_keys: Vec::new(),
-                point_cell: Vec::new(),
                 dense: Vec::new(),
                 num_dense: 0,
                 points_in_dense: 0,
-                minpts,
             });
         }
 
@@ -292,18 +293,16 @@ impl<const D: usize> DenseGrid<D> {
         let mut total_slot = arena.take::<u64>(1)?;
         let mut cell_starts = vec![0u32; n + 1];
         let mut cell_keys = vec![0u64; n];
-        let mut point_cell = vec![0u32; n];
         let mut dense = vec![false; n];
         {
             let head_view = SharedMut::new(&mut head[..]);
             let total_view = SharedMut::new(&mut total_slot[..]);
             let starts_view = SharedMut::new(&mut cell_starts);
             let keys_out_view = SharedMut::new(&mut cell_keys);
-            let point_cell_view = SharedMut::new(&mut point_cell);
             let dense_view = SharedMut::new(&mut dense);
             let (head_view, total_view) = (&head_view, &total_view);
             let (starts_view, keys_out_view) = (&starts_view, &keys_out_view);
-            let (point_cell_view, dense_view) = (&point_cell_view, &dense_view);
+            let dense_view = &dense_view;
             let keys_ref: &[u64] = &sorted_keys;
             let ids_ref: &[u32] = &sorted_ids;
             device.try_batch_named(
@@ -331,26 +330,20 @@ impl<const D: usize> DenseGrid<D> {
                         unsafe { total_view.write(0, acc) };
                     }),
                     BatchStage::new("grid.segment", n, move |i| {
-                        // After the exclusive scan, position i holds the
-                        // number of heads strictly before i: for a head that
-                        // is its own cell index; for an interior position it
-                        // also counts the segment's own head, hence the -1.
-                        let is_head = i == 0 || keys_ref[i] != keys_ref[i - 1];
-                        // SAFETY: heads write disjoint cells; every i owns
-                        // point_cell[ids[i]] because ids is a permutation;
-                        // thread 0 alone writes the sentinel start.
+                        // After the exclusive scan, a head's position holds
+                        // the number of heads strictly before it: its own
+                        // cell index.
+                        // SAFETY: heads write disjoint cells; thread 0
+                        // alone writes the sentinel start.
                         unsafe {
-                            let cell =
-                                (if is_head { head_view.read(i) } else { head_view.read(i) - 1 })
-                                    as u32;
-                            if is_head {
-                                starts_view.write(cell as usize, i as u32);
-                                keys_out_view.write(cell as usize, keys_ref[i]);
+                            if i == 0 || keys_ref[i] != keys_ref[i - 1] {
+                                let cell = head_view.read(i) as usize;
+                                starts_view.write(cell, i as u32);
+                                keys_out_view.write(cell, keys_ref[i]);
                             }
                             if i == 0 {
                                 starts_view.write(total_view.read(0) as usize, n as u32);
                             }
-                            point_cell_view.write(ids_ref[i] as usize, cell);
                         }
                     }),
                     // One thread per potential cell; threads past the scan
@@ -405,22 +398,10 @@ impl<const D: usize> DenseGrid<D> {
             sorted_ids,
             cell_starts,
             cell_keys,
-            point_cell,
             dense,
             num_dense,
             points_in_dense,
-            minpts,
         })
-    }
-
-    /// Cell edge length.
-    pub fn cell_len(&self) -> f32 {
-        self.cell_len
-    }
-
-    /// The grid origin (scene minimum corner).
-    pub fn origin(&self) -> Point<D> {
-        self.origin
     }
 
     /// Integer cell coordinates of a point.
@@ -438,11 +419,6 @@ impl<const D: usize> DenseGrid<D> {
     pub fn find_cell(&self, coords: [u64; D]) -> Option<u32> {
         let key = morton::interleave(coords);
         self.cell_keys.binary_search(&key).ok().map(|i| i as u32)
-    }
-
-    /// The minpts threshold used for dense classification.
-    pub fn minpts(&self) -> usize {
-        self.minpts
     }
 
     /// Number of non-empty cells.
@@ -469,22 +445,10 @@ impl<const D: usize> DenseGrid<D> {
         }
     }
 
-    /// Non-empty-cell index containing point `id`.
-    #[inline]
-    pub fn cell_of_point(&self, id: u32) -> u32 {
-        self.point_cell[id as usize]
-    }
-
     /// Whether non-empty cell `c` is dense.
     #[inline]
     pub fn is_dense(&self, c: u32) -> bool {
         self.dense[c as usize]
-    }
-
-    /// Whether point `id` lives in a dense cell.
-    #[inline]
-    pub fn point_in_dense_cell(&self, id: u32) -> bool {
-        self.dense[self.point_cell[id as usize] as usize]
     }
 
     /// The point ids of non-empty cell `c` (a contiguous slice).
@@ -539,13 +503,27 @@ impl<const D: usize> DenseGrid<D> {
         MixedPrimitives { bounds, refs }
     }
 
-    /// Approximate device-memory footprint in bytes.
+    /// Approximate device-memory footprint in bytes:
+    /// [`DenseGrid::bytes_for`] its point and cell counts.
     pub fn memory_bytes(&self) -> usize {
-        self.sorted_ids.len() * 4
-            + self.cell_starts.len() * 4
-            + self.cell_keys.len() * 8
-            + self.point_cell.len() * 4
-            + self.dense.len()
+        Self::bytes_for(self.sorted_ids.len(), self.num_cells())
+    }
+
+    /// Device bytes of a grid over `points` points in `cells` non-empty
+    /// cells: the sorted ids, and per cell its start (plus the end
+    /// sentinel), key and dense flag.
+    pub fn bytes_for(points: usize, cells: usize) -> usize {
+        points * 4 + (cells + 1) * 4 + cells * (8 + 1)
+    }
+
+    /// Device bytes a build over `points` points checks out of the
+    /// device's buffer arena, which stay held there after it: the sorted
+    /// keys, the head flags, the cell count and the sort's scratch.
+    pub fn build_scratch_bytes(points: usize) -> usize {
+        match points {
+            0 => 0,
+            n => 2 * n * 8 + 8 + fdbscan_psort::fused_scratch_bytes(n),
+        }
     }
 }
 
@@ -566,11 +544,9 @@ impl<const D: usize> fdbscan_device::Checkpointable for DenseGrid<D> {
             ("sorted_ids", snap::u32s_to_json(&self.sorted_ids)),
             ("cell_starts", snap::u32s_to_json(&self.cell_starts)),
             ("cell_keys", snap::u64s_to_json(&self.cell_keys)),
-            ("point_cell", snap::u32s_to_json(&self.point_cell)),
             ("dense", snap::bools_to_json(&self.dense)),
             ("num_dense", Json::U64(self.num_dense as u64)),
             ("points_in_dense", Json::U64(self.points_in_dense as u64)),
-            ("minpts", Json::U64(self.minpts as u64)),
         ])
     }
 }
@@ -691,8 +667,11 @@ mod tests {
         assert!(grid.num_cells() >= 2);
         assert_eq!(grid.num_dense_cells(), 1);
         assert_eq!(grid.points_in_dense_cells(), 10);
-        assert!(grid.point_in_dense_cell(0));
-        assert!(!grid.point_in_dense_cell(10));
+        for c in 0..grid.num_cells() as u32 {
+            let members = grid.cell_members(c);
+            assert_eq!(grid.is_dense(c), members.contains(&0), "cell {c}: {members:?}");
+            assert_eq!(members.contains(&10), members == [10], "cell {c}: {members:?}");
+        }
     }
 
     #[test]
@@ -707,7 +686,6 @@ mod tests {
             for &id in grid.cell_members(c) {
                 assert!(!seen[id as usize], "point {id} in two cells");
                 seen[id as usize] = true;
-                assert_eq!(grid.cell_of_point(id), c);
             }
         }
         assert!(seen.iter().all(|&s| s));
@@ -776,7 +754,6 @@ mod tests {
             } else {
                 let id = r.index() as usize;
                 assert!(!covered[id]);
-                assert!(!grid.point_in_dense_cell(r.index()));
                 covered[id] = true;
             }
         }

@@ -42,5 +42,5 @@
 pub mod radix;
 pub mod scan;
 
-pub use radix::{sort_by_key_fused, sort_pairs, sort_pairs_in};
+pub use radix::{fused_scratch_bytes, sort_by_key_fused, sort_pairs, sort_pairs_in};
 pub use scan::exclusive_scan;

@@ -120,6 +120,17 @@ pub fn sort_pairs_in(
     Ok(())
 }
 
+/// Bytes of device scratch [`sort_by_key_fused`] checks out of the
+/// arena for `n` elements: two `u64` key and two `u32` value buffers,
+/// none below the sequential threshold.
+pub fn fused_scratch_bytes(n: usize) -> usize {
+    if n < SEQUENTIAL_THRESHOLD {
+        0
+    } else {
+        2 * n * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+    }
+}
+
 /// Stable radix sort over *virtual* pairs `(keygen(i), i)` for `i` in
 /// `0..n`, delivered through `emit` instead of materialised arrays.
 ///

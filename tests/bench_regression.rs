@@ -1,14 +1,14 @@
 //! Bench-regression gate: the hot-path work counters (kernel launches,
-//! distance computations, BVH node visits) must stay within 5% of the
-//! checked-in `BENCH_hotpaths.json` baseline, in both directions. A
-//! counter that falls more than 5% also fails: a baseline left stale
-//! after a drop would otherwise accept a later regression back to the
-//! old level.
+//! distance computations, BVH node visits) and each run's peak device
+//! memory must stay within 5% of the checked-in `BENCH_hotpaths.json`
+//! baseline, in both directions. A value that falls more than 5% also
+//! fails: a baseline left stale after a drop would otherwise accept a
+//! later regression back to the old level.
 //!
-//! The matrix re-runs here on a **sequential** device, so the fresh
-//! counters are exactly reproducible and the 5% headroom is purely for
-//! intentional drift (e.g. a dataset generator tweak), not scheduling
-//! noise.
+//! The matrix re-runs here on a **sequential** device, one fresh device
+//! per case, so the fresh values are exactly reproducible and the 5%
+//! headroom is purely for intentional drift (e.g. a dataset generator
+//! tweak), not scheduling noise.
 //!
 //! On a legitimate change (an optimization that lowers work, or an
 //! accepted cost increase), regenerate and commit the baseline with it:

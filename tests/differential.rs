@@ -2,8 +2,8 @@
 //! family, must produce a clustering label-isomorphic to the sequential
 //! O(n²) oracle (Algorithm 1).
 //!
-//! This is the lock on the hot-path work (stackless traversal, SoA leaf
-//! tests, fused kernels): any behavioral drift in the optimized paths
+//! This is the lock on the hot-path work (stackless traversal, early-exit
+//! leaf tests, fused kernels): any behavioral drift in the optimized paths
 //! shows up here as a divergence from the oracle, with the failing
 //! family/seed/parameters printed so the case replays exactly.
 //!
@@ -20,7 +20,10 @@
 //!   queries and cell-pair tests in three dimensions.
 //!
 //! A fixed ε-boundary layout pins the DenseBox paths that connect two
-//! dense cells, and a dense cell and a border point, at exactly ε.
+//! dense cells, and a dense cell and a border point, at exactly ε. Pairs
+//! at random offsets pin the `f32` accept decision itself: each pair
+//! runs at the smallest ε whose square reaches its `dist_sq`, and one
+//! ulp below.
 //!
 //! `FDBSCAN_DIFF_SEED` offsets the proptest dataset seeds so CI can
 //! sweep several independent batches.
@@ -311,6 +314,72 @@ fn minpts_equal_to_n_and_one_above() {
         let params = Params::new(1.0, minpts);
         assert_eq!(oracle_counts(&points, params), expected, "{name}");
         check_case(name, 0, &points, params);
+    }
+}
+
+/// The smallest `eps` whose `f32` square is at least `dist_sq`.
+fn smallest_eps_reaching(dist_sq: f32) -> f32 {
+    let down = |eps: f32| f32::from_bits(eps.to_bits() - 1);
+    let mut eps = dist_sq.sqrt();
+    while eps * eps < dist_sq {
+        eps = f32::from_bits(eps.to_bits() + 1);
+    }
+    while down(eps) * down(eps) >= dist_sq {
+        eps = down(eps);
+    }
+    eps
+}
+
+/// A pair `delta` apart at `offset`, at the smallest `eps` whose square
+/// reaches the pair's `dist_sq` (one cluster of two cores) and one ulp
+/// below it (two noise points), on every algorithm and backend.
+fn check_pair_at_eps_boundary<const D: usize>(seed: u64, offset: [f32; D], delta: [f32; D]) {
+    let p = Point::new(offset);
+    let q = Point::new(std::array::from_fn(|d| offset[d] + delta[d]));
+    let dist_sq = p.dist_sq(&q);
+    assert!(dist_sq > 0.0, "pair collapsed: {p:?} {q:?}");
+    let at = smallest_eps_reaching(dist_sq);
+    let below = f32::from_bits(at.to_bits() - 1);
+    let points = [p, q];
+    for (name, eps, expected) in
+        [("eps-reaches-pair", at, (1, 0, 2)), ("eps-one-ulp-short", below, (0, 2, 0))]
+    {
+        let params = Params::new(eps, 2);
+        assert_eq!(oracle_counts(&points, params), expected, "{name} {p:?} {q:?} eps {eps}");
+        check_case(name, seed, &points, params);
+    }
+}
+
+/// A random pair in `D` dimensions: offset up to 1e4 from the origin on
+/// each axis, length 1e-2..1e2, along one axis (its `dist_sq` is an
+/// exact `f32` square, so the pair lies exactly at the upper eps), along
+/// a diagonal (both points can fill one DenseBox cell and reach its
+/// corner check), or in any direction.
+fn random_pair<const D: usize>(rng: &mut StdRng) -> ([f32; D], [f32; D]) {
+    let offset = std::array::from_fn(|_| rng.gen_range(-1e4f32..1e4));
+    let length = 10f32.powf(rng.gen_range(-2.0f32..2.0));
+    let sign = |rng: &mut StdRng| if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    let direction: [f32; D] = match rng.gen_range(0..3) {
+        0 => {
+            let axis = rng.gen_range(0..D);
+            std::array::from_fn(|d| if d == axis { sign(rng) } else { 0.0 })
+        }
+        1 => std::array::from_fn(|_| sign(rng)),
+        _ => std::array::from_fn(|_| rng.gen_range(-1.0f32..1.0)),
+    };
+    let norm = direction.iter().map(|c| c * c).sum::<f32>().sqrt().max(f32::MIN_POSITIVE);
+    (offset, direction.map(|c| c / norm * length))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn pairs_one_ulp_either_side_of_eps_squared_at_random_offsets(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(offset_seed(seed));
+        let (offset, delta) = random_pair::<2>(&mut rng);
+        check_pair_at_eps_boundary(seed, offset, delta);
+        let (offset, delta) = random_pair::<3>(&mut rng);
+        check_pair_at_eps_boundary(seed, offset, delta);
     }
 }
 
