@@ -71,7 +71,6 @@
 pub mod build;
 pub mod knn;
 pub mod node;
-pub mod snapshot;
 pub mod traverse;
 
 pub use node::{NodeRef, LEAF_FLAG};
@@ -80,7 +79,11 @@ pub use traverse::QueryStats;
 use fdbscan_geom::Aabb;
 
 /// A linear bounding volume hierarchy over `n` boxed primitives.
-#[derive(Debug, Clone)]
+///
+/// A built tree is a checkpointable phase output (`Clone + Hash`): an
+/// index phase restored from a checkpoint clones it, ropes included,
+/// instead of rebuilding.
+#[derive(Debug, Clone, Hash)]
 pub struct Bvh<const D: usize> {
     /// Bounds of internal node `i` (len `n - 1`, empty when `n < 2`).
     pub(crate) internal_bounds: Vec<Aabb<D>>,
@@ -172,5 +175,47 @@ impl<const D: usize> Bvh<D> {
     pub fn build_scratch_bytes(leaves: usize) -> usize {
         let internal = leaves.saturating_sub(1);
         leaves * 8 + fdbscan_psort::fused_scratch_bytes(leaves) + internal * 3 * 4
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fdbscan_device::{Device, DeviceConfig, PipelineCheckpoint};
+    use fdbscan_geom::{Aabb, Point};
+
+    use super::*;
+
+    fn hash(bvh: &Bvh<2>) -> u64 {
+        let mut ckpt = PipelineCheckpoint::new("fdbscan");
+        ckpt.record("index", bvh);
+        ckpt.phase_hash("index").unwrap()
+    }
+
+    fn ulp(x: &mut f32) {
+        *x = f32::from_bits(x.to_bits() + 1);
+    }
+
+    #[test]
+    fn phase_hash_sees_every_tree_value() {
+        // A lattice with the origin in it: some leaf bound holds a 0.0.
+        let bounds: Vec<Aabb<2>> = (0..40)
+            .map(|i| Aabb::from_point(Point::new([(i % 8) as f32 * 0.5, (i / 8) as f32 * 0.5])))
+            .collect();
+        let build = || Bvh::build(&Device::new(DeviceConfig::sequential()), &bounds);
+        let bvh = build();
+        let base = hash(&bvh);
+        assert_eq!(hash(&build()), base, "equal trees hash equal");
+        let zero = bvh.leaf_bounds.iter().position(|b| b.min.coords[0] == 0.0).unwrap();
+        let changed = |what: &str, change: &dyn Fn(&mut Bvh<2>)| {
+            let mut tree = bvh.clone();
+            change(&mut tree);
+            assert_ne!(hash(&tree), base, "{what}");
+        };
+        changed("leaf bound one ulp", &|t| ulp(&mut t.leaf_bounds[3].max.coords[1]));
+        changed("leaf bound -0.0", &|t| t.leaf_bounds[zero].min.coords[0] = -0.0);
+        changed("internal bound one ulp", &|t| ulp(&mut t.internal_bounds[0].min.coords[0]));
+        changed("one payload", &|t| t.leaf_payload.swap(0, 1));
+        changed("one child", &|t| t.children[0].swap(0, 1));
+        changed("one rope", &|t| t.leaf_skip[0] = NodeRef::NONE);
     }
 }

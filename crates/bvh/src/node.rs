@@ -8,7 +8,7 @@ pub const LEAF_FLAG: u32 = 1 << 31;
 /// Internal nodes are indexed `0..n-1`; leaves `0..n` with the high bit
 /// set. 31 bits of index bound the tree to 2³¹ primitives, matching the
 /// `u32` label arrays used everywhere else.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(transparent)]
 pub struct NodeRef(pub u32);
 

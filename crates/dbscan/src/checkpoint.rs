@@ -21,17 +21,17 @@
 //! * an algorithm or fingerprint mismatch resets the checkpoint: stale
 //!   state is discarded, never resumed.
 //!
-//! The artifacts' JSON encodings feed only phase hashes and the saved
-//! checkpoint file; nothing decodes them.
+//! Every artifact is a plain value: `Clone` freezes it into the
+//! checkpoint and `Hash` gives the manifest its phase content hash.
 
-use fdbscan_device::json::Json;
-use fdbscan_device::snapshot::{self as snap, bools_to_json, u32s_to_json, u64s_to_json};
-use fdbscan_device::{Checkpointable, Device, PipelineCheckpoint, RunManifest};
+use std::hash::{Hash, Hasher};
+
+use fdbscan_device::snapshot::Fnv1a;
+use fdbscan_device::{Device, PipelineCheckpoint, RunManifest};
 use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::framework::CoreFlags;
-use crate::labels::{Clustering, PointClass};
 use crate::Params;
 
 /// Phase name: search-index construction (BVH / grid / CSR graph).
@@ -53,16 +53,8 @@ pub const PHASE_CORE_FLAGS: &str = "core_flags";
 /// status depends only on `(points, eps, minpts)`, so the resilient
 /// ladder hands it from a failed rung to the next one (see
 /// [`crate::resilient`]).
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 pub struct CoreSnapshot(pub CoreFlags);
-
-impl Checkpointable for CoreSnapshot {
-    const KIND: &'static str = "dbscan.core_flags";
-
-    fn to_snapshot(&self) -> Json {
-        bools_to_json(&self.0.to_vec())
-    }
-}
 
 /// Union-find state + core flags at the end of the main phase, held
 /// live so the phase hands its artifact on without copying. Core flags
@@ -84,14 +76,11 @@ impl Clone for LabelState {
     }
 }
 
-impl Checkpointable for LabelState {
-    const KIND: &'static str = "dbscan.label_state";
-
-    fn to_snapshot(&self) -> Json {
-        Json::obj([
-            ("labels", u32s_to_json(&self.labels.snapshot())),
-            ("core", bools_to_json(&self.core.to_vec())),
-        ])
+/// Hashes what a clone freezes: the parents as they are now and the
+/// core flags.
+impl Hash for LabelState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.labels.snapshot(), &self.core).hash(state);
     }
 }
 
@@ -99,7 +88,7 @@ impl Checkpointable for LabelState {
 /// BVH over the mixed primitive set. The mixed primitive *references*
 /// are not stored — they are a deterministic O(n) host-side function of
 /// `(grid, points)` and are recomputed on restore.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct DenseIndex<const D: usize> {
     /// The dense-cell grid.
     pub grid: fdbscan_grid::DenseGrid<D>,
@@ -107,18 +96,10 @@ pub struct DenseIndex<const D: usize> {
     pub bvh: fdbscan_bvh::Bvh<D>,
 }
 
-impl<const D: usize> Checkpointable for DenseIndex<D> {
-    const KIND: &'static str = "densebox.index";
-
-    fn to_snapshot(&self) -> Json {
-        Json::obj([("grid", self.grid.to_snapshot()), ("bvh", self.bvh.to_snapshot())])
-    }
-}
-
 /// G-DBSCAN's index phase output: the CSR adjacency graph plus the core
 /// flags derived from the degree pass (computed *before* the edge-list
 /// reservation, so they survive the OOM that kills G-DBSCAN at scale).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct CsrGraph {
     /// CSR segment offsets (`len = n + 1`).
     pub offsets: Vec<u64>,
@@ -128,21 +109,9 @@ pub struct CsrGraph {
     pub core: Vec<bool>,
 }
 
-impl Checkpointable for CsrGraph {
-    const KIND: &'static str = "gdbscan.graph";
-
-    fn to_snapshot(&self) -> Json {
-        Json::obj([
-            ("offsets", u64s_to_json(&self.offsets)),
-            ("adjacency", u32s_to_json(&self.adjacency)),
-            ("core", bools_to_json(&self.core)),
-        ])
-    }
-}
-
 /// G-DBSCAN's main phase output: per-point cluster labels (`u32::MAX`
 /// for unlabeled) and the number of clusters the BFS discovered.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct BfsLabels {
     /// Cluster id per point, `u32::MAX` when unlabeled.
     pub labels: Vec<u32>,
@@ -150,21 +119,10 @@ pub struct BfsLabels {
     pub num_clusters: u32,
 }
 
-impl Checkpointable for BfsLabels {
-    const KIND: &'static str = "gdbscan.bfs_labels";
-
-    fn to_snapshot(&self) -> Json {
-        Json::obj([
-            ("labels", u32s_to_json(&self.labels)),
-            ("num_clusters", Json::U64(self.num_clusters as u64)),
-        ])
-    }
-}
-
 /// CUDA-DClust's main phase output: the chain id of every point
 /// (`u32::MAX` for unchained), the resolved chain → cluster map, and
 /// the cluster count.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct ChainState {
     /// Chain id per point, `u32::MAX` when unchained.
     pub chain_of: Vec<u32>,
@@ -174,80 +132,34 @@ pub struct ChainState {
     pub num_clusters: u32,
 }
 
-impl Checkpointable for ChainState {
-    const KIND: &'static str = "cudadclust.chains";
-
-    fn to_snapshot(&self) -> Json {
-        Json::obj([
-            ("chain_of", u32s_to_json(&self.chain_of)),
-            ("cluster_of_chain", u32s_to_json(&self.cluster_of_chain)),
-            ("num_clusters", Json::U64(self.num_clusters as u64)),
-        ])
-    }
-}
-
-/// A finished clustering checkpoints as its three output arrays; the
-/// finalize phase of a fully completed run restores it without
-/// launching anything.
-impl Checkpointable for Clustering {
-    const KIND: &'static str = "dbscan.clustering";
-
-    fn to_snapshot(&self) -> Json {
-        let classes: Vec<u32> = self
-            .classes
-            .iter()
-            .map(|c| match c {
-                PointClass::Core => 0,
-                PointClass::Border => 1,
-                PointClass::Noise => 2,
-            })
-            .collect();
-        Json::obj([
-            ("assignments", snap::i64s_to_json(&self.assignments)),
-            ("num_clusters", Json::U64(self.num_clusters as u64)),
-            ("classes", u32s_to_json(&classes)),
-        ])
-    }
-}
-
-/// FNV-1a hash of the run input: dimensionality, point coordinates (raw
-/// bits), `eps` (raw bits) and `minpts`. Two runs share a fingerprint
-/// exactly when a checkpoint of one is resumable by the other (modulo
-/// the algorithm name, which the checkpoint carries separately).
+/// FNV-1a hash ([`Fnv1a`]) of the run input: dimensionality, `eps`
+/// (raw bits), `minpts` and the point coordinates (raw bits). Two runs
+/// share a fingerprint exactly when a checkpoint of one is resumable by
+/// the other (modulo the algorithm name, which the checkpoint carries
+/// separately). Only the checks that need an input identity compute it:
+/// [`checkpoint_for`], the `*_run_from` entry points and
+/// [`build_manifest`].
 pub fn run_fingerprint<const D: usize>(points: &[Point<D>], params: Params) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    feed(D as u64);
-    feed(points.len() as u64);
-    feed(params.eps.to_bits() as u64);
-    feed(params.minpts as u64);
-    for p in points {
-        for axis in 0..D {
-            feed(p.coords[axis].to_bits() as u64);
-        }
-    }
-    hash
+    let mut hash = Fnv1a::default();
+    (D, params.eps.to_bits(), params.minpts, points).hash(&mut hash);
+    hash.finish()
 }
 
-/// Creates an empty checkpoint for `algorithm` over this input —
-/// the way callers (and the resilient ladder) obtain a checkpoint whose
-/// identity matches what the `run_from` entry points expect.
+/// Creates an empty checkpoint for `algorithm` over this input — the
+/// way callers obtain a checkpoint whose identity matches what the
+/// `run_from` entry points expect.
 pub fn checkpoint_for<const D: usize>(
     algorithm: &str,
     points: &[Point<D>],
     params: Params,
 ) -> PipelineCheckpoint {
-    PipelineCheckpoint::new(algorithm, run_fingerprint(points, params))
+    PipelineCheckpoint::for_input(algorithm, run_fingerprint(points, params))
 }
 
 /// Validates a caller-provided checkpoint against this run's identity.
-/// On algorithm or fingerprint mismatch the checkpoint is reset to
-/// empty — stale phase outputs must never leak into a different run.
+/// On algorithm or fingerprint mismatch, or a checkpoint without one,
+/// the checkpoint is reset to empty — stale phase outputs must never
+/// leak into a different run.
 pub(crate) fn prepare<const D: usize>(
     ckpt: &mut PipelineCheckpoint,
     algorithm: &str,
@@ -255,8 +167,8 @@ pub(crate) fn prepare<const D: usize>(
     params: Params,
 ) {
     let fingerprint = run_fingerprint(points, params);
-    if ckpt.algorithm() != algorithm || ckpt.fingerprint() != fingerprint {
-        *ckpt = PipelineCheckpoint::new(algorithm, fingerprint);
+    if ckpt.algorithm() != algorithm || ckpt.fingerprint() != Some(fingerprint) {
+        *ckpt = PipelineCheckpoint::for_input(algorithm, fingerprint);
     }
 }
 
@@ -291,7 +203,16 @@ pub fn build_manifest<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdbscan_device::DeviceConfig;
+    use crate::baselines::cudadclust::CUDA_DCLUST_ALGORITHM;
+    use crate::baselines::gdbscan::GDBSCAN_ALGORITHM;
+    use crate::baselines::{cuda_dclust_run_from, gdbscan_run_from};
+    use crate::densebox::DENSEBOX_ALGORITHM;
+    use crate::fdbscan_impl::FDBSCAN_ALGORITHM;
+    use crate::labels::{assert_core_equivalent, Clustering, PointClass};
+    use crate::seq::dbscan_canonical;
+    use crate::stats::RunStats;
+    use crate::{fdbscan_densebox_run_from, fdbscan_run_from};
+    use fdbscan_device::{Checkpointable, DeviceConfig, DeviceError};
     use fdbscan_geom::Point2;
 
     #[test]
@@ -325,28 +246,24 @@ mod tests {
         ckpt.record(PHASE_PREPROCESS, &CoreSnapshot(CoreFlags::from_flags(&[true])));
         prepare(&mut ckpt, "densebox", &points, Params::new(2.0, 2));
         assert!(ckpt.is_empty());
+        // No input identity (a ladder rung's): reset, then bound to this input.
+        let mut ckpt = PipelineCheckpoint::new("densebox");
+        ckpt.record(PHASE_PREPROCESS, &CoreSnapshot(CoreFlags::from_flags(&[true])));
+        prepare(&mut ckpt, "densebox", &points, params);
+        assert!(ckpt.is_empty());
+        assert_eq!(ckpt.fingerprint(), Some(run_fingerprint(&points, params)));
     }
 
-    #[test]
-    fn run_from_entry_points_reset_a_checkpoint_of_another_input() {
-        use crate::baselines::cudadclust::CUDA_DCLUST_ALGORITHM;
-        use crate::baselines::gdbscan::GDBSCAN_ALGORITHM;
-        use crate::baselines::{cuda_dclust_run_from, gdbscan_run_from};
-        use crate::densebox::DENSEBOX_ALGORITHM;
-        use crate::fdbscan_impl::FDBSCAN_ALGORITHM;
-        use crate::labels::assert_core_equivalent;
-        use crate::seq::dbscan_canonical;
-        use crate::stats::RunStats;
-        use crate::{fdbscan_densebox_run_from, fdbscan_run_from};
-        use fdbscan_device::DeviceError;
+    type RunFrom = fn(
+        &Device,
+        &[Point2],
+        Params,
+        &mut PipelineCheckpoint,
+    ) -> Result<(Clustering, RunStats), DeviceError>;
 
-        type RunFrom = fn(
-            &Device,
-            &[Point2],
-            Params,
-            &mut PipelineCheckpoint,
-        ) -> Result<(Clustering, RunStats), DeviceError>;
-        let entry_points: [(&str, RunFrom); 4] = [
+    /// Every public `*_run_from` entry point, with its algorithm tag.
+    fn entry_points() -> [(&'static str, RunFrom); 4] {
+        [
             (FDBSCAN_ALGORITHM, |d, p, params, c| {
                 fdbscan_run_from(d, p, params, Default::default(), c)
             }),
@@ -357,22 +274,98 @@ mod tests {
             (CUDA_DCLUST_ALGORITHM, |d, p, params, c| {
                 cuda_dclust_run_from(d, p, params, Default::default(), c)
             }),
-        ];
+        ]
+    }
+
+    #[test]
+    fn run_from_entry_points_reset_a_checkpoint_of_another_input() {
         let device = Device::new(DeviceConfig::sequential());
         let points = fdbscan_data::blobs::<2>(300, 3, 0.3, 10.0, 0.2, 5);
         let other = fdbscan_data::blobs::<2>(200, 4, 0.3, 10.0, 0.2, 6);
         let params = Params::new(0.4, 4);
         let oracle = dbscan_canonical(&points, params);
-        for (algorithm, run_from) in entry_points {
+        for (algorithm, run_from) in entry_points() {
             // A finished run's checkpoint: resumed, it would hand back the
             // other input's clustering without running anything.
             let mut ckpt = checkpoint_for(algorithm, &other, params);
             run_from(&device, &other, params, &mut ckpt).unwrap();
             assert!(ckpt.has_phase(PHASE_FINALIZE), "{algorithm}");
             let (got, _) = run_from(&device, &points, params, &mut ckpt).unwrap();
-            assert_eq!(ckpt.fingerprint(), run_fingerprint(&points, params), "{algorithm}");
+            assert_eq!(ckpt.fingerprint(), Some(run_fingerprint(&points, params)), "{algorithm}");
             assert_core_equivalent(&oracle, &got);
         }
+    }
+
+    #[test]
+    fn identical_runs_record_identical_phase_hashes() {
+        // Every phase output type, computed twice from scratch: the BVH,
+        // DenseBox's grid and tree, the grid alone, the CSR graph, core
+        // flags, label state, BFS labels, chains and the clustering.
+        let points = fdbscan_data::blobs::<2>(300, 3, 0.3, 10.0, 0.2, 5);
+        let params = Params::new(0.4, 4);
+        for (algorithm, run_from) in entry_points() {
+            let hashes = || {
+                let mut ckpt = checkpoint_for(algorithm, &points, params);
+                let device = Device::new(DeviceConfig::sequential());
+                run_from(&device, &points, params, &mut ckpt).unwrap();
+                ckpt.phase_hashes()
+            };
+            let first = hashes();
+            assert!(first.len() >= 3, "{algorithm}: {first:?}");
+            assert_eq!(first, hashes(), "{algorithm}");
+        }
+    }
+
+    /// The phase hash of `value`, recorded alone.
+    fn hash_of<T: Checkpointable>(value: &T) -> u64 {
+        let mut ckpt = PipelineCheckpoint::new("test");
+        ckpt.record(PHASE_MAIN, value);
+        ckpt.phase_hash(PHASE_MAIN).unwrap()
+    }
+
+    /// Asserts that `value` hashes like its clone, and unlike a clone
+    /// that `change` altered.
+    fn assert_hash_sees<T: Checkpointable>(value: &T, what: &str, change: impl FnOnce(&mut T)) {
+        let mut changed = value.clone();
+        assert_eq!(hash_of(&changed), hash_of(value), "{what}: a clone hashes equal");
+        change(&mut changed);
+        assert_ne!(hash_of(&changed), hash_of(value), "{what}");
+    }
+
+    #[test]
+    fn one_changed_element_changes_the_phase_hash() {
+        let graph = CsrGraph {
+            offsets: vec![0, 2, 3, 3],
+            adjacency: vec![1, 2, 0],
+            core: vec![true, false, false],
+        };
+        assert_hash_sees(&graph, "graph offset", |g| g.offsets[2] = 2);
+        assert_hash_sees(&graph, "graph neighbour", |g| g.adjacency[2] = 1);
+        assert_hash_sees(&graph, "graph core flag", |g| g.core[1] = true);
+        let bfs = BfsLabels { labels: vec![0, 0, u32::MAX, 1], num_clusters: 2 };
+        assert_hash_sees(&bfs, "BFS label", |b| b.labels[2] = 1);
+        assert_hash_sees(&bfs, "BFS cluster count", |b| b.num_clusters = 3);
+        let chains = ChainState {
+            chain_of: vec![0, 1, u32::MAX],
+            cluster_of_chain: vec![0, 0],
+            num_clusters: 1,
+        };
+        assert_hash_sees(&chains, "chain of a point", |c| c.chain_of[1] = 0);
+        assert_hash_sees(&chains, "cluster of a chain", |c| c.cluster_of_chain[1] = 1);
+        let clustering = Clustering {
+            assignments: vec![0, 0, -1],
+            num_clusters: 1,
+            classes: vec![PointClass::Core, PointClass::Border, PointClass::Noise],
+        };
+        assert_hash_sees(&clustering, "assignment", |c| c.assignments[2] = 0);
+        assert_hash_sees(&clustering, "class", |c| c.classes[1] = PointClass::Core);
+        let flags = [true, false, true, false];
+        let core = CoreSnapshot(CoreFlags::from_flags(&flags));
+        assert_hash_sees(&core, "core flag", |c| c.0.set(1));
+        let state =
+            LabelState { labels: AtomicLabels::new(4), core: CoreFlags::from_flags(&flags) };
+        assert_hash_sees(&state, "label", |s| assert!(s.labels.union(0, 2)));
+        assert_hash_sees(&state, "label state core flag", |s| s.core.set(3));
     }
 
     #[test]
@@ -384,7 +377,7 @@ mod tests {
         };
         state.labels.union(3, 5);
         let recorded = state.labels.snapshot();
-        let mut ckpt = PipelineCheckpoint::new("fdbscan", 1);
+        let mut ckpt = PipelineCheckpoint::new("fdbscan");
         ckpt.record(PHASE_MAIN, &state);
         let hash = ckpt.phase_hash(PHASE_MAIN);
         // What finalization does to the live artifact after recording.

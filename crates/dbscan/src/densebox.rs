@@ -39,6 +39,7 @@
 //! dense cell — the elimination the paper's §5.1 measurements attribute
 //! the (up to 16×) speedups to.
 
+use std::cell::Cell;
 use std::ops::ControlFlow;
 
 use fdbscan_bvh::{Bvh, QueryStats};
@@ -250,6 +251,13 @@ fn run_main<const D: usize>(
     })
 }
 
+thread_local! {
+    /// The filtered members of the second cell of a [`closest_pair`]
+    /// test. One buffer per thread, reused across cell queries, like
+    /// [`crate::framework`]'s held pairs.
+    static NEAR: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
+
 /// `densebox.main_fused`'s view of one run: the input, the index, the
 /// union-find state and the lazy core decisions.
 struct MainKernel<'a, const D: usize> {
@@ -320,8 +328,8 @@ impl<const D: usize> MainKernel<'_, D> {
     fn cell_query(&self, pos: u32, c: u32, tally: &mut Tally) -> QueryStats {
         let members = self.grid.cell_members(c);
         let own_box = self.bvh.leaf_bounds(pos);
-        let mut near = Vec::new();
-        self.bvh.for_each_after(pos, own_box, self.eps, |hit, payload, contained| {
+        let mut near = NEAR.take();
+        let stats = self.bvh.for_each_after(pos, own_box, self.eps, |hit, payload, contained| {
             let r = self.refs[payload as usize];
             if r.is_cell() {
                 // Both cells are core and internally joined: one member
@@ -358,7 +366,9 @@ impl<const D: usize> MainKernel<'_, D> {
                 }
             }
             ControlFlow::Continue(())
-        })
+        });
+        NEAR.set(near);
+        stats
     }
 
     /// How many neighbours of `q` the primitive `r` holds, counted no

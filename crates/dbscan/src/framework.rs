@@ -22,6 +22,7 @@
 //! `eps`) and how the pair it makes resolves (`Claimant`).
 
 use std::cell::Cell;
+use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
@@ -102,6 +103,17 @@ impl Clone for CoreFlags {
         Self {
             words: self.words.iter().map(|w| AtomicU32::new(w.load(Ordering::Relaxed))).collect(),
             len: self.len,
+        }
+    }
+}
+
+/// Hashes what a clone copies: the length and a relaxed load of each
+/// word (bits past `len` are never set).
+impl Hash for CoreFlags {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.len.hash(state);
+        for word in &self.words {
+            word.load(Ordering::Relaxed).hash(state);
         }
     }
 }

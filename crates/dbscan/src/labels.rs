@@ -4,7 +4,7 @@
 pub const NOISE: i64 = -1;
 
 /// Classification of a point under DBSCAN (paper §2.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PointClass {
     /// `|N_eps(x)| >= minpts`.
     Core,
@@ -14,8 +14,10 @@ pub enum PointClass {
     Noise,
 }
 
-/// The result of a DBSCAN run.
-#[derive(Clone, Debug, PartialEq)]
+/// The result of a DBSCAN run. It is also the finalize phase's
+/// checkpoint artifact: a fully completed run restores it without
+/// launching anything.
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Clustering {
     /// Compact cluster id per point (`0..num_clusters`), or [`NOISE`].
     pub assignments: Vec<i64>,

@@ -7,8 +7,8 @@
 //! * at the start: input validation, the memory-peak reset and the run
 //!   span. A checkpoint handed in is already this input's: the public
 //!   `*_run_from` entry points reset a caller's mismatched one
-//!   ([`crate::checkpoint::prepare`]), and the resilient ladder makes each
-//!   rung's from the fingerprint it computes once per request;
+//!   ([`crate::checkpoint::prepare`]), and the resilient ladder's rung
+//!   checkpoints never leave the request they were made for;
 //! * per phase: the phase span, restoring the phase's artifact from the
 //!   checkpoint or running the body and recording what it returns, the
 //!   work-counter delta, and the phase time, read from the phase span

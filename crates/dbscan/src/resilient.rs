@@ -52,12 +52,11 @@
 //! that the algorithms skip preprocessing entirely (Algorithm 3,
 //! line 2).
 //!
-//! The input is hashed once per request ([`crate::run_fingerprint`]):
-//! each rung's checkpoint is made from that fingerprint and handed to
-//! the rung as this input's, so no rung hashes the input again. The
-//! ladder's trace instants are formatted only when tracing is on.
+//! A rung's checkpoint never leaves the ladder, so it carries no input
+//! identity ([`PipelineCheckpoint::new`]) and a request hashes none of
+//! its input. The ladder's trace instants are formatted only when
+//! tracing is on.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use fdbscan_bvh::Bvh;
@@ -67,7 +66,7 @@ use fdbscan_geom::Point;
 use fdbscan_grid::DenseGrid;
 
 use crate::baselines::gdbscan::{gdbscan_core, GDBSCAN_ALGORITHM};
-use crate::checkpoint::{run_fingerprint, CoreSnapshot, PHASE_CORE_FLAGS, PHASE_PREPROCESS};
+use crate::checkpoint::{CoreSnapshot, PHASE_CORE_FLAGS, PHASE_PREPROCESS};
 use crate::densebox::{densebox_core, DENSEBOX_ALGORITHM};
 use crate::fdbscan_impl::{fdbscan_core, FDBSCAN_ALGORITHM};
 use crate::labels::Clustering;
@@ -278,7 +277,6 @@ pub fn run_resilient<const D: usize>(
             tracer.instant(message.to_string());
         }
     };
-    let fingerprint = run_fingerprint(points, params);
     let mut report = ResilienceReport::default();
     let mut level = Some(policy.start);
     let mut last_err = None;
@@ -332,7 +330,7 @@ pub fn run_resilient<const D: usize>(
         // Each device rung gets a checkpoint; phases completed before a
         // fault survive in it, so retries resume rather than recompute.
         let mut ckpt = l.algorithm().map(|alg| {
-            let mut c = PipelineCheckpoint::new(alg, fingerprint);
+            let mut c = PipelineCheckpoint::new(alg);
             if params.minpts > 2 {
                 if let Some(flags) = handoff.take() {
                     note(format_args!("resilient.handoff {l}: seeded core flags"));
@@ -416,9 +414,9 @@ pub fn run_resilient<const D: usize>(
     Err(last_err.expect("ladder exhausted without running a level"))
 }
 
-/// Runs one ladder level on `ckpt`, a checkpoint made for this input (the
-/// device rungs always have one), converting a panic that escapes the
-/// algorithm into [`DeviceError::KernelPanicked`].
+/// Runs one ladder level on `ckpt` (the device rungs always have one),
+/// converting a panic that escapes the algorithm into an error
+/// ([`Device::catch_panic`]).
 fn run_level<const D: usize>(
     device: &Device,
     points: &[Point<D>],
@@ -426,7 +424,7 @@ fn run_level<const D: usize>(
     level: LadderLevel,
     ckpt: Option<&mut PipelineCheckpoint>,
 ) -> Result<(Clustering, RunStats), DeviceError> {
-    let run = move || match level {
+    device.catch_panic(move || match level {
         LadderLevel::GDbscan => gdbscan_core(device, points, params, ckpt),
         LadderLevel::DenseBox => {
             densebox_core(device, points, params, Default::default(), None, ckpt)
@@ -440,26 +438,7 @@ fn run_level<const D: usize>(
             let stats = RunStats { total_time: start.elapsed(), ..Default::default() };
             Ok((clustering, stats))
         }
-    };
-    match catch_unwind(AssertUnwindSafe(run)) {
-        Ok(result) => result,
-        Err(payload) => {
-            // On a cancelled device, diagnose the panic as the
-            // cancellation, not as a (retryable) kernel panic.
-            device.check_cancelled()?;
-            let payload = if let Some(s) = payload.downcast_ref::<&'static str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(DeviceError::KernelPanicked {
-                launch: device.launches_started().saturating_sub(1),
-                payload,
-            })
-        }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -386,6 +386,27 @@ impl Device {
         }
     }
 
+    /// Runs `work`, a whole run or phase on this device, and turns a
+    /// panic escaping it into an error: the cancellation when the
+    /// attached token has fired (a cancelled request must stop, not
+    /// retry), else [`DeviceError::KernelPanicked`] at the last launch
+    /// started.
+    pub fn catch_panic<T>(
+        &self,
+        work: impl FnOnce() -> Result<T, DeviceError>,
+    ) -> Result<T, DeviceError> {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
+            Ok(result) => result,
+            Err(payload) => {
+                self.check_cancelled()?;
+                Err(DeviceError::KernelPanicked {
+                    launch: self.launches_started().saturating_sub(1),
+                    payload: pool::panic_message(payload.as_ref()),
+                })
+            }
+        }
+    }
+
     /// The typed error for the token's current state, if it has fired.
     /// `launch` is the ordinal the *next* launch would get — the one
     /// cancellation prevented.
@@ -914,6 +935,23 @@ mod tests {
         let sum = device.try_reduce_named("sum", 100, 0u64, |i| i as u64, |a, b| a + b).unwrap();
         assert_eq!(sum, 99 * 100 / 2);
         assert_eq!(device.launches_started(), 3);
+    }
+
+    #[test]
+    fn catch_panic_names_the_last_launch_or_the_cancellation() {
+        let device = Device::new(DeviceConfig::sequential());
+        device.launch(10, |_| {}); // launch 0
+        device.launch(10, |_| {}); // launch 1
+        let boom = || -> Result<(), DeviceError> { panic!("escaped {}", 7) };
+        assert_eq!(
+            device.catch_panic(boom),
+            Err(DeviceError::KernelPanicked { launch: 1, payload: "escaped 7".to_string() })
+        );
+        assert_eq!(device.catch_panic(|| Ok(3)), Ok(3));
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = device.with_cancel(token);
+        assert!(matches!(cancelled.catch_panic(boom), Err(DeviceError::Cancelled { .. })));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl LaunchProfile {
 /// Stringifies a panic payload: `&str` and `String` payloads (the
 /// overwhelmingly common cases) are preserved verbatim; anything else is
 /// reported by type only.
-fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -200,7 +200,7 @@ impl Job {
                 if let Err(panic) = result {
                     let mut slot = self.payload.lock();
                     if slot.is_none() {
-                        *slot = Some(payload_to_string(panic.as_ref()));
+                        *slot = Some(panic_message(panic.as_ref()));
                     }
                     drop(slot);
                     self.panicked.store(true, Ordering::Relaxed);
@@ -425,7 +425,7 @@ impl WorkerPool {
                 pulled += 1;
             }
             if let Err(panic) = result {
-                return Err(LaunchFailure::Panicked { payload: payload_to_string(panic.as_ref()) });
+                return Err(LaunchFailure::Panicked { payload: panic_message(panic.as_ref()) });
             }
             start = end;
         }

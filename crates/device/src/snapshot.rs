@@ -7,24 +7,24 @@
 //! a plain value that a later run over the same input can pick up
 //! instead of recomputing it. This module provides:
 //!
-//! * [`Checkpointable`] — phase outputs that can be recorded: cloneable,
-//!   tagged with a `KIND` string, and encodable as a [`Json`] tree;
+//! * [`Checkpointable`] — phase outputs that can be recorded: any
+//!   `Clone + Hash + Send + Sync + 'static` type;
 //! * [`PipelineCheckpoint`] — an ordered map of named phase outputs for
-//!   one run, held as typed in-memory values and fingerprinted against
-//!   the run's input so a stale checkpoint is never resumed against
-//!   different data;
+//!   one run, held as typed in-memory values. A checkpoint handed to a
+//!   public `run_from` entry point carries the fingerprint of the input
+//!   it was made for, so a stale one is never resumed against different
+//!   data;
+//! * [`Fnv1a`] — the one hasher behind phase content hashes, input
+//!   fingerprints and frame checksums;
 //! * [`frame`] / [`unframe`] — a length + FNV-1a checksum header around
 //!   any payload, so truncated or corrupted bytes are *detected and
 //!   discarded* instead of trusted;
-//! * [`PipelineCheckpoint::save_to_dir`] — an atomic write of the
-//!   checkpoint's framed JSON, kept for inspection;
-//! * [`RunManifest`] — the companion record (seed, params, fault plan,
-//!   per-phase content hashes) that makes a failed run replayable
-//!   bit-for-bit on a sequential device.
+//! * [`RunManifest`] — the on-disk record of a run (seed, params, device
+//!   geometry, fault plan, per-phase content hashes) that makes a failed
+//!   run replayable bit-for-bit on a sequential device.
 //!
-//! JSON is produced only where bytes leave the process: phase content
-//! hashes, [`PipelineCheckpoint::to_bytes`] and the saved file. Resuming
-//! never decodes; it clones the recorded value.
+//! Nothing encodes a phase output: resuming clones the recorded value,
+//! and a phase hash feeds the value itself through [`Hash`].
 //!
 //! The checkpoint only carries *phase outputs*, never device state:
 //! resuming replays the remaining phases on a fresh device, so counters
@@ -33,6 +33,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -84,16 +85,40 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     })
 }
 
-/// FNV-1a 64-bit hash — the integrity checksum of the byte format and
-/// the per-phase content hash of [`RunManifest`]. Small, dependency-free
-/// and stable across platforms.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64-bit as a [`Hasher`]: the integrity checksum of the byte
+/// format ([`fnv1a_64`]), the per-phase content hash of [`RunManifest`]
+/// and the input fingerprint. Small and dependency-free.
+///
+/// Values reach it through [`Hash`], which writes integers in native
+/// byte order and lengths as `usize`: hashes compare equal between runs
+/// of one build, the comparison a replay makes.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a 64-bit hash of a byte string.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::default();
+    hash.write(bytes);
+    hash.finish()
 }
 
 /// Wraps `payload` in the byte format: a one-line header
@@ -145,48 +170,41 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     Ok(payload)
 }
 
-/// A phase output that a [`PipelineCheckpoint`] can hold.
+/// A phase output that a [`PipelineCheckpoint`] can hold: every
+/// `Clone + Hash + Send + Sync + 'static` type is one.
 ///
 /// The checkpoint keeps a clone of the value as recorded and hands out
 /// clones on restore, so `Clone` must produce an independent copy —
 /// one that later mutation of the original (through atomics included)
-/// cannot reach. `KIND` is a stable tag written next to the encoded
-/// data, and [`Checkpointable::to_snapshot`] is the encoding behind
-/// phase hashes and the saved file.
-pub trait Checkpointable: Clone + Send + Sync + 'static {
-    /// Stable type tag recorded with every snapshot of this type.
-    const KIND: &'static str;
+/// cannot reach. `Hash` feeds the phase's content hash, so it must hash
+/// every value the phase hands on (`f32`s by bit pattern).
+pub trait Checkpointable: Clone + Hash + Send + Sync + 'static {}
 
-    /// Captures the value as a JSON tree.
-    fn to_snapshot(&self) -> Json;
-}
+impl<T: Clone + Hash + Send + Sync + 'static> Checkpointable for T {}
 
 /// A recorded phase output with its type erased.
 trait Artifact: Send + Sync {
     fn kind(&self) -> &'static str;
-    fn encode(&self) -> Json;
+    fn content_hash(&self) -> u64;
     fn as_any(&self) -> &dyn Any;
 }
 
 impl<T: Checkpointable> Artifact for T {
     fn kind(&self) -> &'static str {
-        T::KIND
+        std::any::type_name::<T>()
     }
 
-    fn encode(&self) -> Json {
-        self.to_snapshot()
+    fn content_hash(&self) -> u64 {
+        let mut hash = Fnv1a::default();
+        self.kind().hash(&mut hash);
+        self.hash(&mut hash);
+        hash.finish()
     }
 
     fn as_any(&self) -> &dyn Any {
         self
     }
 }
-
-// ---------------------------------------------------------------------
-// Encoding helpers shared by `Checkpointable` impls across the
-// workspace. Floats are stored as raw bit patterns so every value —
-// including infinities in degenerate bounds — is written exactly.
-// ---------------------------------------------------------------------
 
 /// Encodes a `u32` slice as a JSON array.
 pub fn u32s_to_json(values: &[u32]) -> Json {
@@ -203,29 +221,6 @@ pub fn json_to_u32s(value: &Json) -> Result<Vec<u32>, SnapshotError> {
             _ => Err(corrupt("u32 array holds a non-u32 entry")),
         })
         .collect()
-}
-
-/// Encodes a `u64` slice as a JSON array.
-pub fn u64s_to_json(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::U64(v)).collect())
-}
-
-/// Encodes an `i64` slice as a JSON array.
-pub fn i64s_to_json(values: &[i64]) -> Json {
-    Json::Arr(
-        values.iter().map(|&v| if v >= 0 { Json::U64(v as u64) } else { Json::I64(v) }).collect(),
-    )
-}
-
-/// Encodes an `f32` slice as a JSON array of raw bit patterns
-/// (exact, non-finite values included).
-pub fn f32s_to_json(values: &[f32]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::U64(v.to_bits() as u64)).collect())
-}
-
-/// Encodes a `bool` slice as a JSON array.
-pub fn bools_to_json(values: &[bool]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::Bool(v)).collect())
 }
 
 /// Extracts a required `u64` field of an object.
@@ -255,13 +250,16 @@ fn corrupt(why: &str) -> SnapshotError {
 
 /// Named phase outputs of one pipeline run, in completion order.
 ///
-/// A checkpoint is created empty with the run's `algorithm` name and an
-/// input `fingerprint` (hash of the points and parameters — see
-/// `fdbscan::checkpoint::run_fingerprint`). Phases [`record`] their
-/// output as they complete; a `run_from` entry point [`restore`]s
-/// completed phases and re-executes only the rest. A fingerprint
-/// mismatch means the checkpoint belongs to a different input and must
-/// be discarded, never resumed.
+/// A checkpoint is created empty with the run's `algorithm` name. One
+/// that a caller hands to a `run_from` entry point is made with
+/// [`PipelineCheckpoint::for_input`] and the input's fingerprint (see
+/// `fdbscan::checkpoint::run_fingerprint`); the entry point resets any
+/// checkpoint whose algorithm or fingerprint differs from its run's, so
+/// stale state is discarded, never resumed. One that never leaves its
+/// run (the resilient ladder's rungs) needs no fingerprint and is made
+/// with [`PipelineCheckpoint::new`]. Phases [`record`] their output as
+/// they complete; a later run [`restore`]s completed phases and
+/// re-executes only the rest.
 ///
 /// Each phase output is held as the typed value it is: `record` stores
 /// a clone and `restore` returns one, so a recorded output is frozen at
@@ -272,7 +270,7 @@ fn corrupt(why: &str) -> SnapshotError {
 #[derive(Clone)]
 pub struct PipelineCheckpoint {
     algorithm: String,
-    fingerprint: u64,
+    fingerprint: Option<u64>,
     phases: Vec<(String, Arc<dyn Artifact>)>,
 }
 
@@ -288,10 +286,17 @@ impl fmt::Debug for PipelineCheckpoint {
 }
 
 impl PipelineCheckpoint {
-    /// Creates an empty checkpoint for a run of `algorithm` over input
-    /// with the given `fingerprint`.
-    pub fn new(algorithm: impl Into<String>, fingerprint: u64) -> Self {
-        Self { algorithm: algorithm.into(), fingerprint, phases: Vec::new() }
+    /// Creates an empty checkpoint for a run of `algorithm`, with no
+    /// input identity: for a checkpoint that stays with the run that
+    /// fills it.
+    pub fn new(algorithm: impl Into<String>) -> Self {
+        Self { algorithm: algorithm.into(), fingerprint: None, phases: Vec::new() }
+    }
+
+    /// Creates an empty checkpoint for a run of `algorithm` over the
+    /// input with the given `fingerprint`.
+    pub fn for_input(algorithm: impl Into<String>, fingerprint: u64) -> Self {
+        Self { fingerprint: Some(fingerprint), ..Self::new(algorithm) }
     }
 
     /// The algorithm this checkpoint belongs to.
@@ -299,8 +304,8 @@ impl PipelineCheckpoint {
         &self.algorithm
     }
 
-    /// The input fingerprint the checkpoint was recorded against.
-    pub fn fingerprint(&self) -> u64 {
+    /// The input fingerprint the checkpoint was made for, if it has one.
+    pub fn fingerprint(&self) -> Option<u64> {
         self.fingerprint
     }
 
@@ -345,23 +350,16 @@ impl PipelineCheckpoint {
         self.artifact(name)?.as_any().downcast_ref::<T>().cloned()
     }
 
-    /// Content hash (FNV-1a 64 over kind + serialized data) of phase
-    /// `name`. The manifest records these so a replay can verify it
-    /// reproduced each phase bit-identically.
+    /// Content hash of phase `name`: its type name and its value fed
+    /// through [`Hash`] into [`Fnv1a`]. The manifest records these so a
+    /// replay can verify it reproduced each phase bit-identically.
     pub fn phase_hash(&self, name: &str) -> Option<u64> {
-        let artifact = self.artifact(name)?;
-        let mut material = artifact.kind().to_string();
-        material.push('\0');
-        material.push_str(&artifact.encode().to_compact());
-        Some(fnv1a_64(material.as_bytes()))
+        Some(self.artifact(name)?.content_hash())
     }
 
     /// All `(phase name, content hash)` pairs in completion order.
     pub fn phase_hashes(&self) -> Vec<(String, u64)> {
-        self.phases
-            .iter()
-            .map(|(name, _)| (name.clone(), self.phase_hash(name).unwrap_or(0)))
-            .collect()
+        self.phases.iter().map(|(name, artifact)| (name.clone(), artifact.content_hash())).collect()
     }
 
     /// Keeps only the first `keep` phases — the chaos harness uses this
@@ -369,62 +367,15 @@ impl PipelineCheckpoint {
     pub fn truncate_to(&mut self, keep: usize) {
         self.phases.truncate(keep);
     }
-
-    /// The checkpoint as a JSON tree, every phase output encoded.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("algorithm", Json::str(self.algorithm.clone())),
-            ("fingerprint", Json::U64(self.fingerprint)),
-            (
-                "phases",
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|(name, artifact)| {
-                            Json::obj([
-                                ("name", Json::str(name.clone())),
-                                ("kind", Json::str(artifact.kind())),
-                                ("data", artifact.encode()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The on-disk byte format: the compact JSON of
-    /// [`PipelineCheckpoint::to_json`] behind a [`frame`] header.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        frame(self.to_json().to_compact().as_bytes())
-    }
-
-    /// Canonical file name of this checkpoint in a checkpoint
-    /// directory: `<algorithm>-<fingerprint>.ckpt`.
-    pub fn file_name(&self) -> String {
-        format!("{}-{:016x}.ckpt", self.algorithm, self.fingerprint)
-    }
-
-    /// Writes [`PipelineCheckpoint::to_bytes`] into `dir` (created if
-    /// missing) under its canonical file name, atomically (unique
-    /// temporary file + rename) so a crash mid-write leaves either the
-    /// old file or none, even with concurrent writers in one dir. The
-    /// file is a record for inspection; no run resumes from it.
-    pub fn save_to_dir(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
-        std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        let path = dir.join(self.file_name());
-        write_atomic(&path, &self.to_bytes())?;
-        Ok(path)
-    }
 }
 
 /// Everything needed to re-execute a run for debugging: the dataset
 /// seed and shape, the parameters, the device geometry, the fault plan
 /// that killed it, and the content hash of every phase the run
-/// completed. Written alongside a checkpoint; `examples/replay_run.rs`
-/// reconstructs the run from it and verifies each replayed phase hash
-/// matches bit-for-bit (on a sequential device, where execution order
-/// is deterministic).
+/// completed. `examples/replay_run.rs` saves one, reconstructs the run
+/// from it alone and verifies each replayed phase hash matches
+/// bit-for-bit (on a sequential device, where execution order is
+/// deterministic).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunManifest {
     /// Caller-chosen identifier, used as the manifest file stem.
@@ -441,7 +392,7 @@ pub struct RunManifest {
     pub minpts: u64,
     /// Seed the dataset was generated from.
     pub data_seed: u64,
-    /// Input fingerprint (matches the checkpoint's).
+    /// Input fingerprint.
     pub fingerprint: u64,
     /// Device worker count (0 = sequential).
     pub workers: usize,
@@ -540,9 +491,9 @@ impl RunManifest {
     }
 
     /// Writes the manifest into `dir` as `<run_id>.manifest.json`,
-    /// atomically (unique temporary file + rename) — a manifest is what
-    /// makes a failed run replayable, so it gets the same torn-write
-    /// protection as the checkpoint it accompanies.
+    /// atomically (unique temporary file + rename): a manifest is what
+    /// makes a failed run replayable, so a crash mid-write leaves the
+    /// old file or none, even with concurrent writers in one dir.
     pub fn save_to_dir(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
         let path = dir.join(format!("{}.manifest.json", self.run_id));
@@ -565,29 +516,14 @@ mod tests {
 
     use super::*;
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     struct Flags(Vec<bool>);
 
-    impl Checkpointable for Flags {
-        const KIND: &'static str = "test.flags";
-
-        fn to_snapshot(&self) -> Json {
-            bools_to_json(&self.0)
-        }
-    }
-
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     struct Labels(Vec<u32>);
 
-    impl Checkpointable for Labels {
-        const KIND: &'static str = "test.labels";
-
-        fn to_snapshot(&self) -> Json {
-            u32s_to_json(&self.0)
-        }
-    }
-
-    /// A value with interior mutability: its clone is a relaxed copy.
+    /// A value with interior mutability: its clone is a relaxed copy,
+    /// and it hashes the value it would clone to.
     #[derive(Debug)]
     struct Tally(AtomicU32);
 
@@ -597,20 +533,21 @@ mod tests {
         }
     }
 
-    impl Checkpointable for Tally {
-        const KIND: &'static str = "test.tally";
-
-        fn to_snapshot(&self) -> Json {
-            Json::U64(self.0.load(Ordering::Relaxed) as u64)
+    impl Hash for Tally {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            self.0.load(Ordering::Relaxed).hash(state);
         }
     }
 
     fn sample() -> PipelineCheckpoint {
-        let mut ckpt = PipelineCheckpoint::new("fdbscan", 0xdead_beef);
+        let mut ckpt = PipelineCheckpoint::new("fdbscan");
         ckpt.record("preprocess", &Flags(vec![true, false, true]));
         ckpt.record("main", &Labels(vec![0, 0, 2]));
         ckpt
     }
+
+    /// A framed payload for the byte-format tests.
+    const PAYLOAD: &[u8] = b"{\"rank\":3,\"edges\":[0,1,1,2]}";
 
     #[test]
     fn record_restore_round_trip() {
@@ -624,6 +561,14 @@ mod tests {
     }
 
     #[test]
+    fn input_identity_is_set_only_by_for_input() {
+        assert_eq!(sample().fingerprint(), None);
+        let ckpt = PipelineCheckpoint::for_input("densebox", 0xdead_beef);
+        assert_eq!((ckpt.algorithm(), ckpt.fingerprint()), ("densebox", Some(0xdead_beef)));
+        assert!(ckpt.is_empty());
+    }
+
+    #[test]
     fn kind_mismatch_is_reported_and_discarded() {
         // A phase holding another type restores as absent, so the
         // caller recomputes it; the entry itself stays recorded.
@@ -631,13 +576,13 @@ mod tests {
         assert_eq!(ckpt.restore::<Labels>("preprocess"), None);
         assert_eq!(ckpt.restore::<Flags>("main"), None);
         assert!(ckpt.has_phase("preprocess"));
-        assert!(format!("{ckpt:?}").contains("test.flags"), "{ckpt:?}");
+        assert!(format!("{ckpt:?}").contains("tests::Flags"), "{ckpt:?}");
     }
 
     #[test]
     fn recorded_values_are_frozen_copies() {
         let tally = Tally(AtomicU32::new(3));
-        let mut ckpt = PipelineCheckpoint::new("fdbscan", 1);
+        let mut ckpt = PipelineCheckpoint::new("fdbscan");
         ckpt.record("main", &tally);
         let hash = ckpt.phase_hash("main");
         tally.0.store(9, Ordering::Relaxed);
@@ -659,19 +604,15 @@ mod tests {
     }
 
     #[test]
-    fn byte_format_round_trips() {
-        let ckpt = sample();
-        let bytes = ckpt.to_bytes();
-        let payload = unframe(&bytes).unwrap();
-        assert_eq!(payload, ckpt.to_json().to_compact().as_bytes());
-        let parsed = json::parse(std::str::from_utf8(payload).unwrap()).unwrap();
-        assert_eq!(parsed, ckpt.to_json());
-        assert_eq!(frame(payload), bytes);
+    fn frame_round_trips_a_plain_payload() {
+        let bytes = frame(PAYLOAD);
+        assert_eq!(unframe(&bytes), Ok(PAYLOAD));
+        assert_eq!(unframe(&frame(b"")), Ok(&b""[..]));
     }
 
     #[test]
     fn truncated_bytes_are_rejected() {
-        let bytes = sample().to_bytes();
+        let bytes = frame(PAYLOAD);
         for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
             assert!(unframe(&bytes[..cut]).is_err(), "truncation at {cut} must be detected");
         }
@@ -679,7 +620,7 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = frame(PAYLOAD);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x20; // flip a bit inside the payload
         match unframe(&bytes) {
@@ -690,14 +631,13 @@ mod tests {
 
     #[test]
     fn corrupted_header_is_rejected() {
-        let bytes = sample().to_bytes();
+        let bytes = frame(PAYLOAD);
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         assert!(unframe(&bad_magic).is_err());
         // Declared length longer than the actual payload (truncation).
         let text = String::from_utf8(bytes).unwrap();
-        let inflated =
-            text.replacen(&format!(" {} ", sample().to_json().to_compact().len()), " 999999 ", 1);
+        let inflated = text.replacen(&format!(" {} ", PAYLOAD.len()), " 999999 ", 1);
         assert!(unframe(inflated.as_bytes()).is_err());
     }
 
@@ -709,7 +649,34 @@ mod tests {
         changed.record("preprocess", &Flags(vec![true, true, true]));
         assert_ne!(changed.phase_hash("preprocess").unwrap(), h1);
         assert_eq!(ckpt.phase_hash("preprocess").unwrap(), h1, "clones record independently");
-        assert_eq!(ckpt.phase_hashes().len(), 2);
+        let hashes = ckpt.phase_hashes();
+        assert_eq!(hashes.len(), 2);
+        assert_eq!(hashes[1], ("main".to_string(), ckpt.phase_hash("main").unwrap()));
+        assert_eq!(ckpt.phase_hash("absent"), None);
+    }
+
+    #[test]
+    fn phase_hash_covers_every_element_and_the_type() {
+        let hash = |labels: Vec<u32>| {
+            let mut ckpt = PipelineCheckpoint::new("fdbscan");
+            ckpt.record("main", &Labels(labels));
+            ckpt.phase_hash("main").unwrap()
+        };
+        let base = vec![4, 4, 7, u32::MAX, 0];
+        assert_eq!(hash(base.clone()), hash(base.clone()), "equal values hash equal");
+        for i in 0..base.len() {
+            let mut changed = base.clone();
+            changed[i] ^= 1;
+            assert_ne!(hash(changed), hash(base.clone()), "label {i}");
+        }
+        assert_ne!(hash(base[..4].to_vec()), hash(base.clone()), "length");
+        // The same bytes recorded as another type hash differently.
+        let mut ckpt = PipelineCheckpoint::new("fdbscan");
+        ckpt.record("flags", &Flags(vec![true]));
+        ckpt.record("tally", &Tally(AtomicU32::new(1)));
+        ckpt.record("bits", &Labels(vec![1]));
+        let [flags, tally, bits] = ["flags", "tally", "bits"].map(|p| ckpt.phase_hash(p));
+        assert!(flags != tally && tally != bits && flags != bits);
     }
 
     #[test]
@@ -722,30 +689,37 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_saves_never_tear_the_checkpoint() {
-        // Many threads rewriting the same checkpoint file: every read
-        // observed in between must be a complete, checksum-valid file
-        // (the unique-tmp + rename discipline at work).
-        let dir = std::env::temp_dir().join(format!("fdbscan-ckpt-race-{}", std::process::id()));
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn concurrent_manifest_saves_never_tear_the_file() {
+        // Many threads rewriting the same manifest: every read observed
+        // in between must be a complete file (the unique-tmp + rename
+        // discipline at work).
+        let dir =
+            std::env::temp_dir().join(format!("fdbscan-manifest-race-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let ckpt = sample();
-        let path = ckpt.save_to_dir(&dir).unwrap();
-        let expected = ckpt.to_bytes();
+        let manifest = RunManifest { run_id: "race".to_string(), ..manifest() };
+        let path = manifest.save_to_dir(&dir).unwrap();
+        let expected = manifest.to_pretty().into_bytes();
         let writers: Vec<_> = (0..4)
             .map(|_| {
-                let ckpt = ckpt.clone();
+                let manifest = manifest.clone();
                 let dir = dir.clone();
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        ckpt.save_to_dir(&dir).unwrap();
+                        manifest.save_to_dir(&dir).unwrap();
                     }
                 })
             })
             .collect();
         for _ in 0..100 {
-            let bytes = std::fs::read(&path).expect("reader saw a missing checkpoint");
-            assert!(unframe(&bytes).is_ok(), "reader saw a torn checkpoint");
-            assert_eq!(bytes, expected);
+            let bytes = std::fs::read(&path).expect("reader saw a missing manifest");
+            assert_eq!(bytes, expected, "reader saw a torn manifest");
         }
         for w in writers {
             w.join().unwrap();
@@ -757,15 +731,12 @@ mod tests {
             .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
             .collect();
         assert!(leftovers.is_empty(), "stray tmp files: {leftovers:?}");
+        assert_eq!(RunManifest::load_from_dir(&dir, "race").unwrap(), manifest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn manifest_save_is_atomic_and_loadable() {
-        let dir =
-            std::env::temp_dir().join(format!("fdbscan-manifest-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let manifest = RunManifest {
+    fn manifest() -> RunManifest {
+        RunManifest {
             run_id: "atomic-1".to_string(),
             algorithm: "fdbscan".to_string(),
             dims: 2,
@@ -778,7 +749,15 @@ mod tests {
             block_size: 64,
             fault_plan: None,
             phase_hashes: vec![("index".to_string(), 1)],
-        };
+        }
+    }
+
+    #[test]
+    fn manifest_save_is_atomic_and_loadable() {
+        let dir =
+            std::env::temp_dir().join(format!("fdbscan-manifest-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = manifest();
         let path = manifest.save_to_dir(&dir).unwrap();
         assert_eq!(RunManifest::load_from_dir(&dir, "atomic-1").unwrap(), manifest);
         // Overwrite goes through the same rename path.

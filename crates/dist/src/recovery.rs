@@ -12,7 +12,6 @@
 //! into, and the thing a freshly elected coordinator replays from.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -84,16 +83,6 @@ impl Sleeper for InstantSleeper {
     }
 }
 
-fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Executes one phase of one rank, with fault injection and bounded
 /// retries.
 ///
@@ -101,8 +90,8 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 /// the rank's lifetime counter; `FaultPlan::rank_fails` is consulted
 /// against that ordinal, so `with_rank_failure(r, k)` fails the first
 /// `k` attempts of rank `r` and the `k+1`-th retry succeeds. Panics
-/// escaping the phase (e.g. a kernel panic in an index build) are
-/// converted to [`DeviceError::KernelPanicked`] and retried the same
+/// escaping the phase (e.g. a kernel panic in an index build) become
+/// errors through [`Device::catch_panic`] and are retried the same
 /// way. Each retry backs off deterministically (see [`retry_backoff`])
 /// through `sleeper` and leaves a tracer instant on the rank's device.
 /// After [`MAX_RANK_RETRIES`] retries the last error is returned.
@@ -128,13 +117,7 @@ pub fn run_rank_phase<T>(
                 root_counters.injected_rank_faults.fetch_add(1, Ordering::Relaxed);
                 Err(DeviceError::FaultInjected { site: FaultSite::Rank { rank, attempt } })
             }
-            _ => match catch_unwind(AssertUnwindSafe(&work)) {
-                Ok(result) => result,
-                Err(payload) => Err(DeviceError::KernelPanicked {
-                    launch: rank_device.launches_started().saturating_sub(1),
-                    payload: panic_payload(&*payload),
-                }),
-            },
+            _ => rank_device.catch_panic(&work),
         };
         match outcome {
             Ok(value) => return Ok(value),

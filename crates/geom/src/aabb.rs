@@ -8,7 +8,7 @@ use crate::point::Point;
 /// bound a single primitive (a point, or a dense cell's box), internal
 /// nodes bound the union of their children. An *empty* box is represented
 /// by `min = +inf, max = -inf`, which is the identity of [`Aabb::merged`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Hash)]
 pub struct Aabb<const D: usize> {
     /// Lower corner (component-wise minimum).
     pub min: Point<D>,

@@ -1,6 +1,7 @@
 //! Fixed-dimension points.
 
 use core::fmt;
+use core::hash::{Hash, Hasher};
 use core::ops::{Index, IndexMut};
 
 /// A point in `D`-dimensional Euclidean space with `f32` coordinates.
@@ -112,6 +113,18 @@ impl<const D: usize> From<[f32; D]> for Point<D> {
     }
 }
 
+/// Hashes each coordinate's bit pattern, so `0.0` and `-0.0` (equal as
+/// floats) hash differently and NaNs hash by payload: a phase output's
+/// content hash sees every bit a later phase reads. `Point` is not `Eq`,
+/// so no hash map keys on it.
+impl<const D: usize> Hash for Point<D> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for c in self.coords {
+            state.write_u32(c.to_bits());
+        }
+    }
+}
+
 impl<const D: usize> fmt::Debug for Point<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Point(")?;
@@ -128,6 +141,21 @@ impl<const D: usize> fmt::Debug for Point<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_sees_every_coordinate_bit() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |p: Point<2>| {
+            let mut h = DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        };
+        let p = Point::new([1.5, 0.0]);
+        assert_eq!(hash(p), hash(Point::new([1.5, 0.0])));
+        assert_ne!(hash(p), hash(Point::new([f32::from_bits(1.5f32.to_bits() + 1), 0.0])));
+        assert_ne!(hash(p), hash(Point::new([1.5, -0.0])));
+        assert_ne!(hash(p), hash(Point::new([0.0, 1.5])));
+    }
 
     #[test]
     fn dist_sq_is_zero_to_self() {

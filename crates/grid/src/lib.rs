@@ -56,7 +56,8 @@
 //! assert_eq!(mixed.refs.len(), 2); // one box + one isolated point
 //! ```
 
-use fdbscan_device::json::Json;
+use std::hash::{Hash, Hasher};
+
 use fdbscan_device::shared::SharedMut;
 use fdbscan_device::{BatchStage, Device, DeviceError};
 use fdbscan_geom::{morton, Aabb, Point};
@@ -289,8 +290,8 @@ impl<const D: usize> DenseGrid<D> {
         //    classification. The number of non-empty cells is only known
         //    after the in-batch scan, so cell-indexed arrays are sized at
         //    the worst case (n cells) and truncated afterwards.
-        let mut head = arena.take::<u64>(n)?;
-        let mut total_slot = arena.take::<u64>(1)?;
+        let mut head = arena.take::<u32>(n)?;
+        let mut total_slot = arena.take::<u32>(1)?;
         let mut cell_starts = vec![0u32; n + 1];
         let mut cell_keys = vec![0u64; n];
         let mut dense = vec![false; n];
@@ -311,14 +312,14 @@ impl<const D: usize> DenseGrid<D> {
                     BatchStage::new("grid.head_flags", n, move |i| {
                         let is_head = i == 0 || keys_ref[i] != keys_ref[i - 1];
                         // SAFETY: one writer per index.
-                        unsafe { head_view.write(i, is_head as u64) };
+                        unsafe { head_view.write(i, is_head as u32) };
                     }),
                     // Single-thread exclusive scan of the head flags (a
                     // block-parallel scan is not worth a standalone launch
                     // here); afterwards each head position holds its cell
                     // index and the total is the non-empty cell count.
                     BatchStage::new("grid.cell_scan", 1, move |_| {
-                        let mut acc = 0u64;
+                        let mut acc = 0u32;
                         for i in 0..n {
                             // SAFETY: the only thread of this stage.
                             unsafe {
@@ -518,36 +519,36 @@ impl<const D: usize> DenseGrid<D> {
 
     /// Device bytes a build over `points` points checks out of the
     /// device's buffer arena, which stay held there after it: the sorted
-    /// keys, the head flags, the cell count and the sort's scratch.
+    /// keys, the cell count, and the sort's scratch, whose returned `u32`
+    /// value buffer the head flags take (a buffer of their own when the
+    /// sort runs sequentially and takes none).
     pub fn build_scratch_bytes(points: usize) -> usize {
         match points {
             0 => 0,
-            n => 2 * n * 8 + 8 + fdbscan_psort::fused_scratch_bytes(n),
+            n => n * 8 + 4 + fdbscan_psort::fused_scratch_bytes(n).max(n * 4),
         }
     }
 }
 
 /// A built grid is a checkpointable phase output: restoring it clones
 /// the recorded directory and skips the entire sort and classification
-/// pipeline. It encodes as its flat directory arrays — cell edge length
-/// and origin as exact `f32` bit patterns, plus the sorted-id /
-/// cell-start / key / density arrays.
-impl<const D: usize> fdbscan_device::Checkpointable for DenseGrid<D> {
-    const KIND: &'static str = "grid.dense";
-
-    fn to_snapshot(&self) -> Json {
-        use fdbscan_device::snapshot as snap;
-        Json::obj([
-            ("dims", Json::U64(D as u64)),
-            ("cell_len", Json::U64(self.cell_len.to_bits() as u64)),
-            ("origin", snap::f32s_to_json(&self.origin.coords)),
-            ("sorted_ids", snap::u32s_to_json(&self.sorted_ids)),
-            ("cell_starts", snap::u32s_to_json(&self.cell_starts)),
-            ("cell_keys", snap::u64s_to_json(&self.cell_keys)),
-            ("dense", snap::bools_to_json(&self.dense)),
-            ("num_dense", Json::U64(self.num_dense as u64)),
-            ("points_in_dense", Json::U64(self.points_in_dense as u64)),
-        ])
+/// pipeline. Its content hash covers every field, the cell edge length
+/// by bit pattern.
+impl<const D: usize> Hash for DenseGrid<D> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Self {
+            cell_len,
+            origin,
+            sorted_ids,
+            cell_starts,
+            cell_keys,
+            dense,
+            num_dense,
+            points_in_dense,
+        } = self;
+        let cell_len = cell_len.to_bits();
+        (cell_len, origin, sorted_ids, cell_starts, cell_keys, dense, num_dense, points_in_dense)
+            .hash(state);
     }
 }
 
@@ -607,6 +608,55 @@ mod tests {
         for coords in [[0u64, 0, 0], [1, 2, 3], [1000, 2000, 3000]] {
             let key = morton::interleave(coords);
             assert_eq!(deinterleave::<3>(key), coords);
+        }
+    }
+
+    #[test]
+    fn phase_hash_sees_every_directory_value() {
+        use fdbscan_device::PipelineCheckpoint;
+        fn hash(grid: &DenseGrid<2>) -> u64 {
+            let mut ckpt = PipelineCheckpoint::new("densebox");
+            ckpt.record("index", grid);
+            ckpt.phase_hash("index").unwrap()
+        }
+        fn ulp(x: &mut f32) {
+            *x = f32::from_bits(x.to_bits() + 1);
+        }
+        // The scene minimum is (0, 0): the origin holds two zeros.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut points = vec![Point::new([0.0, 0.0])];
+        points.extend(
+            (0..300).map(|_| Point::new([rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0)])),
+        );
+        let build = || DenseGrid::build(&Device::new(DeviceConfig::sequential()), &points, 0.4, 4);
+        let grid = build();
+        let base = hash(&grid);
+        assert_eq!(hash(&build()), base, "equal grids hash equal");
+        let c = (0..grid.num_cells() as u32).find(|&c| grid.cell_members(c).len() >= 2).unwrap();
+        let start = grid.cell_starts[c as usize] as usize;
+        let changed = |what: &str, change: &dyn Fn(&mut DenseGrid<2>)| {
+            let mut changed = grid.clone();
+            change(&mut changed);
+            assert_ne!(hash(&changed), base, "{what}");
+        };
+        changed("origin one ulp", &|g| ulp(&mut g.origin.coords[0]));
+        changed("origin -0.0", &|g| g.origin.coords[1] = -0.0);
+        changed("cell length one ulp", &|g| ulp(&mut g.cell_len));
+        changed("one dense flag", &|g| g.dense[0] = !g.dense[0]);
+        changed("one sorted id", &|g| g.sorted_ids.swap(start, start + 1));
+        changed("one cell key", &|g| g.cell_keys[0] += 1);
+    }
+
+    #[test]
+    fn build_scratch_bytes_is_what_the_arena_holds() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for n in [1, 500, 1023, 1024, 2000] {
+            let points: Vec<Point<2>> = (0..n)
+                .map(|_| Point::new([rng.gen_range(0.0..5.0), rng.gen_range(0.0..5.0)]))
+                .collect();
+            let device = Device::new(DeviceConfig::sequential());
+            DenseGrid::build(&device, &points, 0.3, 4);
+            assert_eq!(device.arena().held_bytes(), DenseGrid::<2>::build_scratch_bytes(n), "{n}");
         }
     }
 

@@ -1,33 +1,25 @@
 //! Deterministic replay of a failed run from its manifest.
 //!
 //! A checkpointed FDBSCAN run is killed mid-pipeline by an injected
-//! fault; the checkpoint and a [`RunManifest`] land on disk. The replay
-//! then starts from *nothing but the manifest*: it rebuilds the
-//! dataset from the recorded seed, re-arms the same fault plan on a
-//! fresh device, re-executes — and dies the same death, producing
-//! bit-identical phase hashes (sequential devices make the execution
-//! order exact). Finally the replayed run's checkpoint resumes it on a
-//! healthy device and the output is checked against an uninterrupted
-//! run.
-//!
-//! The saved checkpoint file is read back once, to check that its
-//! frame and JSON payload describe the in-memory checkpoint; no run
-//! resumes from it.
+//! fault; its [`RunManifest`] lands on disk. The replay then starts from
+//! *nothing but the manifest*: it rebuilds the dataset from the recorded
+//! seed, re-arms the same fault plan on a fresh device, re-executes —
+//! and dies the same death, producing bit-identical phase hashes
+//! (sequential devices make the execution order exact). Finally the
+//! replayed run's in-memory checkpoint resumes it on a healthy device
+//! and the output is checked against an uninterrupted run.
 //!
 //! ```sh
 //! cargo run --release -p fdbscan --example replay_run
 //! ```
 //!
-//! The checkpoint and manifest files stay in `fdbscan-replay` under the
-//! system temporary directory for inspection.
-
-use std::path::Path;
+//! The manifest stays in `fdbscan-replay` under the system temporary
+//! directory for inspection.
 
 use fdbscan::fdbscan_impl::FDBSCAN_ALGORITHM;
 use fdbscan::labels::assert_core_equivalent;
-use fdbscan::{build_manifest, checkpoint_for, fdbscan_run_from, run_fingerprint, Params};
-use fdbscan_device::json::{self, Json};
-use fdbscan_device::snapshot::{self, PipelineCheckpoint, RunManifest};
+use fdbscan::{build_manifest, checkpoint_for, fdbscan_run_from, Params};
+use fdbscan_device::snapshot::{PipelineCheckpoint, RunManifest};
 use fdbscan_device::{Device, DeviceConfig, FaultPlan};
 use fdbscan_geom::Point2;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -66,12 +58,10 @@ fn main() {
     println!("\nrun killed: {death}");
     println!("checkpointed phases at death: {:?}", ckpt.phase_names());
 
-    let ckpt_path = ckpt.save_to_dir(&dir).expect("save checkpoint");
     let manifest =
         build_manifest(RUN_ID, FDBSCAN_ALGORITHM, &points, params, DATA_SEED, &device, &ckpt);
     let manifest_path = manifest.save_to_dir(&dir).expect("save manifest");
-    println!("saved {} and {}", ckpt_path.display(), manifest_path.display());
-    check_saved_checkpoint(&ckpt_path, &ckpt);
+    println!("saved {}", manifest_path.display());
 
     // --- 2. replay from the manifest alone -------------------------------
     // Pretend this is a different process days later: all it has is the
@@ -81,9 +71,10 @@ fn main() {
 
     let re_points = dataset(loaded.data_seed);
     let re_params = Params::new(loaded.eps(), loaded.minpts as usize);
+    let mut re_ckpt = checkpoint_for(&loaded.algorithm, &re_points, re_params);
     assert_eq!(
-        run_fingerprint(&re_points, re_params),
-        loaded.fingerprint,
+        re_ckpt.fingerprint(),
+        Some(loaded.fingerprint),
         "dataset rebuilt from the seed must fingerprint identically"
     );
     let mut re_config =
@@ -92,7 +83,6 @@ fn main() {
         re_config = re_config.with_fault_plan(plan);
     }
     let re_device = Device::new(re_config);
-    let mut re_ckpt = checkpoint_for(&loaded.algorithm, &re_points, re_params);
     let re_death = run_to_death(&re_device, &re_points, re_params, &mut re_ckpt);
     println!("replayed run died identically: {re_death}");
 
@@ -121,26 +111,6 @@ fn main() {
          {resumed_launches} launches vs {total_launches} from scratch",
         recovered.num_clusters
     );
-}
-
-/// Reads the saved checkpoint file back: its frame must verify, and
-/// its JSON payload must name the same algorithm, fingerprint and
-/// phases as the checkpoint it was written from.
-fn check_saved_checkpoint(path: &Path, ckpt: &PipelineCheckpoint) {
-    let bytes = std::fs::read(path).expect("read saved checkpoint");
-    let payload = snapshot::unframe(&bytes).expect("saved checkpoint frame");
-    let text = std::str::from_utf8(payload).expect("saved checkpoint is UTF-8");
-    let saved = json::parse(text).expect("saved checkpoint parses");
-    assert_eq!(snapshot::req_str(&saved, "algorithm"), Ok(ckpt.algorithm()));
-    assert_eq!(snapshot::req_u64(&saved, "fingerprint"), Ok(ckpt.fingerprint()));
-    let phases = snapshot::req_field(&saved, "phases").ok().and_then(Json::as_arr);
-    let names: Vec<&str> = phases
-        .expect("saved checkpoint lists its phases")
-        .iter()
-        .map(|phase| snapshot::req_str(phase, "name").expect("phase name"))
-        .collect();
-    assert_eq!(names, ckpt.phase_names());
-    println!("read back {} B: phases {names:?}", bytes.len());
 }
 
 /// Runs to the injected fault, returning a description of the death.

@@ -23,7 +23,9 @@
 //! dense cells, and a dense cell and a border point, at exactly ε. Pairs
 //! at random offsets pin the `f32` accept decision itself: each pair
 //! runs at the smallest ε whose square reaches its `dist_sq`, and one
-//! ulp below.
+//! ulp below. Stacked points on the cell corners of DenseBox's own grid
+//! pin how face and corner points bin and the cell-pair test at one cell
+//! diagonal, about ε.
 //!
 //! `FDBSCAN_DIFF_SEED` offsets the proptest dataset seeds so CI can
 //! sweep several independent batches.
@@ -402,5 +404,64 @@ fn dense_cell_whose_diagonal_rounds_past_eps() {
         let (ladder, _, report) =
             run_resilient(&dev, &points, params, ResiliencePolicy::default()).unwrap();
         assert_eq!(ladder.num_clusters, 0, "run_resilient on {backend}: {report:?}");
+    }
+}
+
+/// Points on cell corners of DenseBox's grid: the scene minimum
+/// `origin` plus every lattice node `m * side` with `m` in `0..steps` on
+/// each axis and all of `m`'s entries of one parity, where `side = eps /
+/// sqrt(D)` is the grid's own `f32` cell side. A node's nearest nodes are
+/// one cell diagonal away, about `eps`, inside it or one rounding beyond;
+/// the next ones are two sides away, beyond `eps`. Each node is stacked
+/// `stack` times, so its cell is full.
+fn corner_lattice<const D: usize>(
+    origin: f32,
+    eps: f32,
+    steps: usize,
+    stack: usize,
+) -> Vec<Point<D>> {
+    let side = eps / (D as f32).sqrt();
+    let mut points = Vec::new();
+    for i in 0..steps.pow(D as u32) {
+        let m: [usize; D] = std::array::from_fn(|d| i / steps.pow(d as u32) % steps);
+        if m.iter().all(|&k| k % 2 == m[0] % 2) {
+            let node = Point::new(m.map(|k| origin + k as f32 * side));
+            points.extend(std::iter::repeat_n(node, stack));
+        }
+    }
+    points
+}
+
+#[test]
+fn points_on_dense_cell_faces_and_corners() {
+    // How the one-diagonal pairs round decides the clusters: the oracle
+    // finds 5 to 18 clusters in 2-D and 1 to 35 in 3-D over these
+    // settings, and at every setting but the first some node bins into a
+    // neighbour's cell, which then holds two nodes about eps apart. At
+    // minpts 2 and at the stack height every cell is full, so DenseBox
+    // joins cells through its cell-pair test; one above, only such
+    // shared cells are full, and a node without a neighbour is noise.
+    let stack = 4;
+    for (origin, eps) in [
+        (0.0f32, 1.0f32),
+        (-3.7, 0.3),
+        (17.0, 0.75),
+        (1024.5, 0.05),
+        (0.0, f32::from_bits(0x3c5d_3b6f)),
+    ] {
+        let flat = corner_lattice::<2>(origin, eps, 9, stack);
+        let cube = corner_lattice::<3>(origin, eps, 5, stack);
+        for minpts in [2, stack, stack + 1] {
+            let params = Params::new(eps, minpts);
+            let name = format!("corner lattice origin {origin} eps {eps} minpts {minpts}");
+            if minpts <= stack {
+                let device = Device::new(DeviceConfig::sequential());
+                let (_, stats) = fdbscan_densebox(&device, &flat, params).unwrap();
+                let dense = stats.dense.expect("DenseBox reports its grid");
+                assert_eq!(dense.points_in_dense_cells, flat.len(), "{name}: a cell is not full");
+            }
+            check_case(&format!("{name} 2-D"), 0, &flat, params);
+            check_case(&format!("{name} 3-D"), 0, &cube, params);
+        }
     }
 }
