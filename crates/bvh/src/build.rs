@@ -8,17 +8,18 @@
 //!    the Morton keygen needs; codes themselves are never materialised
 //!    unsorted),
 //! 2. **`sort.pipeline`** — one batched radix-sort launch over virtual
-//!    `(morton_code(i), i)` pairs. The final scatter's fused epilogue
-//!    writes the sorted codes, the permuted leaf bounds, the payload and
-//!    the inverse permutation directly — the old `bvh.morton` and
-//!    `bvh.permute` kernels are folded away,
+//!    `(morton_code(i), i)` pairs. The sort hands back the sorted codes
+//!    in its own key buffer, and the final scatter's fused epilogue
+//!    writes the permuted leaves, the payload and the inverse
+//!    permutation directly — the old `bvh.morton` and `bvh.permute`
+//!    kernels are folded away,
 //! 3. **`bvh.build_bottom_up`** — one kernel, one thread per leaf, that
 //!    emits the internal topology, merges AABBs, *and* derives the rope
 //!    skip links in the same climb. Threads start at their leaf and walk
 //!    toward the root; at each completed node the thread deposits its
-//!    subtree at the merge boundary and dies unless it is the second to
-//!    arrive (per-boundary arrival counters), in which case it creates
-//!    the parent and keeps climbing. Exactly one thread reaches the root.
+//!    subtree in the merge boundary's rendezvous word and dies unless it
+//!    is the second to arrive, in which case it creates the parent and
+//!    keeps climbing. Exactly one thread reaches the root.
 //!
 //! The parent of a completed range `[F, L]` merges toward the outer
 //! neighbor with the longer common prefix (Apetrei's observation); with
@@ -42,57 +43,60 @@
 //! (the standard `code ## index` augmentation), so duplicate positions —
 //! common in clustering data — still produce a balanced tree.
 //!
-//! Scratch (sorted codes, arrival flags, rendezvous slots) comes from the
-//! device's [`fdbscan_device::BufferArena`], so repeated builds on one
-//! device reuse their allocations instead of re-reserving. A rendezvous
-//! slot holds only the deposited node: its covered range and bounds are
-//! read back from the node itself (`ranges`/`internal_bounds`, or the
-//! leaf's position and `leaf_bounds`).
+//! Scratch (the sort's buffers, whose returned key buffer holds the
+//! sorted codes, and the rendezvous words) comes from the device's
+//! [`fdbscan_device::BufferArena`], so repeated builds on one device
+//! reuse their allocations instead of re-reserving. A rendezvous word
+//! holds only the deposited nodes: their covered ranges and bounds are
+//! read back from the nodes themselves (`ranges`/`internal_bounds`, or
+//! the leaf's position and its point or box).
 
 use std::sync::atomic::Ordering;
 
-use fdbscan_device::shared::{as_atomic_u32, SharedMut};
+use fdbscan_device::shared::{as_atomic_u64, SharedMut};
 use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::{
     morton::{bits_per_axis, morton_code},
     Aabb,
 };
 
-use crate::node::NodeRef;
+use crate::node::{Leaf, NodeRef, LEAF_FLAG};
 use crate::Bvh;
 
-impl<const D: usize> Bvh<D> {
-    /// Builds a hierarchy over `bounds`; the payload of leaf `k` is the
+impl<const D: usize, L: Leaf<D>> Bvh<D, L> {
+    /// Builds a hierarchy over `leaves`; the payload of leaf `k` is the
     /// caller index `k` (recoverable with [`Bvh::leaf_payload`]).
     ///
     /// # Panics
     /// Panics where [`Bvh::build_in`] would return an error; budgeted or
     /// fault-injected callers should use [`Bvh::build_in`] and handle it.
-    pub fn build(device: &Device, bounds: &[Aabb<D>]) -> Self {
-        match Self::build_in(device, bounds) {
+    pub fn build(device: &Device, leaves: &[L]) -> Self {
+        match Self::build_in(device, leaves) {
             Ok(bvh) => bvh,
             Err(error) => panic!("BVH build failed: {error}"),
         }
     }
 
-    /// Builds a hierarchy over `bounds` with construction scratch checked
-    /// out of the device's buffer arena.
+    /// Builds a hierarchy over `leaves` — points or boxes — with
+    /// construction scratch checked out of the device's buffer arena.
     ///
     /// Runs entirely as device kernels — a scene-bounds reduction, one
-    /// batched sort launch, and one bottom-up build kernel. `bounds` may
+    /// batched sort launch, and one bottom-up build kernel. `leaves` may
     /// be empty.
     ///
     /// # Errors
-    /// Propagates [`DeviceError`] from scratch allocation (budget
-    /// exhaustion or injected faults) and from the device launches.
-    pub fn build_in(device: &Device, bounds: &[Aabb<D>]) -> Result<Self, DeviceError> {
-        let n = bounds.len();
+    /// [`DeviceError::InvalidInput`] for 2^31 leaves or more, which a
+    /// [`NodeRef`] cannot number. Propagates [`DeviceError`] from scratch
+    /// allocation (budget exhaustion or injected faults) and from the
+    /// device launches.
+    pub fn build_in(device: &Device, leaves: &[L]) -> Result<Self, DeviceError> {
+        let n = leaves.len();
         if n == 0 {
             return Ok(Self {
                 internal_bounds: Vec::new(),
                 children: Vec::new(),
                 ranges: Vec::new(),
-                leaf_bounds: Vec::new(),
+                leaves: Vec::new(),
                 leaf_payload: Vec::new(),
                 positions: Vec::new(),
                 internal_skip: Vec::new(),
@@ -102,7 +106,7 @@ impl<const D: usize> Bvh<D> {
                 scene: Aabb::empty(),
             });
         }
-        assert!(n < (1usize << 31), "primitive count exceeds NodeRef range");
+        check_leaf_count(n)?;
 
         // 1. Scene bounds (parallel merge reduction) — the only
         //    precomputation the Morton keygen needs.
@@ -110,52 +114,49 @@ impl<const D: usize> Bvh<D> {
             "bvh.morton_bounds",
             n,
             Aabb::empty(),
-            |i| bounds[i],
+            |i| leaves[i].bounds(),
             |a, b| a.merged(&b),
         )?;
 
         // 2. Sort primitives by code (stable: ties keep index order).
-        //    Codes are generated on the fly inside the sort; its fused
-        //    scatter epilogue writes every per-leaf array in sorted
-        //    order, replacing the old morton + permute kernels. The key
-        //    width is known analytically, so no max-key reduction runs.
-        let arena = device.arena();
-        let mut codes = arena.take::<u64>(n)?;
+        //    Codes are generated on the fly inside the sort, which hands
+        //    them back sorted; its fused scatter epilogue writes every
+        //    per-leaf array in sorted order, replacing the old morton +
+        //    permute kernels. The key width is known analytically, so no
+        //    max-key reduction runs.
         let mut payload = vec![0u32; n];
         let mut positions = vec![0u32; n];
-        let mut leaf_bounds = vec![Aabb::<D>::empty(); n];
-        {
-            let codes_view = SharedMut::new(&mut codes[..]);
+        let mut sorted = vec![L::default(); n];
+        let codes = {
             let payload_view = SharedMut::new(&mut payload);
             let positions_view = SharedMut::new(&mut positions);
-            let leaf_view = SharedMut::new(&mut leaf_bounds);
+            let leaf_view = SharedMut::new(&mut sorted);
             let scene_ref = &scene;
             let key_bits = (bits_per_axis(D) * D as u32).max(1);
             fdbscan_psort::sort_by_key_fused(
                 device,
                 n,
                 key_bits,
-                |i| morton_code(&bounds[i].center(), scene_ref),
-                |pos, code, id| {
+                |i| morton_code(&leaves[i].center(), scene_ref),
+                |pos, id| {
                     // SAFETY: sorted positions are unique (emit contract)
                     // and `id` is a permutation, so every slot has
                     // exactly one writer.
                     unsafe {
-                        codes_view.write(pos, code);
                         payload_view.write(pos, id);
                         positions_view.write(id as usize, pos as u32);
-                        leaf_view.write(pos, bounds[id as usize]);
+                        leaf_view.write(pos, leaves[id as usize]);
                     }
                 },
-            )?;
-        }
+            )?
+        };
 
         if n == 1 {
             return Ok(Self {
                 internal_bounds: Vec::new(),
                 children: Vec::new(),
                 ranges: Vec::new(),
-                leaf_bounds,
+                leaves: sorted,
                 leaf_payload: payload,
                 positions,
                 internal_skip: Vec::new(),
@@ -177,14 +178,15 @@ impl<const D: usize> Bvh<D> {
         let mut internal_lskip = vec![NodeRef::NONE; internal_count];
         let mut leaf_lskip = vec![NodeRef::NONE; n];
 
-        // Rendezvous state, one slot pair per leaf boundary b (between
-        // sorted leaves b and b+1): the completed subtree ending at b
-        // deposits its node in slot 2b, the one starting at b+1 in slot
-        // 2b+1. `take` hands the flags back zeroed.
-        let mut flags_buf = arena.take::<u32>(internal_count)?;
-        let mut pend_node = arena.take::<u32>(2 * internal_count)?;
+        // Rendezvous state, one word per leaf boundary b (between sorted
+        // leaves b and b+1): the completed subtree ending at b deposits
+        // its node (+1, so an empty half reads 0) in the low half, the one
+        // starting at b+1 in the high half. Taken as one word per leaf, so
+        // it recycles the sort's other key buffer; `take` hands it back
+        // zeroed.
+        let mut rendezvous = device.arena().take::<u64>(n)?;
         {
-            let flags = as_atomic_u32(&mut flags_buf[..]);
+            let words = as_atomic_u64(&mut rendezvous[..]);
             let children_view = SharedMut::new(&mut children);
             let ranges_view = SharedMut::new(&mut ranges);
             let bounds_view = SharedMut::new(&mut internal_bounds);
@@ -192,15 +194,14 @@ impl<const D: usize> Bvh<D> {
             let lskip_view = SharedMut::new(&mut leaf_skip);
             let ilskip_view = SharedMut::new(&mut internal_lskip);
             let llskip_view = SharedMut::new(&mut leaf_lskip);
-            let pnode_view = SharedMut::new(&mut pend_node[..]);
             let codes_ref: &[u64] = &codes;
-            let leaf_bounds_ref = &leaf_bounds;
+            let leaves_ref = &sorted;
 
             // Assigns `rope` to `from` and the whole spine of its subtree
             // on side `side` (1: right spine, forward ropes; 0: left
             // spine, mirrored ropes): each of those nodes' subtrees ends
             // (starts) where `from`'s does, so they share the rope. Reads
-            // of descendants' children are ordered by the arrival-flag
+            // of descendants' children are ordered by the rendezvous
             // acquire chain.
             let assign_spine = |from: NodeRef, rope: NodeRef, side: usize| {
                 let (leaf_view, internal_view) = if side == 1 {
@@ -229,7 +230,7 @@ impl<const D: usize> Bvh<D> {
                 let mut node = NodeRef::leaf(leaf as u32);
                 let mut first = leaf;
                 let mut last = leaf;
-                let mut nb = leaf_bounds_ref[leaf];
+                let mut nb = leaves_ref[leaf].bounds();
                 loop {
                     if first == 0 && last == n - 1 {
                         // `node` is the root: nothing follows its subtree
@@ -247,25 +248,24 @@ impl<const D: usize> Bvh<D> {
                     let dr = delta(codes_ref, last as i64, last as i64 + 1);
                     let (boundary, is_left) =
                         if dr > dl { (last, true) } else { (first - 1, false) };
-                    // SAFETY: exactly one subtree ends at this boundary
-                    // and one starts right after it; each owns its slot.
-                    unsafe { pnode_view.write(2 * boundary + usize::from(!is_left), node.0) };
-                    // AcqRel: releases our slot write (and our node's
-                    // range and bounds) to the later arrival and acquires
-                    // the earlier one's (plus, transitively, its whole
-                    // subtree).
-                    if flags[boundary].fetch_add(1, Ordering::AcqRel) == 0 {
+                    // Exactly one subtree ends at this boundary and one
+                    // starts right after it; each owns its half of the
+                    // word. AcqRel: releases our node's range and bounds
+                    // to the later arrival and acquires the earlier one's
+                    // (plus, transitively, its whole subtree).
+                    let (ours, theirs) = if is_left { (0, 32) } else { (32, 0) };
+                    let deposit = u64::from(node.0 + 1) << ours;
+                    let seen =
+                        (words[boundary].fetch_or(deposit, Ordering::AcqRel) >> theirs) as u32;
+                    if seen == 0 {
                         return; // first arrival: the sibling builds the parent
                     }
-                    // SAFETY: the sibling's deposit happened-before our
-                    // fetch_add observed its arrival.
-                    let sib_node =
-                        unsafe { NodeRef(pnode_view.read(2 * boundary + usize::from(is_left))) };
+                    let sib_node = NodeRef(seen - 1);
                     // The sibling's covered range and bounds, read back from
                     // the node itself.
                     let (sib_range, sib_bounds) = if sib_node.is_leaf() {
                         let pos = sib_node.index();
-                        ([pos, pos], leaf_bounds_ref[pos as usize])
+                        ([pos, pos], leaves_ref[pos as usize].bounds())
                     } else {
                         let i = sib_node.index() as usize;
                         // SAFETY: the sibling's creator wrote its range and
@@ -315,7 +315,7 @@ impl<const D: usize> Bvh<D> {
             internal_bounds,
             children,
             ranges,
-            leaf_bounds,
+            leaves: sorted,
             leaf_payload: payload,
             positions,
             internal_skip,
@@ -367,6 +367,16 @@ impl<const D: usize> Bvh<D> {
         self.leaf_skip = leaf_skip;
         self.internal_lskip = internal_lskip;
         self.leaf_lskip = leaf_lskip;
+    }
+}
+
+/// [`Bvh::build_in`]'s check that every leaf position fits a
+/// [`NodeRef`]'s 31 index bits.
+fn check_leaf_count(leaves: usize) -> Result<(), DeviceError> {
+    if leaves < LEAF_FLAG as usize {
+        Ok(())
+    } else {
+        Err(DeviceError::InvalidInput { reason: "primitive count exceeds NodeRef range".into() })
     }
 }
 
@@ -439,7 +449,7 @@ mod tests {
     }
 
     /// Walks the tree and checks every structural invariant.
-    fn validate<const D: usize>(bvh: &Bvh<D>) {
+    fn validate<const D: usize, L: Leaf<D>>(bvh: &Bvh<D, L>) {
         let n = bvh.len();
         if n < 2 {
             assert!(bvh.children.is_empty());
@@ -466,11 +476,11 @@ mod tests {
             let pb = &bvh.internal_bounds[i];
             for child in [l, r] {
                 let cb = if child.is_leaf() {
-                    &bvh.leaf_bounds[child.index() as usize]
+                    bvh.leaves[child.index() as usize].bounds()
                 } else {
-                    &bvh.internal_bounds[child.index() as usize]
+                    bvh.internal_bounds[child.index() as usize]
                 };
-                assert_eq!(pb.merged(cb), *pb, "child bounds escape parent");
+                assert_eq!(pb.merged(&cb), *pb, "child bounds escape parent");
                 // Child ranges are within the parent's.
                 let (cf, cl) = if child.is_leaf() {
                     (child.index(), child.index())
@@ -717,6 +727,18 @@ mod tests {
             assert_eq!(bvh.leaf_skip, rederived.leaf_skip, "n = {n}");
             assert_eq!(bvh.internal_lskip, rederived.internal_lskip, "n = {n}");
             assert_eq!(bvh.leaf_lskip, rederived.leaf_lskip, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn leaf_count_check_stops_at_the_node_ref_range() {
+        // Called directly: a 2^31-leaf build would allocate far too much.
+        assert!(check_leaf_count((1 << 31) - 1).is_ok());
+        match check_leaf_count(1 << 31) {
+            Err(DeviceError::InvalidInput { reason }) => {
+                assert_eq!(reason, "primitive count exceeds NodeRef range")
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
         }
     }
 

@@ -7,7 +7,7 @@
 
 use fdbscan_geom::Point;
 
-use crate::node::NodeRef;
+use crate::node::{leaf_dist_sq, Leaf, NodeRef};
 use crate::Bvh;
 
 /// A max-heap of the k best candidates, kept as a binary heap over
@@ -76,7 +76,7 @@ impl KBest {
     }
 }
 
-impl<const D: usize> Bvh<D> {
+impl<const D: usize, L: Leaf<D>> Bvh<D, L> {
     /// Returns the `k` nearest primitives to `center` as
     /// `(squared distance, payload)`, ascending. Fewer than `k` entries
     /// are returned when the tree is smaller than `k`.
@@ -90,7 +90,7 @@ impl<const D: usize> Bvh<D> {
         let mut best = KBest::new(k);
         let n = self.len();
         if n == 1 {
-            best.push(self.leaf_bounds[0].dist_sq(center), self.leaf_payload[0]);
+            best.push(leaf_dist_sq(&self.leaves[0], center), self.leaf_payload[0]);
             return best.into_sorted();
         }
         // Depth-first with nearest-child-first ordering; prune against
@@ -106,35 +106,21 @@ impl<const D: usize> Bvh<D> {
                 best.push(dist, self.leaf_payload[pos]);
                 continue;
             }
-            let [l, r] = self.children[node.index() as usize];
-            let push_child = |child: NodeRef, stack: &mut Vec<(f32, NodeRef)>| {
-                let bounds = if child.is_leaf() {
-                    &self.leaf_bounds[child.index() as usize]
+            let dist_of = |child: NodeRef| {
+                if child.is_leaf() {
+                    leaf_dist_sq(&self.leaves[child.index() as usize], center)
                 } else {
-                    &self.internal_bounds[child.index() as usize]
-                };
-                let d = bounds.dist_sq(center);
+                    self.internal_bounds[child.index() as usize].dist_sq(center)
+                }
+            };
+            let [l, r] = self.children[node.index() as usize];
+            let (dl, dr) = (dist_of(l), dist_of(r));
+            // Push the farther child first so the nearer is popped first.
+            let (near, far) = if dl <= dr { ((dl, l), (dr, r)) } else { ((dr, r), (dl, l)) };
+            for (d, child) in [far, near] {
                 if d <= best.bound() {
                     stack.push((d, child));
                 }
-            };
-            // Push the farther child first so the nearer is popped first.
-            let dl = if l.is_leaf() {
-                self.leaf_bounds[l.index() as usize].dist_sq(center)
-            } else {
-                self.internal_bounds[l.index() as usize].dist_sq(center)
-            };
-            let dr = if r.is_leaf() {
-                self.leaf_bounds[r.index() as usize].dist_sq(center)
-            } else {
-                self.internal_bounds[r.index() as usize].dist_sq(center)
-            };
-            if dl <= dr {
-                push_child(r, &mut stack);
-                push_child(l, &mut stack);
-            } else {
-                push_child(l, &mut stack);
-                push_child(r, &mut stack);
             }
         }
         best.into_sorted()

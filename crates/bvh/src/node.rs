@@ -1,4 +1,6 @@
-//! Compact node references.
+//! Compact node references, and the primitives leaves store.
+
+use fdbscan_geom::{Aabb, Point, QueryCenter};
 
 /// High bit of a [`NodeRef`] marks a leaf.
 pub const LEAF_FLAG: u32 = 1 << 31;
@@ -42,6 +44,99 @@ impl NodeRef {
     pub fn index(self) -> u32 {
         self.0 & !LEAF_FLAG
     }
+}
+
+/// A primitive a [`crate::Bvh`] stores in its leaves, in tree order: a
+/// point (every point tree) or a box (DenseBox's dense cells).
+///
+/// Along each axis a leaf spans `[lo, hi]`, which the leaf test reads;
+/// its [`Leaf::center`] places it on the Morton curve, and its
+/// [`Leaf::bounds`] is what internal nodes merge. A leaf is also a query
+/// centre: a walk from a leaf is centred on the leaf itself.
+pub trait Leaf<const D: usize>: QueryCenter<D> + Copy + Default + Send + Sync + 'static {
+    /// Lower end of the leaf along `axis`.
+    fn lo(&self, axis: usize) -> f32;
+    /// Upper end of the leaf along `axis`.
+    fn hi(&self, axis: usize) -> f32;
+    /// The point whose Morton code orders the leaf.
+    fn center(&self) -> Point<D>;
+    /// The smallest box holding the leaf.
+    fn bounds(&self) -> Aabb<D>;
+}
+
+impl<const D: usize> Leaf<D> for Point<D> {
+    #[inline]
+    fn lo(&self, axis: usize) -> f32 {
+        self[axis]
+    }
+
+    #[inline]
+    fn hi(&self, axis: usize) -> f32 {
+        self[axis]
+    }
+
+    #[inline]
+    fn center(&self) -> Point<D> {
+        *self
+    }
+
+    #[inline]
+    fn bounds(&self) -> Aabb<D> {
+        Aabb::from_point(*self)
+    }
+}
+
+impl<const D: usize> Leaf<D> for Aabb<D> {
+    #[inline]
+    fn lo(&self, axis: usize) -> f32 {
+        self.min[axis]
+    }
+
+    #[inline]
+    fn hi(&self, axis: usize) -> f32 {
+        self.max[axis]
+    }
+
+    #[inline]
+    fn center(&self) -> Point<D> {
+        Aabb::center(self)
+    }
+
+    #[inline]
+    fn bounds(&self) -> Aabb<D> {
+        *self
+    }
+}
+
+/// Squared distance from `center` to `leaf`: the summed squared per-axis
+/// gaps, in [`Aabb::dist_sq`]'s order, so it equals the distance to the
+/// leaf's bounds bit for bit.
+#[inline]
+pub(crate) fn leaf_dist_sq<const D: usize, L: Leaf<D>, C: QueryCenter<D>>(
+    leaf: &L,
+    center: &C,
+) -> f32 {
+    let mut acc = 0.0f32;
+    for d in 0..D {
+        let gap = center.gap(d, leaf.lo(d), leaf.hi(d));
+        acc += gap * gap;
+    }
+    acc
+}
+
+/// Squared distance from `center` to the farthest point of `leaf`, bit
+/// for bit [`Aabb::max_dist_sq`] of its bounds.
+#[inline]
+pub(crate) fn leaf_max_dist_sq<const D: usize, L: Leaf<D>, C: QueryCenter<D>>(
+    leaf: &L,
+    center: &C,
+) -> f32 {
+    let mut acc = 0.0f32;
+    for d in 0..D {
+        let span = center.span(d, leaf.lo(d), leaf.hi(d));
+        acc += span * span;
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -38,17 +38,19 @@
 //! gaps and spans, so a point query does exactly the `f32` operations of
 //! [`fdbscan_geom::Aabb::dist_sq`] and [`fdbscan_geom::Aabb::max_dist_sq`].
 //!
-//! Per-leaf distance tests read the leaf's own [`fdbscan_geom::Aabb`]
-//! and exit early once the partial sum exceeds `eps²`; the accept
-//! decision is bit-identical to [`fdbscan_geom::Aabb::dist_sq`], so
-//! results match the stack-based reference exactly.
+//! Per-leaf distance tests read the leaf itself — its point, or its
+//! [`fdbscan_geom::Aabb`] — and exit early once the partial sum exceeds
+//! `eps²`; the accept decision is bit-identical to
+//! [`fdbscan_geom::Aabb::dist_sq`] of the leaf's bounds, so results match
+//! the stack-based reference exactly, and a point tree's walks match the
+//! walks of the tree over the points' degenerate boxes.
 
 use std::ops::ControlFlow;
 
 use fdbscan_device::{Counters, Hot};
 use fdbscan_geom::{Point, QueryCenter};
 
-use crate::node::NodeRef;
+use crate::node::{leaf_dist_sq, leaf_max_dist_sq, Leaf, NodeRef};
 use crate::Bvh;
 
 /// Per-query traversal statistics, for the device work counters.
@@ -87,7 +89,7 @@ impl QueryStats {
     }
 }
 
-impl<const D: usize> Bvh<D> {
+impl<const D: usize, L: Leaf<D>> Bvh<D, L> {
     /// Invokes `callback(leaf_pos, payload)` for every leaf whose bounds
     /// lie within `eps` of `center` (a point, or a box: within `eps` of
     /// some point of it), skipping all leaves with sorted position
@@ -142,7 +144,7 @@ impl<const D: usize> Bvh<D> {
 
         if n == 1 {
             stats.nodes_visited = 1;
-            if cutoff == 0 && self.leaf_bounds[0].dist_sq(center) <= eps_sq {
+            if cutoff == 0 && leaf_dist_sq(&self.leaves[0], center) <= eps_sq {
                 stats.leaf_hits = 1;
                 if callback(0, self.leaf_payload[0], false).is_break() {
                     stats.terminated_early = true;
@@ -253,9 +255,12 @@ impl<const D: usize> Bvh<D> {
     {
         let mut stats = QueryStats::default();
         let eps_sq = eps * eps;
-        let own = &self.leaf_bounds[pos as usize];
-        debug_assert!(own.dist_sq(center) <= eps_sq, "centre is not within eps of leaf {pos}");
-        let contained = own.max_dist_sq(center) <= eps_sq;
+        let own = &self.leaves[pos as usize];
+        debug_assert!(
+            leaf_dist_sq(own, center) <= eps_sq,
+            "centre is not within eps of leaf {pos}"
+        );
+        let contained = leaf_max_dist_sq(own, center) <= eps_sq;
         stats.leaf_hits = 1;
         stats.contained_hits = u64::from(contained);
         if callback(pos, self.leaf_payload[pos as usize], contained).is_break() {
@@ -382,17 +387,17 @@ impl<const D: usize> Bvh<D> {
         false
     }
 
-    /// Exact leaf bounds test with per-dimension early exit. The per-axis
-    /// gaps and their accumulation order match
-    /// [`fdbscan_geom::Aabb::dist_sq`] exactly (and `f32` addition of
-    /// non-negatives is monotone), so the accept/reject decision is
-    /// bit-identical to it.
+    /// Exact leaf test with per-dimension early exit. The per-axis gaps
+    /// and their accumulation order match [`fdbscan_geom::Aabb::dist_sq`]
+    /// of the leaf's bounds exactly (and `f32` addition of non-negatives
+    /// is monotone), so the accept/reject decision is bit-identical to
+    /// it.
     #[inline]
     fn leaf_within<C: QueryCenter<D>>(&self, pos: u32, center: &C, eps_sq: f32) -> bool {
-        let leaf = &self.leaf_bounds[pos as usize];
+        let leaf = &self.leaves[pos as usize];
         let mut acc = 0.0f32;
         for d in 0..D {
-            let delta = center.gap(d, leaf.min[d], leaf.max[d]);
+            let delta = center.gap(d, leaf.lo(d), leaf.hi(d));
             acc += delta * delta;
             if acc > eps_sq {
                 return false;
@@ -427,7 +432,7 @@ impl<const D: usize> Bvh<D> {
 
         if n == 1 {
             stats.nodes_visited = 1;
-            if cutoff == 0 && self.leaf_bounds[0].dist_sq(center) <= eps_sq {
+            if cutoff == 0 && leaf_dist_sq(&self.leaves[0], center) <= eps_sq {
                 stats.leaf_hits = 1;
                 if callback(0, self.leaf_payload[0]).is_break() {
                     stats.terminated_early = true;
@@ -456,12 +461,12 @@ impl<const D: usize> Bvh<D> {
                     continue;
                 }
                 stats.nodes_visited += 1;
-                let child_bounds = if child.is_leaf() {
-                    &self.leaf_bounds[child.index() as usize]
+                let dist_sq = if child.is_leaf() {
+                    leaf_dist_sq(&self.leaves[child.index() as usize], center)
                 } else {
-                    &self.internal_bounds[child.index() as usize]
+                    self.internal_bounds[child.index() as usize].dist_sq(center)
                 };
-                if child_bounds.dist_sq(center) > eps_sq {
+                if dist_sq > eps_sq {
                     continue;
                 }
                 if child.is_leaf() {
@@ -915,6 +920,97 @@ mod tests {
             .collect()
     }
 
+    /// One walk's `(pos, payload, contained)` hits and statistics.
+    type Walk = (Vec<(u32, u32, bool)>, QueryStats);
+
+    /// The hits and statistics of every walk from leaf `pos` centred on
+    /// `center`: the suffix, the prefix, the outward walk, and the root
+    /// walk at cutoffs 0 and `pos + 1`.
+    fn leaf_walks<const D: usize, L: Leaf<D>, C: QueryCenter<D>>(
+        bvh: &Bvh<D, L>,
+        pos: u32,
+        center: &C,
+        eps: f32,
+    ) -> Vec<Walk> {
+        (0..5)
+            .map(|walk| {
+                let mut hits = Vec::new();
+                let mut hit = |pos, payload, contained| {
+                    hits.push((pos, payload, contained));
+                    ControlFlow::Continue(())
+                };
+                let stats = match walk {
+                    0 => bvh.for_each_after(pos, center, eps, &mut hit),
+                    1 => bvh.for_each_before(pos, center, eps, &mut hit),
+                    2 => bvh.for_each_around(pos, center, eps, &mut hit),
+                    3 => bvh.for_each_in_radius_flagged(center, eps, 0, &mut hit),
+                    _ => bvh.for_each_in_radius_flagged(center, eps, pos + 1, &mut hit),
+                };
+                (hits, stats)
+            })
+            .collect()
+    }
+
+    /// `n` points in `[0, 10)^D`; as `piles`, stacked 16 deep on `n / 16`
+    /// sites, so whole subtrees are contained.
+    fn points_or_piles<const D: usize>(n: usize, seed: u64, piles: bool) -> Vec<Point<D>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sites = if piles { (n / 16).max(1) } else { n };
+        let sites: Vec<Point<D>> =
+            (0..sites).map(|_| Point::new([(); D].map(|_| rng.gen_range(0.0..10.0)))).collect();
+        (0..n).map(|i| sites[i % sites.len()]).collect()
+    }
+
+    /// Builds the tree over `points` and over their degenerate boxes and
+    /// checks that the two are one tree: the same structure, and the same
+    /// walks from every leaf, centred on its point and on a box around it.
+    fn assert_point_tree_is_box_tree<const D: usize>(points: &[Point<D>], eps: f32) {
+        let device = Device::new(DeviceConfig::default().with_workers(2));
+        let n = points.len();
+        let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
+        let by_point = Bvh::build(&device, points);
+        let by_box = Bvh::build(&device, &bounds);
+        assert_eq!(by_point.children, by_box.children, "n = {n}");
+        assert_eq!(by_point.ranges, by_box.ranges, "n = {n}");
+        assert_eq!(by_point.internal_bounds, by_box.internal_bounds, "n = {n}");
+        assert_eq!(by_point.leaf_payload, by_box.leaf_payload, "n = {n}");
+        assert_eq!(by_point.positions, by_box.positions, "n = {n}");
+        assert_eq!(by_point.internal_skip, by_box.internal_skip, "n = {n}");
+        assert_eq!(by_point.leaf_skip, by_box.leaf_skip, "n = {n}");
+        assert_eq!(by_point.internal_lskip, by_box.internal_lskip, "n = {n}");
+        assert_eq!(by_point.leaf_lskip, by_box.leaf_lskip, "n = {n}");
+        let leaf_boxes: Vec<Aabb<D>> = by_point.leaves.iter().map(Leaf::bounds).collect();
+        assert_eq!(leaf_boxes, by_box.leaves, "n = {n}");
+        for pos in 0..n as u32 {
+            let p = *by_point.leaf(pos);
+            let around = Aabb::from_corners(
+                Point::new(p.coords.map(|x| x - eps / 4.0)),
+                Point::new(p.coords.map(|x| x + eps / 4.0)),
+            );
+            assert_eq!(
+                leaf_walks(&by_point, pos, &p, eps),
+                leaf_walks(&by_box, pos, &p, eps),
+                "n = {n}, pos {pos}, point centre"
+            );
+            assert_eq!(
+                leaf_walks(&by_point, pos, &around, eps),
+                leaf_walks(&by_box, pos, &around, eps),
+                "n = {n}, pos {pos}, box centre"
+            );
+        }
+    }
+
+    #[test]
+    fn point_tree_is_the_box_tree() {
+        for n in [1usize, 2, 3, 1023, 1024, 4096] {
+            for piles in [false, true] {
+                let seed = n as u64 + u64::from(piles);
+                assert_point_tree_is_box_tree(&points_or_piles::<2>(n, seed, piles), 0.5);
+                assert_point_tree_is_box_tree(&points_or_piles::<3>(n, seed, piles), 1.0);
+            }
+        }
+    }
+
     #[test]
     fn anchored_walks_test_fewer_nodes_than_root_walks() {
         // The halo-3d regime: uniform 3-D points at an eps with a few
@@ -931,7 +1027,7 @@ mod tests {
         let (mut root_all, mut around) = (0u64, 0u64);
         let (mut root_count, mut around_count) = (0u64, 0u64);
         for pos in 0..bvh.len() as u32 {
-            let center = bvh.leaf_bounds(pos).min;
+            let center = bvh.leaf(pos).min;
             let go = |_, _| ControlFlow::Continue(());
             let masked = bvh.for_each_in_radius(&center, eps, pos + 1, go);
             root_masked += masked.nodes_visited;
@@ -1096,7 +1192,7 @@ mod tests {
             let device = Device::new(DeviceConfig::sequential());
             let bvh = build_points(&device, &random_points(n, seed));
             let pos = (query % n) as u32;
-            let center = bvh.leaf_bounds(pos).min;
+            let center = bvh.leaf(pos).min;
             let elsewhere = Point::new([elsewhere.0, elsewhere.1]);
             assert_anchored_walks_match(&bvh, pos, &center, &elsewhere, eps, k);
         }
@@ -1115,7 +1211,7 @@ mod tests {
                 random_points_3d(n, seed).into_iter().map(Aabb::from_point).collect();
             let bvh = Bvh::build(&device, &bounds);
             let pos = (query % n) as u32;
-            let center = bvh.leaf_bounds(pos).min;
+            let center = bvh.leaf(pos).min;
             let elsewhere = Point::new([elsewhere.0, elsewhere.1, elsewhere.2]);
             assert_anchored_walks_match(&bvh, pos, &center, &elsewhere, eps, k);
         }
@@ -1149,7 +1245,7 @@ mod tests {
                 .collect();
             let bvh = Bvh::build(&device, &bounds);
             let pos = (query % n) as u32;
-            let center = *bvh.leaf_bounds(pos);
+            let center = *bvh.leaf(pos);
             let elsewhere = Aabb::from_corners(
                 Point::new([corner.0, corner.1]),
                 Point::new([corner.0 + 3.0, corner.1 + 1.0]),

@@ -116,9 +116,13 @@ fn cuda_dclust_core<const D: usize>(
 
     // ---- Directory index -------------------------------------------------
     // Cell edge = eps: all neighbors of a point live in the surrounding
-    // 3^D cells. Dense classification is disabled (minpts = MAX).
+    // 3^D cells. Where eps² overflows `f32`, every pair passes the
+    // distance test however far apart, so the edge is `f32::MAX` and the
+    // surrounding cells hold every point. Dense classification is
+    // disabled (minpts = MAX).
+    let cell_len = if eps_sq.is_finite() { eps } else { f32::MAX };
     let grid = run.phase(PHASE_INDEX, || {
-        DenseGrid::build_with_cell_len_in(device, points, eps, usize::MAX)
+        DenseGrid::build_with_cell_len_in(device, points, cell_len, usize::MAX)
     })?;
     let _grid_mem = device.memory().reserve(grid.memory_bytes())?;
 

@@ -327,7 +327,7 @@ impl<const D: usize> MainKernel<'_, D> {
     /// cells through [`closest_pair`].
     fn cell_query(&self, pos: u32, c: u32, tally: &mut Tally) -> QueryStats {
         let members = self.grid.cell_members(c);
-        let own_box = self.bvh.leaf_bounds(pos);
+        let own_box = self.bvh.leaf(pos);
         let mut near = NEAR.take();
         let stats = self.bvh.for_each_after(pos, own_box, self.eps, |hit, payload, contained| {
             let r = self.refs[payload as usize];
@@ -345,7 +345,7 @@ impl<const D: usize> MainKernel<'_, D> {
                         self.points,
                         self.eps_sq,
                         (members, own_box),
-                        (other, self.bvh.leaf_bounds(hit)),
+                        (other, self.bvh.leaf(hit)),
                         &mut near,
                         tally,
                     )
@@ -420,16 +420,10 @@ impl<const D: usize> MainKernel<'_, D> {
         self.lazy.ensure(self.core, p, || {
             let q = &self.points[p as usize];
             let mut tally = Tally::default();
-            let (count, stats) = count_around(
-                self.bvh,
-                p_pos,
-                q,
-                self.eps,
-                self.minpts,
-                |payload, contained, need| {
+            let (count, stats) =
+                count_around(self.bvh, p_pos, self.eps, self.minpts, |payload, contained, need| {
                     self.weigh(q, self.refs[payload as usize], contained, need, &mut tally).0
-                },
-            );
+                });
             self.charge(stats.nodes_visited, &tally);
             count >= self.minpts
         });

@@ -38,7 +38,7 @@ use std::ops::ControlFlow;
 
 use fdbscan_bvh::Bvh;
 use fdbscan_device::{Device, DeviceError, Hot, PipelineCheckpoint};
-use fdbscan_geom::{Aabb, Point};
+use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
 
 use crate::checkpoint::{self, LabelState, PHASE_FINALIZE, PHASE_INDEX, PHASE_MAIN};
@@ -152,7 +152,7 @@ pub(crate) fn fdbscan_core<const D: usize>(
     let state = run.phase(PHASE_MAIN, || {
         let labels = AtomicLabels::with_counters(n, device.counters_arc());
         let cores = Cores::Lazy { flags: &core, lazy: &lazy, minpts };
-        main_fused(device, points, &bvh, eps, cores, options, &labels)?;
+        main_fused(device, &bvh, eps, cores, options, &labels)?;
         Ok(LabelState { labels, core })
     })?;
 
@@ -161,17 +161,16 @@ pub(crate) fn fdbscan_core<const D: usize>(
     Ok((clustering, run.finish()))
 }
 
-/// Builds the BVH over the point boxes of `points`, the tree
-/// [`main_fused`] walks: the payload of leaf `pos` is a point id.
+/// Builds the BVH over `points`, the tree [`main_fused`] walks: leaf
+/// `pos` holds a point, in tree order, and its payload is the point's id.
 ///
 /// # Errors
 /// Propagates [`DeviceError`] from [`Bvh::build_in`].
 pub fn point_bvh<const D: usize>(
     device: &Device,
     points: &[Point<D>],
-) -> Result<Bvh<D>, DeviceError> {
-    let bounds: Vec<Aabb<D>> = points.iter().map(|p| Aabb::from_point(*p)).collect();
-    Bvh::build_in(device, &bounds)
+) -> Result<Bvh<D, Point<D>>, DeviceError> {
+    Bvh::build_in(device, points)
 }
 
 /// Where [`main_fused`] reads a point's core status.
@@ -195,8 +194,8 @@ pub enum Cores<'a> {
 }
 
 /// FDBSCAN's main kernel, `fdbscan.main_fused` (Algorithm 3): one launch
-/// in tree order over `bvh`, the tree of `points` ([`point_bvh`]).
-/// Thread `pos` takes the point at sorted leaf `pos` and runs the
+/// in tree order over `bvh`, a tree of points ([`point_bvh`]). Thread
+/// `pos` reads the point at sorted leaf `pos` from the leaf and runs the
 /// index-masked search ([`Bvh::for_each_after`]), which finds each close
 /// pair exactly once. Where `cores` is lazy, a thread that wins the
 /// claim on its own point counts the point's neighbours in that search
@@ -217,8 +216,7 @@ pub enum Cores<'a> {
 /// Propagates [`DeviceError`] from the launch.
 pub fn main_fused<const D: usize>(
     device: &Device,
-    points: &[Point<D>],
-    bvh: &Bvh<D>,
+    bvh: &Bvh<D, Point<D>>,
     eps: f32,
     cores: Cores<'_>,
     options: FdbscanOptions,
@@ -248,17 +246,16 @@ pub fn main_fused<const D: usize>(
             1 => true,
             _ => {
                 let stop = if early { minpts } else { usize::MAX };
-                let q = &points[p as usize];
-                let (count, stats) = count_around(bvh, pos, q, eps, stop, |_, _, _| 1);
+                let (count, stats) = count_around(bvh, pos, eps, stop, |_, _, _| 1);
                 stats.charge(counters);
                 count >= minpts
             }
         });
     };
-    device.try_launch_named("fdbscan.main_fused", points.len(), |pos| {
+    device.try_launch_named("fdbscan.main_fused", bvh.len(), |pos| {
         let pos = pos as u32;
         let i = bvh.leaf_payload(pos);
-        let q = &points[i as usize];
+        let q = bvh.leaf(pos);
         let resolve = |j_pos: u32, j: u32| {
             ensure_core(j, j_pos);
             rule.resolve(labels, core, i, j);

@@ -26,7 +26,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
-use fdbscan_bvh::{Bvh, QueryStats};
+use fdbscan_bvh::{Bvh, Leaf, QueryStats};
 use fdbscan_device::{Device, DeviceError};
 use fdbscan_geom::Point;
 use fdbscan_unionfind::AtomicLabels;
@@ -270,8 +270,8 @@ thread_local! {
 ///
 /// Returns the suffix walk's statistics and the prefix walk's (empty when
 /// the suffix decided the point).
-pub(crate) fn search_claimed<const D: usize>(
-    bvh: &Bvh<D>,
+pub(crate) fn search_claimed<const D: usize, L: Leaf<D>>(
+    bvh: &Bvh<D, L>,
     pos: u32,
     q: &Point<D>,
     eps: f32,
@@ -322,23 +322,22 @@ pub(crate) fn search_claimed<const D: usize>(
     (suffix, prefix)
 }
 
-/// Counts the neighbours of point `q` at leaf `pos` for a thread that
+/// Counts the neighbours of the point at leaf `pos` for a thread that
 /// needs its core status before the point's own thread decided it: a walk
-/// outward from the leaf ([`Bvh::for_each_around`]), nearest subtrees
-/// first, that stops once the count reaches `stop` (`usize::MAX` counts
-/// them all). `weigh(payload, contained, need)` is how many neighbours
-/// one hit holds, counted no further than `need`. Returns the count and
-/// the walk's statistics.
-pub(crate) fn count_around<const D: usize>(
-    bvh: &Bvh<D>,
+/// outward from the leaf ([`Bvh::for_each_around`]), centred on the leaf
+/// itself and nearest subtrees first, that stops once the count reaches
+/// `stop` (`usize::MAX` counts them all). `weigh(payload, contained,
+/// need)` is how many neighbours one hit holds, counted no further than
+/// `need`. Returns the count and the walk's statistics.
+pub(crate) fn count_around<const D: usize, L: Leaf<D>>(
+    bvh: &Bvh<D, L>,
     pos: u32,
-    q: &Point<D>,
     eps: f32,
     stop: usize,
     mut weigh: impl FnMut(u32, bool, usize) -> usize,
 ) -> (usize, QueryStats) {
     let mut count = 0usize;
-    let stats = bvh.for_each_around(pos, q, eps, |_, payload, contained| {
+    let stats = bvh.for_each_around(pos, bvh.leaf(pos), eps, |_, payload, contained| {
         count += weigh(payload, contained, stop - count);
         if count >= stop {
             ControlFlow::Break(())

@@ -200,21 +200,31 @@ impl ResilienceReport {
     }
 }
 
+/// Device bytes both tree algorithms keep resident: points, labels and
+/// core flags.
+fn resident_bytes<const D: usize>(n: usize) -> usize {
+    n * std::mem::size_of::<Point<D>>() + n * 4 + n.div_ceil(8)
+}
+
 /// Predicted device footprint of FDBSCAN in bytes: points, labels, core
 /// flags, the point tree ([`Bvh::bytes_for`]) and the scratch its build
 /// leaves held in the device's buffer arena, which the run's peak counts.
 pub fn estimate_fdbscan_bytes<const D: usize>(n: usize) -> usize {
-    let resident = n * std::mem::size_of::<Point<D>>() + n * 4 + n.div_ceil(8);
-    resident + Bvh::<D>::bytes_for(n) + Bvh::<D>::build_scratch_bytes(n)
+    resident_bytes::<D>(n)
+        + Bvh::<D, Point<D>>::bytes_for(n)
+        + Bvh::<D, Point<D>>::build_scratch_bytes(n)
 }
 
 /// Predicted device footprint of FDBSCAN-DenseBox in bytes, an upper
-/// bound: FDBSCAN's with an `n`-leaf tree, plus a grid of one cell per
-/// point and its build scratch. The mixed-primitive tree shrinks with
-/// the dense fraction, which is unknown before the grid is built, and
-/// its build may recycle the grid's scratch.
+/// bound: the resident arrays, a box tree of `n` leaves and its build
+/// scratch, plus a grid of one cell per point and its build scratch. The
+/// mixed-primitive tree shrinks with the dense fraction, which is unknown
+/// before the grid is built, and its build may recycle the grid's
+/// scratch.
 pub fn estimate_densebox_bytes<const D: usize>(n: usize) -> usize {
-    estimate_fdbscan_bytes::<D>(n)
+    resident_bytes::<D>(n)
+        + Bvh::<D>::bytes_for(n)
+        + Bvh::<D>::build_scratch_bytes(n)
         + DenseGrid::<D>::bytes_for(n, n)
         + DenseGrid::<D>::build_scratch_bytes(n)
 }

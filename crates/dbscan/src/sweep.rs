@@ -34,7 +34,7 @@ pub struct MinptsSweep<'a, const D: usize> {
     device: &'a Device,
     points: &'a [Point<D>],
     eps: f32,
-    bvh: Bvh<D>,
+    bvh: Bvh<D, Point<D>>,
     counts: Vec<u32>,
     setup_time: Duration,
     _memory: Vec<MemoryReservation>,
@@ -64,14 +64,14 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
             let bvh_ref = &bvh;
             let counters = device.counters();
             device.try_launch_named("sweep.full_count", n, |pos| {
-                let i = bvh_ref.leaf_payload(pos as u32);
+                let pos = pos as u32;
+                let i = bvh_ref.leaf_payload(pos);
                 let mut found = 0u32;
-                let stats =
-                    bvh_ref.for_each_after(pos as u32, &points[i as usize], eps, |_, j, _| {
-                        counts[j as usize].fetch_add(1, Ordering::Relaxed);
-                        found += 1;
-                        ControlFlow::Continue(())
-                    });
+                let stats = bvh_ref.for_each_after(pos, bvh_ref.leaf(pos), eps, |_, j, _| {
+                    counts[j as usize].fetch_add(1, Ordering::Relaxed);
+                    found += 1;
+                    ControlFlow::Continue(())
+                });
                 counts[i as usize].fetch_add(found, Ordering::Relaxed);
                 stats.charge(counters);
             })?;
@@ -127,7 +127,7 @@ impl<'a, const D: usize> MinptsSweep<'a, D> {
         })?;
 
         run.enter(PHASE_MAIN);
-        main_fused(device, points, &self.bvh, self.eps, Cores::Exact(&core), options, &labels)?;
+        main_fused(device, &self.bvh, self.eps, Cores::Exact(&core), options, &labels)?;
 
         run.enter(PHASE_FINALIZE);
         let clustering = finalize(device, &labels, &core)?;

@@ -7,10 +7,11 @@
 //! * [`SharedMut`] — a `Sync` view over `&mut [T]` permitting unsafe
 //!   disjoint writes from many threads (the caller proves disjointness),
 //! * [`as_atomic_u32`] — reinterpret an exclusive `u32` slice as a slice
-//!   of atomics, for label arrays and counters.
+//!   of atomics, for label arrays and counters, and [`as_atomic_u64`] its
+//!   `u64` twin, for the BVH build's rendezvous words.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicU32, AtomicU64};
 
 /// A shared-mutable view over a slice, for kernels whose threads write
 /// disjoint elements.
@@ -80,6 +81,16 @@ impl<'a, T> SharedMut<'a, T> {
 pub fn as_atomic_u32(slice: &mut [u32]) -> &[AtomicU32] {
     // SAFETY: layout-compatible per std docs; uniqueness from `&mut`.
     unsafe { &*(slice as *mut [u32] as *const [AtomicU32]) }
+}
+
+/// Reinterprets an exclusive `u64` slice as atomics, on the same grounds
+/// as [`as_atomic_u32`]. `AtomicU64` is aligned to its size; the compile-
+/// time check below rules out targets where `u64` is aligned less.
+pub fn as_atomic_u64(slice: &mut [u64]) -> &[AtomicU64] {
+    const { assert!(std::mem::align_of::<u64>() == std::mem::align_of::<AtomicU64>()) };
+    // SAFETY: same size and alignment (checked above); uniqueness from
+    // `&mut`.
+    unsafe { &*(slice as *mut [u64] as *const [AtomicU64]) }
 }
 
 #[cfg(test)]

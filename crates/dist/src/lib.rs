@@ -458,7 +458,7 @@ fn run_distributed<const D: usize>(
                                         return;
                                     }
                                     let mut count = 0usize;
-                                    let q = &local_points[li];
+                                    let q = bvh.leaf(pos);
                                     let stats = bvh.for_each_around(pos, q, eps, |_, _, _| {
                                         count += 1;
                                         if count >= minpts {
@@ -568,7 +568,6 @@ fn run_distributed<const D: usize>(
                                     let local_labels = AtomicLabels::new(local_n);
                                     main_fused(
                                         rank_device,
-                                        local_points,
                                         bvh,
                                         eps,
                                         Cores::Exact(&local_core),
@@ -602,8 +601,7 @@ fn run_distributed<const D: usize>(
                                         // per adjacent local cluster) is
                                         // complete.
                                         let mut roots: Vec<u32> = Vec::new();
-                                        let point = &local_points[li];
-                                        bvh.for_each_around(pos, point, eps, |_, j, _| {
+                                        bvh.for_each_around(pos, bvh.leaf(pos), eps, |_, j, _| {
                                             if local_core.get(j) {
                                                 let root = labels[j as usize];
                                                 if !roots.contains(&root) {

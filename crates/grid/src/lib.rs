@@ -168,7 +168,8 @@ impl<const D: usize> DenseGrid<D> {
     /// 4. `grid.dense_census` — reduction counting dense cells/points.
     ///
     /// # Errors
-    /// [`DeviceError::InvalidInput`] when an axis needs more cells than
+    /// [`DeviceError::InvalidInput`] when `eps` is not positive and
+    /// finite, when `minpts` is 0, or when an axis needs more cells than
     /// its Morton key bits can number (`eps` too small for the data
     /// extent). Propagates [`DeviceError`] from scratch allocation
     /// (budget exhaustion or injected faults) and from the device
@@ -179,7 +180,6 @@ impl<const D: usize> DenseGrid<D> {
         eps: f32,
         minpts: usize,
     ) -> Result<Self, DeviceError> {
-        assert!(eps > 0.0 && eps.is_finite(), "eps must be positive and finite");
         Self::build_directory(device, points, eps / (D as f32).sqrt(), eps * eps, minpts)
     }
 
@@ -192,8 +192,7 @@ impl<const D: usize> DenseGrid<D> {
     /// users should pass a `minpts` that disables it (e.g. `usize::MAX`).
     ///
     /// # Errors
-    /// As [`DenseGrid::build_in`], with `cell_len` too small for the data
-    /// extent.
+    /// As [`DenseGrid::build_in`], with `cell_len` in place of `eps`.
     pub fn build_with_cell_len_in(
         device: &Device,
         points: &[Point<D>],
@@ -213,8 +212,15 @@ impl<const D: usize> DenseGrid<D> {
         eps_sq: f32,
         minpts: usize,
     ) -> Result<Self, DeviceError> {
-        assert!(cell_len > 0.0 && cell_len.is_finite(), "eps must be positive and finite");
-        assert!(minpts >= 1, "minpts must be at least 1");
+        // `build_in`'s edge `eps / sqrt(D)` is positive and finite only if
+        // `eps` is, so this one check covers both entry points.
+        let invalid = |reason: &str| Err(DeviceError::InvalidInput { reason: reason.into() });
+        if !(cell_len > 0.0 && cell_len.is_finite()) {
+            return invalid("eps must be positive and finite");
+        }
+        if minpts == 0 {
+            return invalid("minpts must be at least 1");
+        }
         let n = points.len();
 
         if n == 0 {
@@ -263,14 +269,12 @@ impl<const D: usize> DenseGrid<D> {
         let key_bits = (axis_bits * D as u32).min(64);
 
         // 1. Sort point ids by cell key. Keys are generated inside the
-        //    sort itself; its fused epilogue delivers the sorted order
-        //    straight into the directory arrays.
+        //    sort itself, which hands them back sorted; its fused
+        //    epilogue delivers the sorted ids straight into the
+        //    directory.
         let mut sorted_ids = vec![0u32; n];
-        let arena = device.arena();
-        let mut sorted_keys = arena.take::<u64>(n)?;
-        {
+        let sorted_keys = {
             let ids_view = SharedMut::new(&mut sorted_ids);
-            let keys_view = SharedMut::new(&mut sorted_keys[..]);
             let origin_ref = &origin;
             sort_by_key_fused(
                 device,
@@ -278,18 +282,16 @@ impl<const D: usize> DenseGrid<D> {
                 key_bits,
                 |i| cell_key::<D>(&points[i], origin_ref, cell_len),
                 // SAFETY: the sort emits each destination rank exactly once.
-                |pos, key, id| unsafe {
-                    keys_view.write(pos, key);
-                    ids_view.write(pos, id);
-                },
-            )?;
-        }
+                |pos, id| unsafe { ids_view.write(pos, id) },
+            )?
+        };
 
         // 2. Derive the directory from the sorted order in one batched
         //    launch: head flags -> cell scan -> segment offsets -> dense
         //    classification. The number of non-empty cells is only known
         //    after the in-batch scan, so cell-indexed arrays are sized at
         //    the worst case (n cells) and truncated afterwards.
+        let arena = device.arena();
         let mut head = arena.take::<u32>(n)?;
         let mut total_slot = arena.take::<u32>(1)?;
         let mut cell_starts = vec![0u32; n + 1];
@@ -518,14 +520,15 @@ impl<const D: usize> DenseGrid<D> {
     }
 
     /// Device bytes a build over `points` points checks out of the
-    /// device's buffer arena, which stay held there after it: the sorted
-    /// keys, the cell count, and the sort's scratch, whose returned `u32`
-    /// value buffer the head flags take (a buffer of their own when the
-    /// sort runs sequentially and takes none).
+    /// device's buffer arena, which stay held there after it: the cell
+    /// count and the sort's scratch, whose returned key buffer holds the
+    /// sorted keys and whose `u32` value buffers the head flags recycle
+    /// (a sequential sort takes only the key buffer, and the head flags
+    /// a buffer of their own).
     pub fn build_scratch_bytes(points: usize) -> usize {
         match points {
             0 => 0,
-            n => n * 8 + 4 + fdbscan_psort::fused_scratch_bytes(n).max(n * 4),
+            n => 4 + fdbscan_psort::fused_scratch_bytes(n).max(n * (8 + 4)),
         }
     }
 }
@@ -820,6 +823,26 @@ mod tests {
     #[should_panic(expected = "minpts must be at least 1")]
     fn zero_minpts_rejected() {
         DenseGrid::<2>::build(&device(), &[Point::new([0.0, 0.0])], 1.0, 0);
+    }
+
+    #[test]
+    fn bad_eps_cell_len_or_minpts_is_invalid_input() {
+        let device = device();
+        let points = [Point::new([0.0, 0.0]), Point::new([1.0, 1.0])];
+        let expect = |built: Result<DenseGrid<2>, DeviceError>, what: &str| match built {
+            Err(DeviceError::InvalidInput { reason }) => assert_eq!(reason, what),
+            other => panic!("{what}: expected InvalidInput, got {other:?}"),
+        };
+        for bad in [0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let eps = "eps must be positive and finite";
+            expect(DenseGrid::build_in(&device, &points, bad, 2), eps);
+            expect(DenseGrid::build_with_cell_len_in(&device, &points, bad, 2), eps);
+        }
+        let minpts = "minpts must be at least 1";
+        expect(DenseGrid::build_in(&device, &points, 1.0, 0), minpts);
+        expect(DenseGrid::build_with_cell_len_in(&device, &points, 1.0, 0), minpts);
+        // Rejected before any device work.
+        assert_eq!(device.counters().snapshot().kernel_launches, 0);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`radix::sort_pairs_in`] — the same sort with errors propagated
 //!   instead of panicking,
 //! * [`radix::sort_by_key_fused`] — sorts virtual `(keygen(i), i)` pairs,
-//!   generating keys on the fly and delivering results through an `emit`
-//!   epilogue fused into the final scatter pass.
+//!   generating keys on the fly, delivering the permutation through an
+//!   `emit` epilogue fused into the final scatter pass, and handing back
+//!   the sorted keys in one of its own scratch buffers.
 //!
 //! The radix sort skips passes whose digit is constant across all keys
 //! (computed from the maximum key, or analytically via `key_bits` on the

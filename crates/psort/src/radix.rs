@@ -30,10 +30,12 @@
 //! Scratch (the ping-pong key/payload arrays) is checked out of the
 //! device's [`fdbscan_device::BufferArena`], so repeated sorts — every
 //! BVH or grid build after the first — reuse the same allocations. The
+//! fused sort returns the key buffer its last pass wrote, so a caller
+//! that needs the sorted keys holds no array of its own. The
 //! count matrix is untracked scratch, the analogue of GPU shared memory:
 //! 2 KB per block, under 64 KB at 500k keys.
 
-use fdbscan_device::{BatchStage, Device, DeviceError, SharedMut};
+use fdbscan_device::{ArenaBuf, BatchStage, Device, DeviceError, SharedMut};
 
 const RADIX_BITS: u32 = 8;
 const BUCKETS: usize = 1 << RADIX_BITS;
@@ -92,11 +94,8 @@ pub fn sort_pairs_in(
     let max_key = device.try_reduce_named("sort.max_key", n, 0u64, |i| keys[i], |a, b| a.max(b))?;
     let key_bits = (64 - max_key.leading_zeros()).max(1);
 
-    let arena = device.arena();
-    let mut keys_sorted = arena.take::<u64>(n)?;
-    let mut values_sorted = arena.take::<u32>(n)?;
-    {
-        let keys_view = SharedMut::new(&mut keys_sorted[..]);
+    let mut values_sorted = device.arena().take::<u32>(n)?;
+    let keys_sorted = {
         let values_view = SharedMut::new(&mut values_sorted[..]);
         let keys_in: &[u64] = keys;
         let values_in: &[u32] = values;
@@ -105,29 +104,28 @@ pub fn sort_pairs_in(
             n,
             key_bits,
             |i| keys_in[i],
-            |dest, key, payload| {
+            |dest, payload| {
                 // SAFETY: `dest` ranks are globally unique — the scatter
                 // emits each output slot exactly once.
-                unsafe {
-                    keys_view.write(dest, key);
-                    values_view.write(dest, values_in[payload as usize]);
-                }
+                unsafe { values_view.write(dest, values_in[payload as usize]) };
             },
-        )?;
-    }
+        )?
+    };
     keys.copy_from_slice(&keys_sorted);
     values.copy_from_slice(&values_sorted);
     Ok(())
 }
 
 /// Bytes of device scratch [`sort_by_key_fused`] checks out of the
-/// arena for `n` elements: two `u64` key and two `u32` value buffers,
-/// none below the sequential threshold.
+/// arena for `n` elements: two `u64` key and two `u32` value buffers, of
+/// which it hands back one key buffer holding the sorted keys. Below the
+/// sequential threshold it takes only the returned key buffer.
 pub fn fused_scratch_bytes(n: usize) -> usize {
+    let key = std::mem::size_of::<u64>();
     if n < SEQUENTIAL_THRESHOLD {
-        0
+        n * key
     } else {
-        2 * n * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+        2 * n * (key + std::mem::size_of::<u32>())
     }
 }
 
@@ -140,11 +138,16 @@ pub fn fused_scratch_bytes(n: usize) -> usize {
 /// the significant key width and fixes the pass count analytically, so
 /// no max-key reduction is launched.
 ///
-/// When the sort completes, `emit(rank, key, i)` has been called exactly
-/// once per element: element `i` (with key `keygen(i)`) landed at sorted
+/// When the sort completes, `emit(rank, i)` has been called exactly once
+/// per element: element `i` (with key `keygen(i)`) landed at sorted
 /// position `rank`. Ties preserve index order (stability). `emit` runs
 /// inside the final scatter kernel; destination ranks are unique, so
 /// writes indexed by `rank` need no synchronisation.
+///
+/// Returns the sorted keys, in the ping-pong key buffer the final pass
+/// leaves free: the caller holds no key array of its own, and when it
+/// drops the buffer it returns to the arena with the rest of the sort's
+/// scratch ([`fused_scratch_bytes`]).
 ///
 /// Above the sequential threshold this costs exactly **one** batched
 /// launch regardless of pass count; below it, zero launches.
@@ -158,33 +161,36 @@ pub fn sort_by_key_fused<K, E>(
     key_bits: u32,
     keygen: K,
     emit: E,
-) -> Result<(), DeviceError>
+) -> Result<ArenaBuf<u64>, DeviceError>
 where
     K: Fn(usize) -> u64 + Sync,
-    E: Fn(usize, u64, u32) + Sync,
+    E: Fn(usize, u32) + Sync,
 {
+    let arena = device.arena();
     if n == 0 {
-        return Ok(());
+        return Ok(arena.take_untracked(0));
     }
     if n < SEQUENTIAL_THRESHOLD {
+        let mut sorted = arena.take::<u64>(n)?;
         let keys: Vec<u64> = (0..n).map(&keygen).collect();
         let mut perm: Vec<u32> = (0..n as u32).collect();
         perm.sort_by_key(|&i| keys[i as usize]);
         for (rank, &orig) in perm.iter().enumerate() {
-            emit(rank, keys[orig as usize], orig);
+            sorted[rank] = keys[orig as usize];
+            emit(rank, orig);
         }
-        return Ok(());
+        return Ok(sorted);
     }
 
     let passes = (key_bits.div_ceil(RADIX_BITS)).max(1) as usize;
     let num_blocks = n.div_ceil(SORT_BLOCK);
-    let arena = device.arena();
 
     // Ping-pong scratch: pass 0 scatters into A, later passes alternate
     // A -> B -> A. B first holds the generated keys: pass 0's histogram
     // stores them there and its scatter reads them back, before pass 1
-    // scatters into B. Tracked against the memory budget — this is
-    // data-sized device-global scratch.
+    // scatters into B. The final pass's key buffer is returned to the
+    // caller. Tracked against the memory budget — this is data-sized
+    // device-global scratch.
     let mut keys_a = arena.take::<u64>(n)?;
     let mut keys_b = arena.take::<u64>(n)?;
     let mut vals_a = arena.take::<u32>(n)?;
@@ -287,26 +293,24 @@ where
                 let digit = ((key >> shift) as usize) & (BUCKETS - 1);
                 let dest = cursors[digit];
                 cursors[digit] += 1;
+                // SAFETY: scatter destinations are globally unique — the
+                // scanned bases partition the output index space by
+                // (digit, block), and cursors stay within each partition.
+                unsafe { dst_keys.write(dest, key) };
                 if last {
-                    // The caller's epilogue is the only output of the
-                    // final pass: nothing reads the ping-pong buffers
-                    // after it.
-                    emit(dest, key, payload);
+                    // The final pass's payloads go only to the caller's
+                    // epilogue: nothing reads the value buffers after it.
+                    emit(dest, payload);
                 } else {
-                    // SAFETY: scatter destinations are globally unique —
-                    // the scanned bases partition the output index space
-                    // by (digit, block), and cursors stay within each
-                    // partition.
-                    unsafe {
-                        dst_keys.write(dest, key);
-                        dst_vals.write(dest, payload);
-                    }
+                    // SAFETY: as for the key.
+                    unsafe { dst_vals.write(dest, payload) };
                 }
             }
         }));
     }
 
-    device.try_batch_named("sort.pipeline", stages)
+    device.try_batch_named("sort.pipeline", stages)?;
+    Ok(if passes % 2 == 1 { keys_a } else { keys_b })
 }
 
 #[cfg(test)]
@@ -450,20 +454,15 @@ mod tests {
         let n = 30_000usize;
         // Deterministic pseudo-random keys generated on the fly.
         let key_of = |i: usize| (i as u64).wrapping_mul(2654435761) % (1 << 20);
-        let mut out_keys = vec![0u64; n];
         let mut out_src = vec![u32::MAX; n];
-        {
-            let ok = SharedMut::new(&mut out_keys[..]);
+        let out_keys = {
             let os = SharedMut::new(&mut out_src[..]);
-            sort_by_key_fused(&device, n, 20, key_of, |rank, key, i| {
+            sort_by_key_fused(&device, n, 20, key_of, |rank, i| {
                 // SAFETY: ranks are unique per the emit contract.
-                unsafe {
-                    ok.write(rank, key);
-                    os.write(rank, i);
-                }
+                unsafe { os.write(rank, i) };
             })
-            .unwrap();
-        }
+            .unwrap()
+        };
         assert!(out_keys.windows(2).all(|w| w[0] <= w[1]));
         // Every source index appears exactly once and maps to its key.
         let mut seen = vec![false; n];
@@ -496,7 +495,7 @@ mod tests {
                     calls.fetch_add(1, Ordering::Relaxed);
                     key_of(i)
                 };
-                sort_by_key_fused(&device, n, 16, keygen, |rank, _key, i| {
+                sort_by_key_fused(&device, n, 16, keygen, |rank, i| {
                     // SAFETY: unique ranks.
                     unsafe { view.write(rank, i) };
                 })
@@ -543,7 +542,7 @@ mod tests {
         let mut out = vec![0u32; n];
         {
             let view = SharedMut::new(&mut out[..]);
-            sort_by_key_fused(&device, n, 8, key_of, |rank, _key, i| {
+            sort_by_key_fused(&device, n, 8, key_of, |rank, i| {
                 // SAFETY: unique ranks.
                 unsafe { view.write(rank, i) };
             })
@@ -554,6 +553,43 @@ mod tests {
             assert_eq!(src as usize, n - 1 - rank);
         }
         assert_eq!(device.counters().snapshot().kernel_launches - before, 0);
+    }
+
+    #[test]
+    fn returned_keys_are_the_stable_sort_of_keygen() {
+        // Below and above the sequential threshold, with 1-pass and
+        // 8-pass key widths: the returned buffer holds the sorted keys,
+        // it is one of the sort's own buffers (no fresh reservation on a
+        // warm arena), and emit ranks agree with it.
+        let device = Device::new(DeviceConfig::default().with_workers(2));
+        for n in [1usize, 100, SEQUENTIAL_THRESHOLD - 1, SEQUENTIAL_THRESHOLD, 3 * SORT_BLOCK + 7] {
+            for key_bits in [8u32, 64] {
+                let mask = if key_bits == 64 { u64::MAX } else { (1 << key_bits) - 1 };
+                let key_of = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask;
+                let mut expected: Vec<u64> = (0..n).map(key_of).collect();
+                expected.sort();
+                for round in 0..2 {
+                    let fresh_before = device.memory().reservations_made();
+                    let mut src = vec![u32::MAX; n];
+                    let keys = {
+                        let view = SharedMut::new(&mut src[..]);
+                        // SAFETY: unique ranks.
+                        sort_by_key_fused(&device, n, key_bits, key_of, |rank, i| unsafe {
+                            view.write(rank, i)
+                        })
+                        .unwrap()
+                    };
+                    assert_eq!(keys[..], expected[..], "n = {n}, {key_bits} bits");
+                    for (rank, &i) in src.iter().enumerate() {
+                        assert_eq!(keys[rank], key_of(i as usize), "n = {n}, rank {rank}");
+                    }
+                    if round == 1 {
+                        let fresh = device.memory().reservations_made() - fresh_before;
+                        assert_eq!(fresh, 0, "n = {n}: a warm sort reserves nothing");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

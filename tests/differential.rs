@@ -465,3 +465,47 @@ fn points_on_dense_cell_faces_and_corners() {
         }
     }
 }
+
+/// `n` points whose first axis lies a few ulps above `2^127` and whose
+/// second lies as far below `-2^127`, both beyond `±f32::MAX / 2`, with a
+/// third axis in `[0, 4)` in 3-D. On each huge axis with `spread > 0`
+/// the points take `spread + 1` values one ulp (`2^104`) apart; with
+/// `spread == 0` the axis is constant.
+fn beyond_half_max<const D: usize>(n: usize, spread: u32, seed: u64) -> Vec<Point<D>> {
+    let mut rng = StdRng::seed_from_u64(offset_seed(seed));
+    let half = 2f32.powi(127);
+    (0..n)
+        .map(|_| {
+            let mut ulps = || f32::from_bits(half.to_bits() + rng.gen_range(0..=spread));
+            let mut coords = [0.0f32; D];
+            coords[0] = ulps();
+            coords[1] = -ulps();
+            for c in &mut coords[2..] {
+                *c = rng.gen_range(0.0..4.0);
+            }
+            Point::new(coords)
+        })
+        .collect()
+}
+
+#[test]
+fn coordinates_beyond_half_of_f32_max() {
+    // There a point box's centre `0.5 * (p + p)` overflows to ±inf, so
+    // the box tree's Morton order may differ from the point tree's.
+    // Where the huge axes spread over a few ulps (2^104 apart), a grid
+    // cell must span them, so eps is 1e30 and its square overflows:
+    // every pair is within eps, and the oracle finds one cluster or only
+    // noise. Where they stay constant, 3-D points cluster on the finite
+    // axis at an ordinary eps.
+    let n = 40;
+    for seed in 0..4 {
+        for minpts in [2, 5, n, n + 1] {
+            let wide = Params::new(1e30, minpts);
+            let name = format!("beyond f32::MAX/2 minpts {minpts}");
+            check_case(&format!("{name} 2-D"), seed, &beyond_half_max::<2>(n, 2, seed), wide);
+            check_case(&format!("{name} 3-D"), seed, &beyond_half_max::<3>(n, 2, seed), wide);
+            let flat = beyond_half_max::<3>(n, 0, seed);
+            check_case(&format!("{name} constant axes"), seed, &flat, Params::new(0.2, minpts));
+        }
+    }
+}
