@@ -212,12 +212,13 @@ fn run_main<const D: usize>(
             return;
         }
         let members = grid.cell_members(c);
-        let anchor = members[0];
-        core.set(anchor);
-        for &m in &members[1..] {
+        for &m in members {
             core.set(m);
-            labels.union(anchor, m);
         }
+        // Every member is still a singleton, and the first is the cell's
+        // smallest id (the grid's sort is stable): the rest hook straight
+        // under it, as `union` would hook them.
+        labels.hook_singletons(members[0], &members[1..]);
     })?;
 
     // Phase 3b: one masked query per tree leaf. Core status is decided
@@ -309,8 +310,10 @@ impl<const D: usize> MainKernel<'_, D> {
         // `Connect` marks cores per pair instead of deciding them.
         if self.rule != PairRule::Connect && self.lazy.claim(i).is_none() {
             let decide = |is_core| self.lazy.decide(self.core, i, is_core);
+            // The launch runs highest position first, so no leaf before
+            // `pos` has searched yet: the prefix may hold neighbours.
             let (suffix, prefix) =
-                search_claimed(self.bvh, pos, q, self.eps, self.minpts, decide, &mut hits);
+                search_claimed(self.bvh, pos, q, self.eps, self.minpts, true, decide, &mut hits);
             return QueryStats {
                 nodes_visited: suffix.nodes_visited + prefix.nodes_visited,
                 ..suffix

@@ -15,11 +15,15 @@
 //!    first demand, exactly once per point no matter how many pairs
 //!    touch it ([`crate::framework::LazyCore`]). A thread that claims its
 //!    own undecided point counts the point's neighbours in that same
-//!    search, and walks the prefix before its leaf
-//!    ([`Bvh::for_each_before`]) only while the count is short of
-//!    `minpts`. A partner nobody has decided yet is counted by an
-//!    early-terminating walk outward from its own leaf
-//!    ([`Bvh::for_each_around`]).
+//!    search. Every pair a search finds decides its partner, so once
+//!    every thread before leaf `pos` has finished, a point still
+//!    unclaimed there has no neighbour before its leaf, and its suffix
+//!    count is final. Only a claimant that started before its
+//!    predecessors were known to have finished walks the prefix before
+//!    its leaf ([`Bvh::for_each_before`]), and only while its count is
+//!    short of `minpts`; on an in-order engine none does. A partner
+//!    nobody has decided yet is counted by an early-terminating walk
+//!    outward from its own leaf ([`Bvh::for_each_around`]).
 //!    `minpts <= 2` needs no counting at all (Algorithm 3 line 2): with
 //!    `minpts == 2` any matched pair proves both endpoints core, and
 //!    with `minpts == 1` every point is core. The kernel is
@@ -35,6 +39,7 @@
 //! counting work is attributed to the main phase where it now happens.
 
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fdbscan_bvh::Bvh;
 use fdbscan_device::{Device, DeviceError, Hot, PipelineCheckpoint};
@@ -200,7 +205,12 @@ pub enum Cores<'a> {
 /// pair exactly once. Where `cores` is lazy, a thread that wins the
 /// claim on its own point counts the point's neighbours in that search
 /// and publishes its core status mid-walk; a point some other thread
-/// already claimed is decided before the search starts. Each pair is
+/// already claimed is decided before the search starts. A claimant whose
+/// suffix leaves the count short walks the prefix before its leaf only
+/// if, when it started, the threads before it were not all known to
+/// have finished (`FinishedPrefix`): every thread's search decides each
+/// partner it finds, so the points after a finished prefix that are
+/// still unclaimed have no neighbour in it. Each pair is
 /// resolved into `labels`: a union for core–core, a CAS border claim
 /// otherwise, and no claim under DBSCAN* (`options.star`). `labels` and
 /// the core flags are indexed by point id.
@@ -252,7 +262,12 @@ pub fn main_fused<const D: usize>(
             }
         });
     };
+    let finished = FinishedPrefix::new();
     device.try_launch_named("fdbscan.main_fused", bvh.len(), |pos| {
+        // Read before the claim: if every thread before `pos` has
+        // finished, each decided every partner its search found, so an
+        // unclaimed point here has no neighbour before its leaf.
+        let prefix_may_hit = !finished.all_before(pos);
         let pos = pos as u32;
         let i = bvh.leaf_payload(pos);
         let q = bvh.leaf(pos);
@@ -266,8 +281,9 @@ pub fn main_fused<const D: usize>(
             // the suffix is walked once.
             Some((lazy, minpts)) if masked && early && lazy.claim(i).is_none() => {
                 let decide = |is_core| lazy.decide(core, i, is_core);
+                let mut hits = PointHits(resolve);
                 let (suffix, prefix) =
-                    search_claimed(bvh, pos, q, eps, minpts, decide, &mut PointHits(resolve));
+                    search_claimed(bvh, pos, q, eps, minpts, prefix_may_hit, decide, &mut hits);
                 prefix.charge(counters);
                 suffix
             }
@@ -292,7 +308,41 @@ pub fn main_fused<const D: usize>(
         };
         stats.charge(counters);
         counters.add(Hot::Neighbors, stats.leaf_hits);
+        finished.finish(pos as usize);
     })
+}
+
+/// How many leading threads of one [`main_fused`] launch are known to
+/// have finished: thread `pos` reads `pos` here when every thread before
+/// it has.
+///
+/// Only the thread whose index equals the count moves it, so one writer
+/// at a time needs no read-modify-write. A thread that finishes while
+/// some thread before it has not leaves the count where it is, and the
+/// count then stays below it for the rest of the launch: on a parallel
+/// engine it stops at the first out-of-order finish, and the claimants
+/// after it walk their prefix. The store is `Release` and both loads
+/// `Acquire`, so each finished thread's work happens before the next
+/// one's store, and a thread that reads `pos` sees the work of every
+/// thread before it.
+struct FinishedPrefix(AtomicUsize);
+
+impl FinishedPrefix {
+    fn new() -> Self {
+        Self(AtomicUsize::new(0))
+    }
+
+    /// Whether every thread before `pos` is known to have finished.
+    fn all_before(&self, pos: usize) -> bool {
+        self.0.load(Ordering::Acquire) == pos
+    }
+
+    /// Thread `pos` has finished: counts it if every thread before it has.
+    fn finish(&self, pos: usize) {
+        if self.all_before(pos) {
+            self.0.store(pos + 1, Ordering::Release);
+        }
+    }
 }
 
 /// FDBSCAN's [`Claimant`]: every leaf is a point, so a hit is one
@@ -582,11 +632,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn isolated_points_walk_each_suffix_once() {
-        // A lattice spaced wider than eps: no point has a neighbour, so
-        // every thread claims its own point, walks its suffix once
-        // (searching and counting) and then its prefix (counting on).
+    /// A lattice spaced wider than `eps = 0.5`: no point has a neighbour.
+    fn isolated_lattice() -> Vec<Point<3>> {
         let mut points = Vec::new();
         for x in 0..8 {
             for y in 0..8 {
@@ -595,21 +642,116 @@ mod tests {
                 }
             }
         }
+        points
+    }
+
+    /// The node tests of every leaf's suffix walk and of its prefix walk,
+    /// each summed over the leaves of `points`' tree.
+    fn suffix_and_prefix_nodes(d: &Device, points: &[Point<3>], eps: f32) -> (u64, u64) {
+        let bvh = point_bvh(d, points).unwrap();
+        let go = |_, _, _| ControlFlow::Continue(());
+        (0..bvh.len() as u32).fold((0, 0), |(after, before), pos| {
+            let q = bvh.leaf(pos);
+            (
+                after + bvh.for_each_after(pos, q, eps, go).nodes_visited,
+                before + bvh.for_each_before(pos, q, eps, go).nodes_visited,
+            )
+        })
+    }
+
+    #[test]
+    fn isolated_points_walk_each_suffix_once() {
+        // No point has a neighbour, so every thread claims its own point
+        // and walks its suffix once (searching and counting). On the
+        // sequential device every thread before it has finished by then,
+        // and none found the point, so no prefix holds a neighbour and
+        // no thread walks one.
+        let points = isolated_lattice();
         let (eps, minpts) = (0.5, 5);
         let d = Device::new(DeviceConfig::sequential());
         let (c, stats) = fdbscan(&d, &points, Params::new(eps, minpts)).unwrap();
         assert_eq!(c.num_noise(), points.len());
-        let bvh = point_bvh(&d, &points).unwrap();
-        let go = |_, _, _| ControlFlow::Continue(());
-        let walks: u64 = (0..bvh.len() as u32)
-            .map(|pos| {
-                let q = &points[bvh.leaf_payload(pos) as usize];
-                bvh.for_each_after(pos, q, eps, go).nodes_visited
-                    + bvh.for_each_before(pos, q, eps, go).nodes_visited
-            })
-            .sum();
-        assert_eq!(stats.phase_counters.main.bvh_nodes_visited, walks);
+        let (suffix, _) = suffix_and_prefix_nodes(&d, &points, eps);
+        assert_eq!(stats.phase_counters.main.bvh_nodes_visited, suffix);
         assert_eq!(stats.phase_counters.main.distance_computations, 0);
+    }
+
+    #[test]
+    fn isolated_points_on_four_workers_fall_back_to_prefix_walks() {
+        // The same lattice on four workers, one index per block: a thread
+        // that starts while a thread before it is unfinished walks its
+        // prefix too, so the main phase tests at least every suffix and
+        // at most every suffix and prefix.
+        let points = isolated_lattice();
+        let (eps, minpts) = (0.5, 5);
+        let d = Device::new(DeviceConfig::default().with_workers(4).with_block_size(1));
+        let (suffix, prefix) = suffix_and_prefix_nodes(&d, &points, eps);
+        for _ in 0..3 {
+            let (c, stats) = fdbscan(&d, &points, Params::new(eps, minpts)).unwrap();
+            assert_eq!(c.num_noise(), points.len());
+            let nodes = stats.phase_counters.main.bvh_nodes_visited;
+            assert!(
+                (suffix..=suffix + prefix).contains(&nodes),
+                "{nodes} node tests, outside {suffix}..={}",
+                suffix + prefix
+            );
+            assert_eq!(stats.phase_counters.main.distance_computations, 0);
+        }
+    }
+
+    /// Every schedule of `n` threads' start and finish events: each thread
+    /// appears twice, first starting, then finishing.
+    fn each_schedule(events: &mut Vec<usize>, left: &mut [u8], visit: &mut impl FnMut(&[usize])) {
+        if left.iter().all(|&l| l == 0) {
+            visit(events);
+        }
+        for t in 0..left.len() {
+            if left[t] > 0 {
+                left[t] -= 1;
+                events.push(t);
+                each_schedule(events, left, visit);
+                events.pop();
+                left[t] += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn finished_prefix_never_reports_an_unfinished_thread() {
+        // In order, every thread sees all threads before it finished.
+        let finished = FinishedPrefix::new();
+        for pos in 0..100 {
+            assert!(finished.all_before(pos), "in-order thread {pos} not counted");
+            finished.finish(pos);
+        }
+        // Every interleaving of four threads' starts and finishes (2,520).
+        let n = 4;
+        let mut schedules = 0;
+        each_schedule(&mut Vec::new(), &mut vec![2; n], &mut |events| {
+            schedules += 1;
+            let finished = FinishedPrefix::new();
+            let (mut started, mut done, mut finish_order) =
+                (vec![false; n], vec![false; n], vec![]);
+            for &t in events {
+                if !started[t] {
+                    started[t] = true;
+                    assert!(
+                        !finished.all_before(t) || done[..t].iter().all(|&d| d),
+                        "thread {t} sees every thread before it finished in {events:?}"
+                    );
+                } else {
+                    finished.finish(t);
+                    done[t] = true;
+                    finish_order.push(t);
+                }
+            }
+            // Finishes in index order count every thread, whatever the
+            // starts did.
+            if finish_order.windows(2).all(|w| w[0] < w[1]) {
+                assert!(finished.all_before(n), "in-order finishes uncounted in {events:?}");
+            }
+        });
+        assert_eq!(schedules, 2520);
     }
 
     #[test]

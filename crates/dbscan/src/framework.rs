@@ -12,7 +12,9 @@
 //! * the thread whose leaf holds an undecided point claims it and counts
 //!   its neighbours inside its own masked search (`search_claimed`), so
 //!   the suffix after the leaf is walked once, and the prefix before it
-//!   only while the count is short of `minpts`;
+//!   only while the count is short of `minpts` and the prefix may still
+//!   hold a neighbour (FDBSCAN knows it holds none once every thread
+//!   before the leaf has finished);
 //! * a point some other thread needs before its own thread got to it is
 //!   counted by an early-terminating walk outward from its leaf
 //!   (`count_around`).
@@ -261,21 +263,25 @@ thread_local! {
 /// The count starts at 1 (the point itself) and adds each suffix hit's
 /// [`Claimant::weigh`]. If the suffix ends short of `minpts`, the count
 /// goes on through the prefix ([`Bvh::for_each_before`]), stopping at
-/// `minpts`. `decide` publishes the decision the moment it is known. The
-/// pairs found before then are held and resolved in order right after it
-/// ([`Claimant::resolve_held`]), later hits at once
+/// `minpts`, unless `prefix_may_hit` is false: the caller knows that no
+/// leaf before `pos` is within `eps` of `q`, so the short count is final
+/// and the point is not core. `decide` publishes the decision the moment
+/// it is known. The pairs found before then are held and resolved in
+/// order right after it ([`Claimant::resolve_held`]), later hits at once
 /// ([`Claimant::resolve`]): the pairs resolve in the plain masked
 /// search's order, and the thread never waits on another point while its
 /// own is undecided.
 ///
 /// Returns the suffix walk's statistics and the prefix walk's (empty when
-/// the suffix decided the point).
+/// there was none).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn search_claimed<const D: usize, L: Leaf<D>>(
     bvh: &Bvh<D, L>,
     pos: u32,
     q: &Point<D>,
     eps: f32,
     minpts: usize,
+    prefix_may_hit: bool,
     decide: impl Fn(bool),
     claimant: &mut impl Claimant,
 ) -> (QueryStats, QueryStats) {
@@ -305,14 +311,16 @@ pub(crate) fn search_claimed<const D: usize, L: Leaf<D>>(
     });
     let mut prefix = QueryStats::default();
     if !decided {
-        prefix = bvh.for_each_before(pos, q, eps, |_, payload, contained| {
-            count += claimant.weigh(payload, contained, minpts - count).0;
-            if count >= minpts {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        if prefix_may_hit {
+            prefix = bvh.for_each_before(pos, q, eps, |_, payload, contained| {
+                count += claimant.weigh(payload, contained, minpts - count).0;
+                if count >= minpts {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+        }
         decide(count >= minpts);
         for &(hit, partner) in &held {
             claimant.resolve_held(hit, partner);

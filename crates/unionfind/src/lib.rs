@@ -175,6 +175,25 @@ impl AtomicLabels {
         }
     }
 
+    /// Hooks each of `members` directly under `root`: the parent array
+    /// that [`AtomicLabels::union`]`(root, m)` for each member in turn
+    /// leaves, with one plain store per member instead of two finds and
+    /// a CAS. Counts one union per member, as that loop does.
+    ///
+    /// Every member must still be a singleton, greater than `root`, and
+    /// `root` a root; no other thread may link or claim a member while
+    /// this runs (its store would be overwritten).
+    pub fn hook_singletons(&self, root: u32, members: &[u32]) {
+        if let Some(c) = &self.counters {
+            c.add(Hot::Unions, members.len() as u64);
+        }
+        debug_assert_eq!(self.label(root), root, "{root} is not a root");
+        for &m in members {
+            debug_assert!(root < m && self.label(m) == m, "{m} is not a singleton above {root}");
+            self.labels[m as usize].store(root, Ordering::Relaxed);
+        }
+    }
+
     /// `find` without counter accounting (internal fast path).
     #[inline]
     fn find_uncounted(&self, i: u32) -> u32 {
@@ -429,6 +448,27 @@ mod tests {
         assert_eq!(snap.unions, 1);
         assert_eq!(snap.finds, 1);
         assert_eq!(snap.label_cas, 1);
+    }
+
+    #[test]
+    fn hook_singletons_leaves_the_parents_and_count_of_the_union_loop() {
+        // Three groups of fresh singletons, each listed in ascending
+        // order under its smallest member, as a dense cell's are.
+        let groups: [&[u32]; 3] = [&[0, 3, 4, 9], &[2, 5], &[6, 7, 8, 11, 12]];
+        let hooked_counters = Arc::new(Counters::default());
+        let unioned_counters = Arc::new(Counters::default());
+        let hooked = AtomicLabels::with_counters(14, Arc::clone(&hooked_counters));
+        let unioned = AtomicLabels::with_counters(14, Arc::clone(&unioned_counters));
+        for group in groups {
+            hooked.hook_singletons(group[0], &group[1..]);
+            for &m in &group[1..] {
+                unioned.union(group[0], m);
+            }
+        }
+        assert_eq!(hooked.snapshot(), unioned.snapshot());
+        assert_eq!(hooked_counters.snapshot(), unioned_counters.snapshot());
+        assert_eq!(hooked_counters.snapshot().unions, 8);
+        assert_eq!(hooked.count_sets(), 14 - 8);
     }
 
     #[test]
