@@ -45,11 +45,11 @@
 //!
 //! Scratch (the sort's buffers, whose returned key buffer holds the
 //! sorted codes, and the rendezvous words) comes from the device's
-//! [`fdbscan_device::BufferArena`], so repeated builds on one device
-//! reuse their allocations instead of re-reserving. A rendezvous word
-//! holds only the deposited nodes: their covered ranges and bounds are
-//! read back from the nodes themselves (`ranges`/`internal_bounds`, or
-//! the leaf's position and its point or box).
+//! [`fdbscan_device::BufferArena`] and is released when the build
+//! returns. A rendezvous word holds only the deposited nodes: their
+//! covered ranges and bounds are read back from the nodes themselves
+//! (`ranges`/`internal_bounds`, or the leaf's position and its point or
+//! box).
 
 use std::sync::atomic::Ordering;
 
@@ -181,9 +181,9 @@ impl<const D: usize, L: Leaf<D>> Bvh<D, L> {
         // Rendezvous state, one word per leaf boundary b (between sorted
         // leaves b and b+1): the completed subtree ending at b deposits
         // its node (+1, so an empty half reads 0) in the low half, the one
-        // starting at b+1 in the high half. Taken as one word per leaf, so
-        // it recycles the sort's other key buffer; `take` hands it back
-        // zeroed.
+        // starting at b+1 in the high half. Taken after the sort has
+        // released its other buffers, so next to the sorted codes it
+        // stays within the sort's peak; `take` hands it back zeroed.
         let mut rendezvous = device.arena().take::<u64>(n)?;
         {
             let words = as_atomic_u64(&mut rendezvous[..]);
@@ -698,19 +698,15 @@ mod tests {
     }
 
     #[test]
-    fn repeated_builds_reuse_arena_scratch() {
+    fn repeated_builds_release_their_scratch() {
         let device = Device::new(DeviceConfig::default().with_workers(2));
         let bounds = point_boxes(&random_points(3000, 4));
-        for round in 0..3 {
-            let fresh_before = device.memory().reservations_made();
+        for _ in 0..3 {
+            device.memory().reset_peak();
             let bvh = Bvh::build_in(&device, &bounds).unwrap();
             validate(&bvh);
-            let fresh = device.memory().reservations_made() - fresh_before;
-            if round == 0 {
-                assert!(fresh > 0, "first build must allocate scratch");
-            } else {
-                assert_eq!(fresh, 0, "round {round} must recycle all scratch");
-            }
+            assert_eq!(device.memory().in_use(), 0);
+            assert_eq!(device.memory().peak(), Bvh::<2>::build_scratch_bytes(bounds.len()));
         }
     }
 

@@ -173,11 +173,10 @@ impl<const D: usize, L: Leaf<D>> Bvh<D, L> {
         leaves * leaf + leaves.saturating_sub(1) * (internal + 2 * rope)
     }
 
-    /// Device bytes a build over `leaves` leaves checks out of the
-    /// device's buffer arena, which stay held there after it: the sort's
-    /// scratch, whose returned key buffer holds the sorted codes, and one
-    /// `u64` rendezvous word per leaf, which recycles the sort's other key
-    /// buffer (a buffer of its own when the sort runs sequentially).
+    /// Peak device bytes a build over `leaves` leaves holds in scratch
+    /// from the device's buffer arena, all released when it returns: the
+    /// sort's scratch, then the sorted codes the sort returns next to one
+    /// `u64` rendezvous word per leaf.
     pub fn build_scratch_bytes(leaves: usize) -> usize {
         let sort = fdbscan_psort::fused_scratch_bytes(leaves);
         match leaves {
@@ -237,18 +236,16 @@ mod tests {
     }
 
     #[test]
-    fn build_scratch_bytes_is_what_the_arena_holds() {
+    fn build_scratch_bytes_is_the_build_peak() {
         // Both leaf kinds, below, at and above the sort's sequential
-        // threshold: one build on a fresh device leaves exactly the
-        // predicted scratch pooled, and a second build reserves nothing.
+        // threshold: one build on a fresh device peaks at exactly the
+        // predicted scratch and leaves nothing reserved.
         fn check<const D: usize, L: Leaf<D>>(leaves: &[L]) {
             let n = leaves.len();
             let device = Device::new(DeviceConfig::sequential());
             Bvh::build_in(&device, leaves).unwrap();
-            assert_eq!(device.arena().held_bytes(), Bvh::<D, L>::build_scratch_bytes(n), "{n}");
-            let fresh = device.memory().reservations_made();
-            Bvh::build_in(&device, leaves).unwrap();
-            assert_eq!(device.memory().reservations_made(), fresh, "{n}: second build");
+            assert_eq!(device.memory().peak(), Bvh::<D, L>::build_scratch_bytes(n), "{n}");
+            assert_eq!(device.memory().in_use(), 0, "{n}");
         }
         let mut rng = StdRng::seed_from_u64(6);
         for n in [1, 2, 500, 1023, 1024, 2000] {

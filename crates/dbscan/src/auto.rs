@@ -76,8 +76,7 @@ pub fn fdbscan_auto<const D: usize>(
     // Memory pre-flight: on a budgeted device, never pick an algorithm
     // predicted to bust the budget when the other one fits.
     let mut prefer_dense = grid.dense_fraction() >= DENSE_FRACTION_THRESHOLD;
-    if let Some(budget) = device.memory().budget() {
-        let available = budget.saturating_sub(device.memory().in_use());
+    if let Some(available) = device.memory().headroom() {
         let dense_fits = crate::resilient::estimate_densebox_bytes::<D>(points.len()) <= available;
         let sparse_fits = crate::resilient::estimate_fdbscan_bytes::<D>(points.len()) <= available;
         if prefer_dense && !dense_fits && sparse_fits {
@@ -186,6 +185,26 @@ mod tests {
             crate::fdbscan(&Device::new(DeviceConfig::sequential()), &points, params).unwrap();
         assert_eq!(c.assignments, manual.assignments);
         assert_eq!(c.classes, manual.classes);
+    }
+
+    #[test]
+    fn a_budget_that_fits_densebox_keeps_the_unbudgeted_choice() {
+        // Dense taxi data at a service request's size, on a budget of
+        // exactly DenseBox's estimate: the decision grid's scratch is
+        // released before the choice, so the budget fits DenseBox on a
+        // cold device and again after a first call.
+        let n = 8_000;
+        let points = fdbscan_data::Dataset2::PortoTaxi.generate(n, 1);
+        let params = Params::new(0.01, 20);
+        let sequential = DeviceConfig::sequential;
+        let (_, _, unbudgeted) = fdbscan_auto(&Device::new(sequential()), &points, params).unwrap();
+        assert_eq!(unbudgeted, AutoChoice::DenseBox);
+        let budget = crate::resilient::estimate_densebox_bytes::<2>(n);
+        let device = Device::new(sequential().with_memory_budget(budget));
+        for call in ["cold", "warm"] {
+            let (_, _, choice) = fdbscan_auto(&device, &points, params).unwrap();
+            assert_eq!(choice, unbudgeted, "{call} device");
+        }
     }
 
     #[test]

@@ -206,27 +206,24 @@ fn resident_bytes<const D: usize>(n: usize) -> usize {
     n * std::mem::size_of::<Point<D>>() + n * 4 + n.div_ceil(8)
 }
 
-/// Predicted device footprint of FDBSCAN in bytes: points, labels, core
-/// flags, the point tree ([`Bvh::bytes_for`]) and the scratch its build
-/// leaves held in the device's buffer arena, which the run's peak counts.
+/// Predicted device footprint of FDBSCAN in bytes: points, labels and
+/// core flags, plus the larger of the point tree ([`Bvh::bytes_for`])
+/// and the scratch its build holds until the tree is reserved.
 pub fn estimate_fdbscan_bytes<const D: usize>(n: usize) -> usize {
     resident_bytes::<D>(n)
-        + Bvh::<D, Point<D>>::bytes_for(n)
-        + Bvh::<D, Point<D>>::build_scratch_bytes(n)
+        + Bvh::<D, Point<D>>::bytes_for(n).max(Bvh::<D, Point<D>>::build_scratch_bytes(n))
 }
 
 /// Predicted device footprint of FDBSCAN-DenseBox in bytes, an upper
-/// bound: the resident arrays, a box tree of `n` leaves and its build
-/// scratch, plus a grid of one cell per point and its build scratch. The
-/// mixed-primitive tree shrinks with the dense fraction, which is unknown
-/// before the grid is built, and its build may recycle the grid's
-/// scratch.
+/// bound: the resident arrays, plus the larger of the grid build's
+/// scratch and a grid of one cell per point next to the larger of a box
+/// tree of `n` leaves and its build scratch. The mixed-primitive tree
+/// shrinks with the dense fraction, which is unknown before the grid is
+/// built.
 pub fn estimate_densebox_bytes<const D: usize>(n: usize) -> usize {
+    let tree = Bvh::<D>::bytes_for(n).max(Bvh::<D>::build_scratch_bytes(n));
     resident_bytes::<D>(n)
-        + Bvh::<D>::bytes_for(n)
-        + Bvh::<D>::build_scratch_bytes(n)
-        + DenseGrid::<D>::bytes_for(n, n)
-        + DenseGrid::<D>::build_scratch_bytes(n)
+        + DenseGrid::<D>::build_scratch_bytes(n).max(DenseGrid::<D>::bytes_for(n, n) + tree)
 }
 
 /// Predicted device footprint of G-DBSCAN in bytes: points, CSR
@@ -304,22 +301,13 @@ pub fn run_resilient<const D: usize>(
         // Pre-flight: skip levels that cannot fit. The oracle uses no
         // device memory and is never skipped.
         if policy.preflight && l != LadderLevel::Sequential {
-            if let Some(budget) = device.memory().budget() {
-                // Arena-held scratch is charged against the budget but
-                // reclaimable on demand, so it counts as available; if the
-                // rung actually needs those bytes, release them now.
-                let unpooled = budget.saturating_sub(device.memory().in_use());
-                let available = unpooled + device.arena().held_bytes();
+            if let Some(available) = device.memory().headroom() {
                 let estimated = match l {
                     LadderLevel::GDbscan => estimate_gdbscan_bytes(points, params.eps),
                     LadderLevel::DenseBox => estimate_densebox_bytes::<D>(points.len()),
                     LadderLevel::Fdbscan => estimate_fdbscan_bytes::<D>(points.len()),
                     LadderLevel::Sequential => unreachable!(),
                 };
-                if estimated <= available && estimated > unpooled {
-                    let freed = device.arena().trim();
-                    note(format_args!("resilient.trim_arena {l}: freed {freed} B"));
-                }
                 if estimated > available {
                     note(format_args!(
                         "resilient.skip {l}: estimated {estimated} B > available {available} B"
@@ -393,12 +381,6 @@ pub fn run_resilient<const D: usize>(
                             retries + 1
                         ));
                         continue;
-                    }
-                    if matches!(err, DeviceError::OutOfMemory { .. }) {
-                        // A real driver releases its scratch pools when an
-                        // allocation fails: hand the arena-held bytes to
-                        // the next rung.
-                        device.arena().trim();
                     }
                     last_err = Some(err);
                     break;
@@ -514,37 +496,6 @@ mod tests {
         ));
         // The skip avoided the graph build: no failed G-DBSCAN run.
         assert_eq!(report.runs(), 1);
-    }
-
-    #[test]
-    fn preflight_counts_arena_held_bytes_as_available() {
-        // Arena-pooled scratch is charged against the budget but
-        // reclaimable on demand. A rung whose estimate exceeds the
-        // unpooled headroom must still run (after a trim) when the
-        // pooled bytes cover the gap — not be skipped.
-        let points = random_points(2000, 5.0, 43);
-        let params = Params::new(0.5, 4);
-
-        // Measure the warm arena footprint on an unbudgeted device.
-        let probe = Device::with_defaults();
-        crate::fdbscan(&probe, &points, params).unwrap();
-        let held = probe.arena().held_bytes();
-        assert!(held > 0, "fdbscan leaves no pooled scratch to test with");
-
-        // Budget that fits G-DBSCAN only if the pooled bytes count:
-        // estimated <= budget, but estimated > budget - held.
-        let estimated = estimate_gdbscan_bytes(&points, params.eps);
-        let budget = estimated + held - 1;
-        let device = Device::new(DeviceConfig::default().with_memory_budget(budget));
-        crate::fdbscan(&device, &points, params).unwrap();
-        assert_eq!(device.arena().held_bytes(), held, "warm-up not reproducible");
-        assert!(estimated > budget - held, "arena bytes would not matter");
-
-        let (c, _, report) = run_resilient(&device, &points, params, from_gdbscan()).unwrap();
-        assert_eq!(report.completed, Some(LadderLevel::GDbscan));
-        assert!(!report.degraded(), "rung was skipped despite reclaimable arena bytes");
-        let oracle = dbscan_classic(&points, params);
-        assert_core_equivalent(&oracle, &c);
     }
 
     #[test]
@@ -728,7 +679,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DeviceError::Cancelled { .. }), "got {err:?}");
         // Nothing ran, nothing leaked; the shared device stays usable.
-        assert_eq!(device.memory().in_use(), device.arena().held_bytes());
+        assert_eq!(device.memory().in_use(), 0);
     }
 
     #[test]
@@ -768,9 +719,9 @@ mod tests {
 
     #[test]
     fn estimates_cover_the_measured_peaks() {
-        // FDBSCAN's estimate sizes what its run holds, the arena scratch
-        // of its tree build included; DenseBox's is an n-leaf upper
-        // bound. Peaks are read on a fresh sequential device per run.
+        // FDBSCAN's estimate sizes what its run holds, its tree build's
+        // scratch included; DenseBox's is an n-leaf upper bound. Peaks
+        // are read on a fresh sequential device per run.
         fn ratios<const D: usize>(points: &[Point<D>], params: Params) -> (f64, f64) {
             let peak = |densebox: bool| {
                 let device = Device::new(DeviceConfig::sequential());

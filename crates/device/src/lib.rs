@@ -62,7 +62,7 @@ pub mod shared;
 pub mod snapshot;
 pub mod trace;
 
-pub use arena::{ArenaBuf, ArenaStats, BufferArena};
+pub use arena::{ArenaBuf, BufferArena};
 pub use backend::Backend;
 pub use cancel::{CancelCause, CancelToken};
 pub use counters::{Counters, CountersSnapshot, Hot};
@@ -336,9 +336,9 @@ impl Device {
         &self.memory
     }
 
-    /// The device's scratch-buffer arena. Shared by all clones; buffers
-    /// checked out here are charged against this device's memory
-    /// tracker and recycled across kernels, phases, and runs.
+    /// The device's scratch-buffer arena. Shared by all clones; a buffer
+    /// checked out here is charged against this device's memory tracker
+    /// until it drops.
     pub fn arena(&self) -> &BufferArena {
         &self.arena
     }
@@ -1331,11 +1331,18 @@ mod tests {
 
     #[test]
     fn device_arena_is_shared_by_clones() {
+        // A clone's take charges the original's tracker and occupies its
+        // next ordinal; each drop releases it, so repeats reach the same
+        // peak.
         let device = Device::with_defaults();
         let clone = device.clone();
-        drop(device.arena().take::<u32>(32).unwrap());
-        let _buf = clone.arena().take::<u32>(32).unwrap();
-        assert_eq!(device.arena().recycled_takes(), 1);
-        assert_eq!(device.memory().reservations_made(), 1);
+        for round in 1..=2u64 {
+            let buf = clone.arena().take::<u32>(32).unwrap();
+            assert_eq!(device.memory().in_use(), 128);
+            drop(buf);
+            assert_eq!(device.memory().in_use(), 0);
+            assert_eq!(device.memory().peak(), 128);
+            assert_eq!(device.memory().reservations_made(), round);
+        }
     }
 }

@@ -123,14 +123,8 @@ pub struct MemoryTracker {
     /// Lifetime reservation ordinal. Deliberately *outside*
     /// [`Counters`]: counters can be reset mid-run, but fault-injection
     /// ordinals must keep advancing so an ordinal-addressed OOM fires
-    /// exactly once per tracker lifetime. Both fresh reservations and
-    /// arena-recycle acknowledgements advance it — a recycled buffer
-    /// occupies the same fault address space as the allocation it
-    /// replaced, so reuse cannot skip an injected OOM.
+    /// exactly once per tracker lifetime.
     ordinal: Arc<AtomicU64>,
-    /// Fresh reservations only (what [`MemoryTracker::reservations_made`]
-    /// reports): recycle acknowledgements advance `ordinal` but not this.
-    fresh: Arc<AtomicU64>,
     counters: Option<Arc<Counters>>,
     plan: Option<Arc<FaultPlan>>,
 }
@@ -143,7 +137,6 @@ impl MemoryTracker {
             budget,
             state: Arc::new(TrackerState::default()),
             ordinal: Arc::new(AtomicU64::new(0)),
-            fresh: Arc::new(AtomicU64::new(0)),
             counters: None,
             plan: None,
         }
@@ -161,20 +154,16 @@ impl MemoryTracker {
             budget,
             state: Arc::new(TrackerState::default()),
             ordinal: Arc::new(AtomicU64::new(0)),
-            fresh: Arc::new(AtomicU64::new(0)),
             counters: Some(counters),
             plan,
         }
     }
 
-    /// Number of *fresh* reservations requested over this tracker's
-    /// lifetime (successful or not). Unlike counters, never reset.
-    /// Arena-recycle acknowledgements ([`MemoryTracker::acknowledge_recycle`])
-    /// are excluded: they advance the fault-injection ordinal but
-    /// allocate nothing, so a warmed arena drives this toward zero
-    /// growth across repeated runs.
+    /// Number of reservations requested over this tracker's lifetime
+    /// (successful or not): the next reservation's fault ordinal. Unlike
+    /// counters, never reset.
     pub fn reservations_made(&self) -> u64 {
-        self.fresh.load(Ordering::Relaxed)
+        self.ordinal.load(Ordering::Relaxed)
     }
 
     /// The configured budget, if any.
@@ -188,9 +177,9 @@ impl MemoryTracker {
     }
 
     /// Budget bytes not currently reserved (`None` without a budget —
-    /// headroom is unbounded). The admission preflight and the telemetry
-    /// gauges both read this; note it excludes trimmable arena scratch,
-    /// which callers add back themselves.
+    /// headroom is unbounded). Every capacity check (the ladder's and
+    /// the service's preflights, `fdbscan_auto`, the distributed
+    /// preflight) and the telemetry gauges read this.
     pub fn headroom(&self) -> Option<usize> {
         self.budget.map(|budget| budget.saturating_sub(self.in_use()))
     }
@@ -211,7 +200,6 @@ impl MemoryTracker {
     /// On success, returns an RAII guard that releases the bytes on drop.
     /// Fails only when a budget is configured and would be exceeded.
     pub fn reserve(&self, bytes: usize) -> Result<MemoryReservation, DeviceError> {
-        self.fresh.fetch_add(1, Ordering::Relaxed);
         if let Some(counters) = &self.counters {
             counters.reservations.fetch_add(1, Ordering::Relaxed);
         }
@@ -248,16 +236,6 @@ impl MemoryTracker {
     /// Reserves memory for `n` elements of type `T`.
     pub fn reserve_array<T>(&self, n: usize) -> Result<MemoryReservation, DeviceError> {
         self.reserve(n.saturating_mul(std::mem::size_of::<T>()))
-    }
-
-    /// Acknowledges the reuse of an already-reserved buffer of `bytes`
-    /// (an arena recycle). Allocates nothing and charges nothing — the
-    /// recycled buffer still holds its original reservation — but
-    /// occupies one slot in the fault-injection ordinal space, exactly
-    /// like the fresh reservation it stands in for: ordinal- and
-    /// threshold-addressed OOM injections fire on reuse too.
-    pub fn acknowledge_recycle(&self, bytes: usize) -> Result<(), DeviceError> {
-        self.consult_fault_plan(bytes)
     }
 
     /// Advances the fault-injection ordinal and surfaces an injected
@@ -406,34 +384,6 @@ mod tests {
         assert!(tracker.reserve(100).is_err());
         assert!(tracker.reserve(99).is_ok());
         assert_eq!(counters.snapshot().injected_oom, 2);
-    }
-
-    #[test]
-    fn recycle_acknowledgement_occupies_the_ordinal_space() {
-        let counters = Arc::new(Counters::default());
-        let plan = Arc::new(FaultPlan::new(3).with_oom_at_reservation(1));
-        let tracker = MemoryTracker::with_instrumentation(None, Arc::clone(&counters), Some(plan));
-        let _a = tracker.reserve(10).unwrap(); // ordinal 0: fresh
-                                               // Ordinal 1 is a recycle: the injected OOM scheduled there must
-                                               // fire on the reuse, not slide to the next fresh reservation.
-        let err = tracker.acknowledge_recycle(10).unwrap_err();
-        assert!(matches!(err, DeviceError::OutOfMemory { requested: 10, .. }));
-        let _b = tracker.reserve(10).unwrap(); // ordinal 2: clean
-        assert_eq!(counters.snapshot().injected_oom, 1);
-        // Only fresh reservations are counted as made…
-        assert_eq!(tracker.reservations_made(), 2);
-        // …and recycles charge no bytes.
-        assert_eq!(tracker.in_use(), 20);
-    }
-
-    #[test]
-    fn threshold_oom_fires_on_recycle() {
-        let counters = Arc::new(Counters::default());
-        let plan = Arc::new(FaultPlan::new(3).with_oom_above_bytes(100));
-        let tracker = MemoryTracker::with_instrumentation(None, Arc::clone(&counters), Some(plan));
-        assert!(tracker.acknowledge_recycle(200).is_err());
-        assert!(tracker.acknowledge_recycle(50).is_ok());
-        assert_eq!(counters.snapshot().injected_oom, 1);
     }
 
     #[test]

@@ -1009,9 +1009,7 @@ mod tests {
         // reservations, workers alive).
         let again = distributed_fdbscan(&d, &points, Params::new(0.3, 4), 3).unwrap_err();
         assert_eq!(err, again);
-        // No leaked reservations: only arena-pooled scratch stays charged.
-        assert_eq!(d.memory().in_use(), d.arena().held_bytes());
-        d.arena().trim();
+        // No leaked reservations.
         assert_eq!(d.memory().in_use(), 0);
     }
 
@@ -1099,8 +1097,6 @@ mod tests {
         let d = Device::new(DeviceConfig::default().with_workers(2).with_fault_plan(plan));
         let err = distributed_fdbscan(&d, &points, Params::new(0.3, 4), 3).unwrap_err();
         assert_eq!(err, DistError::NoSurvivors);
-        assert_eq!(d.memory().in_use(), d.arena().held_bytes());
-        d.arena().trim();
         assert_eq!(d.memory().in_use(), 0);
     }
 
@@ -1133,8 +1129,6 @@ mod tests {
         let d = Device::new(DeviceConfig::default().with_workers(2).with_fault_plan(plan));
         let err = distributed_fdbscan(&d, &points, Params::new(0.3, 4), 3).unwrap_err();
         assert!(matches!(err, DistError::HaloExchange { .. }), "got {err:?}");
-        assert_eq!(d.memory().in_use(), d.arena().held_bytes());
-        d.arena().trim();
         assert_eq!(d.memory().in_use(), 0);
     }
 

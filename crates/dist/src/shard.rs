@@ -110,12 +110,6 @@ pub fn estimate_rank_bytes<const D: usize>(local: usize) -> usize {
     local * (std::mem::size_of::<Point<D>>() + 64 + std::mem::size_of::<u32>())
 }
 
-/// Bytes `device` can still serve: tracked headroom plus whatever the
-/// arena would give back under pressure. `None` = unmetered device.
-pub fn available_bytes(device: &Device) -> Option<usize> {
-    device.memory().headroom().map(|h| h + device.arena().held_bytes())
-}
-
 /// Preflights a decomposition against each slab's device: every
 /// survivor's grown local set must fit its memory budget *before* any
 /// phase launches. Returns the first `(rank, required, available)`
@@ -131,7 +125,7 @@ pub fn preflight<const D: usize>(
         let local = slab.owned.len() + ghost_count(points, decomposition.axis, slab, eps);
         let required = estimate_rank_bytes::<D>(local);
         let device = &devices[device_of(slab.rank)];
-        if let Some(available) = available_bytes(device) {
+        if let Some(available) = device.memory().headroom() {
             if required > available {
                 return Err((slab.rank, required, available));
             }

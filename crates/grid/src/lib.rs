@@ -27,7 +27,7 @@
 //!
 //! Together with the scene-bounds and dense-census reductions the whole
 //! build is four kernel launches, and its scratch is checked out of the
-//! device's [`fdbscan_device::BufferArena`] so repeated builds reuse it.
+//! device's [`fdbscan_device::BufferArena`] and released when it returns.
 //!
 //! [`DenseGrid::mixed_primitives`] then produces the primitive set of the
 //! FDBSCAN-DenseBox tree: one box per dense cell plus every point outside
@@ -519,16 +519,14 @@ impl<const D: usize> DenseGrid<D> {
         points * 4 + (cells + 1) * 4 + cells * (8 + 1)
     }
 
-    /// Device bytes a build over `points` points checks out of the
-    /// device's buffer arena, which stay held there after it: the cell
-    /// count and the sort's scratch, whose returned key buffer holds the
-    /// sorted keys and whose `u32` value buffers the head flags recycle
-    /// (a sequential sort takes only the key buffer, and the head flags
-    /// a buffer of their own).
+    /// Peak device bytes a build over `points` points holds in scratch
+    /// from the device's buffer arena, all released when it returns: the
+    /// sort's scratch, then the sorted keys the sort returns next to the
+    /// `u32` head flags and the cell count.
     pub fn build_scratch_bytes(points: usize) -> usize {
         match points {
             0 => 0,
-            n => 4 + fdbscan_psort::fused_scratch_bytes(n).max(n * (8 + 4)),
+            n => fdbscan_psort::fused_scratch_bytes(n).max(n * (8 + 4) + 4),
         }
     }
 }
@@ -651,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn build_scratch_bytes_is_what_the_arena_holds() {
+    fn build_scratch_bytes_is_the_build_peak() {
         let mut rng = StdRng::seed_from_u64(6);
         for n in [1, 500, 1023, 1024, 2000] {
             let points: Vec<Point<2>> = (0..n)
@@ -659,7 +657,8 @@ mod tests {
                 .collect();
             let device = Device::new(DeviceConfig::sequential());
             DenseGrid::build(&device, &points, 0.3, 4);
-            assert_eq!(device.arena().held_bytes(), DenseGrid::<2>::build_scratch_bytes(n), "{n}");
+            assert_eq!(device.memory().peak(), DenseGrid::<2>::build_scratch_bytes(n), "{n}");
+            assert_eq!(device.memory().in_use(), 0, "{n}");
         }
     }
 
@@ -874,23 +873,18 @@ mod tests {
     }
 
     #[test]
-    fn repeated_builds_reuse_arena_scratch() {
+    fn repeated_builds_release_their_scratch() {
         let device = device();
         let mut rng = StdRng::seed_from_u64(32);
         let points: Vec<Point<2>> = (0..3000)
             .map(|_| Point::new([rng.gen_range(0.0..8.0), rng.gen_range(0.0..8.0)]))
             .collect();
-        for round in 0..3 {
-            let fresh_before = device.memory().reservations_made();
+        for _ in 0..3 {
+            device.memory().reset_peak();
             let grid = DenseGrid::build_in(&device, &points, 0.4, 5).unwrap();
             assert!(grid.num_cells() > 1);
-            let fresh = device.memory().reservations_made() - fresh_before;
-            if round == 0 {
-                assert!(fresh > 0, "first build must reserve scratch");
-            } else {
-                assert_eq!(fresh, 0, "round {round} must recycle all sort/scan scratch");
-                assert!(device.arena().recycled_takes() > 0);
-            }
+            assert_eq!(device.memory().in_use(), 0);
+            assert_eq!(device.memory().peak(), DenseGrid::<2>::build_scratch_bytes(points.len()));
         }
     }
 

@@ -28,12 +28,12 @@
 //! key in scratch, so no materialised key array is ever uploaded.
 //!
 //! Scratch (the ping-pong key/payload arrays) is checked out of the
-//! device's [`fdbscan_device::BufferArena`], so repeated sorts — every
-//! BVH or grid build after the first — reuse the same allocations. The
-//! fused sort returns the key buffer its last pass wrote, so a caller
-//! that needs the sorted keys holds no array of its own. The
-//! count matrix is untracked scratch, the analogue of GPU shared memory:
-//! 2 KB per block, under 64 KB at 500k keys.
+//! device's [`fdbscan_device::BufferArena`] and charged against the
+//! device budget only while the sort runs. The fused sort returns the
+//! key buffer its last pass wrote, so a caller that needs the sorted
+//! keys holds no array of its own. The count matrix is untracked
+//! scratch, the analogue of GPU shared memory: 2 KB per block, under
+//! 64 KB at 500k keys.
 
 use fdbscan_device::{ArenaBuf, BatchStage, Device, DeviceError, SharedMut};
 
@@ -58,8 +58,8 @@ pub fn sort_pairs(device: &Device, keys: &mut [u64], values: &mut [u32]) {
 }
 
 /// Stable sort of `keys` with `values` permuted alongside; scratch is
-/// checked out of the device's buffer arena and returned to it when the
-/// sort completes.
+/// checked out of the device's buffer arena and released when the sort
+/// completes.
 ///
 /// Costs one `sort.max_key` reduction plus one batched launch (all
 /// histogram/scan/scatter passes submitted together).
@@ -116,9 +116,9 @@ pub fn sort_pairs_in(
     Ok(())
 }
 
-/// Bytes of device scratch [`sort_by_key_fused`] checks out of the
-/// arena for `n` elements: two `u64` key and two `u32` value buffers, of
-/// which it hands back one key buffer holding the sorted keys. Below the
+/// Peak bytes of device scratch [`sort_by_key_fused`] holds for `n`
+/// elements: two `u64` key and two `u32` value buffers, of which it
+/// hands back one key buffer holding the sorted keys. Below the
 /// sequential threshold it takes only the returned key buffer.
 pub fn fused_scratch_bytes(n: usize) -> usize {
     let key = std::mem::size_of::<u64>();
@@ -145,9 +145,9 @@ pub fn fused_scratch_bytes(n: usize) -> usize {
 /// writes indexed by `rank` need no synchronisation.
 ///
 /// Returns the sorted keys, in the ping-pong key buffer the final pass
-/// leaves free: the caller holds no key array of its own, and when it
-/// drops the buffer it returns to the arena with the rest of the sort's
-/// scratch ([`fused_scratch_bytes`]).
+/// wrote: the caller holds no key array of its own, and the buffer's
+/// reservation lasts until the caller drops it. The other three buffers
+/// are released on return ([`fused_scratch_bytes`]).
 ///
 /// Above the sequential threshold this costs exactly **one** batched
 /// launch regardless of pass count; below it, zero launches.
@@ -249,8 +249,8 @@ where
             }
             for (digit, &count) in local.iter().enumerate() {
                 // SAFETY: slot (digit, b) is owned by this block. Every
-                // slot is (re)written, so the recycled matrix needs no
-                // zeroing between passes.
+                // slot is (re)written, so the matrix needs no zeroing
+                // between passes.
                 unsafe { counts_view.write(digit * num_blocks + b, count as u64) };
             }
         }));
@@ -428,24 +428,21 @@ mod tests {
     }
 
     #[test]
-    fn repeated_sorts_recycle_scratch() {
+    fn repeated_sorts_release_their_scratch() {
+        // Every sort leaves nothing reserved, and repeats reach the same
+        // peak: the value buffer plus the fused sort's scratch.
         let device = Device::new(DeviceConfig::default().with_workers(2));
         let n = 20_000;
         let mut rng = StdRng::seed_from_u64(17);
-        for round in 0..3 {
-            let fresh_before = device.memory().reservations_made();
+        for _ in 0..3 {
+            device.memory().reset_peak();
             let mut keys: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
             let mut values: Vec<u32> = (0..n as u32).collect();
             sort_pairs(&device, &mut keys, &mut values);
             assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-            let fresh = device.memory().reservations_made() - fresh_before;
-            if round == 0 {
-                assert!(fresh > 0, "first sort must allocate scratch");
-            } else {
-                assert_eq!(fresh, 0, "round {round} should reuse pooled scratch");
-            }
+            assert_eq!(device.memory().in_use(), 0);
+            assert_eq!(device.memory().peak(), 4 * n + fused_scratch_bytes(n));
         }
-        assert!(device.arena().recycled_takes() > 0);
     }
 
     #[test]
@@ -559,8 +556,9 @@ mod tests {
     fn returned_keys_are_the_stable_sort_of_keygen() {
         // Below and above the sequential threshold, with 1-pass and
         // 8-pass key widths: the returned buffer holds the sorted keys,
-        // it is one of the sort's own buffers (no fresh reservation on a
-        // warm arena), and emit ranks agree with it.
+        // it is one of the sort's own buffers (the sort's peak is
+        // `fused_scratch_bytes`, and the returned keys stay reserved until
+        // dropped), and emit ranks agree with it.
         let device = Device::new(DeviceConfig::default().with_workers(2));
         for n in [1usize, 100, SEQUENTIAL_THRESHOLD - 1, SEQUENTIAL_THRESHOLD, 3 * SORT_BLOCK + 7] {
             for key_bits in [8u32, 64] {
@@ -568,26 +566,24 @@ mod tests {
                 let key_of = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask;
                 let mut expected: Vec<u64> = (0..n).map(key_of).collect();
                 expected.sort();
-                for round in 0..2 {
-                    let fresh_before = device.memory().reservations_made();
-                    let mut src = vec![u32::MAX; n];
-                    let keys = {
-                        let view = SharedMut::new(&mut src[..]);
-                        // SAFETY: unique ranks.
-                        sort_by_key_fused(&device, n, key_bits, key_of, |rank, i| unsafe {
-                            view.write(rank, i)
-                        })
-                        .unwrap()
-                    };
-                    assert_eq!(keys[..], expected[..], "n = {n}, {key_bits} bits");
-                    for (rank, &i) in src.iter().enumerate() {
-                        assert_eq!(keys[rank], key_of(i as usize), "n = {n}, rank {rank}");
-                    }
-                    if round == 1 {
-                        let fresh = device.memory().reservations_made() - fresh_before;
-                        assert_eq!(fresh, 0, "n = {n}: a warm sort reserves nothing");
-                    }
+                device.memory().reset_peak();
+                let mut src = vec![u32::MAX; n];
+                let keys = {
+                    let view = SharedMut::new(&mut src[..]);
+                    // SAFETY: unique ranks.
+                    sort_by_key_fused(&device, n, key_bits, key_of, |rank, i| unsafe {
+                        view.write(rank, i)
+                    })
+                    .unwrap()
+                };
+                assert_eq!(keys[..], expected[..], "n = {n}, {key_bits} bits");
+                for (rank, &i) in src.iter().enumerate() {
+                    assert_eq!(keys[rank], key_of(i as usize), "n = {n}, rank {rank}");
                 }
+                assert_eq!(device.memory().peak(), fused_scratch_bytes(n), "n = {n}");
+                assert_eq!(device.memory().in_use(), 8 * n, "n = {n}: the returned keys");
+                drop(keys);
+                assert_eq!(device.memory().in_use(), 0, "n = {n}");
             }
         }
     }

@@ -24,12 +24,12 @@ pub enum OverloadReason {
         /// The configured queue bound.
         queue_depth: usize,
     },
-    /// The memory preflight predicted the request cannot fit on the
-    /// device, even after trimming reclaimable arena scratch.
+    /// The memory preflight predicted the request cannot fit in the
+    /// device's budget headroom.
     MemoryPressure {
         /// Predicted footprint of the request's cheapest device rung.
         estimated_bytes: usize,
-        /// Budget bytes available (unreserved + trimmable arena).
+        /// Budget bytes not reserved at the preflight.
         available_bytes: usize,
     },
 }

@@ -13,7 +13,7 @@
 //!   a typed [`ServiceError::Overloaded`] instead of letting requests
 //!   OOM or stall each other mid-run. At permit-grant time a memory
 //!   preflight checks the request's cheapest parallel footprint against
-//!   the budget headroom plus trimmable arena scratch.
+//!   the budget headroom.
 //! * **Deadlines and cancellation** — each request runs on a
 //!   [`fdbscan_device::CancelToken`]-scoped clone of the shared device;
 //!   the launch loop observes the token between kernel launches (and
@@ -109,7 +109,6 @@ mod tests {
         assert_eq!(response.report.completed, Some(LadderLevel::DenseBox));
         assert_eq!(response.stats.attempts, 1);
         // The request's scratch went back to the device with it.
-        assert_eq!(service.device().arena().held_bytes(), 0);
         assert_eq!(service.device().memory().in_use(), 0);
     }
 
@@ -160,11 +159,7 @@ mod tests {
         // The gate was uncontended, so admission was immediate and the
         // deadline fired during execution — not in the queue.
         assert_eq!(stats.deadline_expired_in_queue, 0);
-        assert_eq!(
-            service.device().memory().in_use(),
-            service.device().arena().held_bytes(),
-            "an out-of-time request leaked reservations"
-        );
+        assert_eq!(service.device().memory().in_use(), 0, "an out-of-time request leaked");
     }
 
     #[test]
@@ -218,7 +213,7 @@ mod tests {
             Ok(_) | Err(ServiceError::Cancelled) => {}
             Err(other) => panic!("expected success or Cancelled, got {other:?}"),
         }
-        assert_eq!(service.device().memory().in_use(), service.device().arena().held_bytes());
+        assert_eq!(service.device().memory().in_use(), 0);
     }
 
     #[test]
@@ -406,8 +401,6 @@ mod tests {
         assert_eq!(stats.finished(), 8);
         assert_eq!(service.gate().running(), 0);
         assert_eq!(service.gate().queued(), 0);
-        assert_eq!(service.device().memory().in_use(), service.device().arena().held_bytes());
-        service.device().arena().trim();
         assert_eq!(service.device().memory().in_use(), 0, "leaked reservations");
     }
 }

@@ -39,8 +39,6 @@
 //! | `fdbscan_gate_running` / `fdbscan_gate_queued` | admission-gate load (scrape-time) |
 //! | `fdbscan_device_pool_active_launches` | kernels executing right now |
 //! | `fdbscan_device_memory_in_use_bytes` / `_peak_bytes` / `_budget_bytes` | memory tracker |
-//! | `fdbscan_device_arena_held_bytes` | pooled scratch held by the arena |
-//! | `fdbscan_device_arena_fresh_takes` / `_recycled_takes` | arena hit/miss (scrape-time sample) |
 //!
 //! Histograms (log2 buckets; `_seconds` record nanoseconds, exposed in
 //! seconds):
@@ -105,9 +103,6 @@ pub struct ServiceMetrics {
     memory_in_use: Gauge,
     memory_peak: Gauge,
     memory_budget: Gauge,
-    arena_held: Gauge,
-    arena_fresh: Gauge,
-    arena_recycled: Gauge,
 }
 
 impl ServiceMetrics {
@@ -212,18 +207,6 @@ impl ServiceMetrics {
                 "fdbscan_device_memory_budget_bytes",
                 "Configured device memory budget (0 = unlimited).",
             ),
-            arena_held: g(
-                "fdbscan_device_arena_held_bytes",
-                "Recyclable scratch held by the buffer arena.",
-            ),
-            arena_fresh: g(
-                "fdbscan_device_arena_fresh_takes",
-                "Arena takes served by a fresh allocation (lifetime sample).",
-            ),
-            arena_recycled: g(
-                "fdbscan_device_arena_recycled_takes",
-                "Arena takes served from the recycle pool (lifetime sample).",
-            ),
             registry,
         };
         metrics.slo_target.set(clamp_i64(p95_target_ns));
@@ -309,10 +292,6 @@ impl ServiceMetrics {
         self.memory_in_use.set(clamp_i64(memory.in_use() as u64));
         self.memory_peak.set(clamp_i64(memory.peak() as u64));
         self.memory_budget.set(clamp_i64(memory.budget().unwrap_or(0) as u64));
-        let arena = device.arena().stats();
-        self.arena_held.set(clamp_i64(arena.held_bytes as u64));
-        self.arena_fresh.set(clamp_i64(arena.fresh_takes));
-        self.arena_recycled.set(clamp_i64(arena.recycled_takes));
 
         // Rolling p95: the e2e window since the previous sample. An
         // empty window keeps the previous figure (a quiet service

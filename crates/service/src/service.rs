@@ -399,14 +399,10 @@ impl ClusterService {
         let inflight = metrics.inflight_guard();
 
         // Memory preflight at grant time: shed if even the cheapest
-        // parallel rung cannot fit in budget headroom plus trimmable
-        // arena scratch — better a typed rejection now than a doomed
-        // run that ooms its way down to the host oracle.
-        if let Some(budget) = self.inner.device.memory().budget() {
-            let memory = self.inner.device.memory();
-            let arena = self.inner.device.arena();
-            let unpooled = budget.saturating_sub(memory.in_use());
-            let available = unpooled + arena.held_bytes();
+        // parallel rung cannot fit in budget headroom — better a typed
+        // rejection now than a doomed run that ooms its way down to the
+        // host oracle.
+        if let Some(available) = self.inner.device.memory().headroom() {
             metrics.preflight_available.observe(available as u64);
             let estimated = estimate_fdbscan_bytes::<D>(request.points.len());
             if estimated > available {
@@ -422,10 +418,6 @@ impl ClusterService {
                     },
                 });
             }
-            if estimated > unpooled {
-                // The request fits only if pooled scratch is released.
-                arena.trim();
-            }
         }
 
         let device = self.inner.device.with_cancel(token);
@@ -434,11 +426,6 @@ impl ClusterService {
         // Chrome trace of the shared device can be filtered per request.
         let scope = fdbscan_device::trace::request_scope(request_id);
         let result = run_resilient(&device, &request.points, request.params, request.policy);
-        // The arena pools by exact buffer length, and DenseBox sizes its
-        // tree scratch by the input's sparse points plus dense cells:
-        // pooled across requests of varying inputs, the scratch would
-        // grow by one set per distinct input. Release it with the request.
-        self.inner.device.arena().trim();
         drop(scope);
         metrics.exec.observe_duration(exec_started.elapsed());
         drop(inflight);

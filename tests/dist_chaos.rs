@@ -58,16 +58,9 @@ fn faulty_device(plan: FaultPlan) -> Device {
     Device::new(DeviceConfig::default().with_workers(2).with_fault_plan(plan))
 }
 
-/// No leaked reservations: everything still held is arena cache, and
-/// trimming the arena returns the device to zero bytes in use.
+/// No leaked reservations: the device holds zero bytes after a run.
 fn assert_no_leaks(d: &Device) {
-    assert_eq!(
-        d.memory().in_use(),
-        d.arena().held_bytes(),
-        "all surviving allocations must be arena-held"
-    );
-    d.arena().trim();
-    assert_eq!(d.memory().in_use(), 0, "trimmed device must hold nothing");
+    assert_eq!(d.memory().in_use(), 0, "a finished run must hold nothing");
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

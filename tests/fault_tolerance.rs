@@ -171,14 +171,10 @@ proptest! {
                 Err(DeviceError::OutOfMemory { .. }) => {}
                 Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
             }
-            // Never a leaked reservation — whatever is still charged must
-            // be arena-pooled scratch, fully reclaimable — and the device
-            // stays usable.
-            prop_assert_eq!(device.memory().in_use(), device.arena().held_bytes());
+            // Never a leaked reservation, and the device stays usable.
+            prop_assert_eq!(device.memory().in_use(), 0);
             let (retry, _) = fdbscan(&device, &points, params).unwrap();
             assert_core_equivalent(&oracle, &retry);
-            prop_assert_eq!(device.memory().in_use(), device.arena().held_bytes());
-            device.arena().trim();
             prop_assert_eq!(device.memory().in_use(), 0);
         }
     }
@@ -208,9 +204,6 @@ fn ladder_recovers_oracle_clustering_on_gdbscan_oom_config() {
     let oracle = dbscan_classic(&points, params);
     assert_core_equivalent(&oracle, &clustering);
     assert_valid_clustering(&points, &clustering, params);
-    // Only arena-pooled scratch may remain charged; trimming releases it.
-    assert_eq!(device.memory().in_use(), device.arena().held_bytes());
-    device.arena().trim();
     assert_eq!(device.memory().in_use(), 0);
 }
 
@@ -249,7 +242,7 @@ fn watchdog_timeout_is_recoverable() {
         matches!(outcome, Err(DeviceError::KernelTimeout { .. })),
         "expected a watchdog timeout, got {outcome:?}"
     );
-    assert_eq!(device.memory().in_use(), device.arena().held_bytes());
+    assert_eq!(device.memory().in_use(), 0);
 
     let oracle = dbscan_classic(&points, params);
     let (got, _) = fdbscan(&device, &points, params).unwrap();
@@ -285,7 +278,7 @@ fn panic_in_the_flatten_launch_is_an_error() {
             Err(DeviceError::KernelPanicked { launch, .. }) => assert_eq!(launch, last, "{algo}"),
             other => panic!("{algo}: expected KernelPanicked at launch {last}, got {other:?}"),
         }
-        assert_eq!(device.memory().in_use(), device.arena().held_bytes(), "{algo}");
+        assert_eq!(device.memory().in_use(), 0, "{algo}");
     }
 }
 
@@ -415,7 +408,7 @@ fn explicit_threaded_backend_recovers_from_injected_worker_panic() {
     let params = Params::new(0.3, 4);
     let (got, _) = fdbscan(&device, &points, params).unwrap();
     assert_core_equivalent(&dbscan_classic(&points, params), &got);
-    assert_eq!(device.memory().in_use(), device.arena().held_bytes());
+    assert_eq!(device.memory().in_use(), 0);
 }
 
 #[test]
@@ -449,8 +442,6 @@ fn oom_ordinal_fires_exactly_once_under_concurrent_reservations() {
     });
     assert_eq!(failures.load(Ordering::Relaxed), 1, "OOM ordinal fired a wrong number of times");
     assert_eq!(device.counters().snapshot().injected_oom, 1);
-    // All successful reservations unwound; only pooled scratch remains.
-    assert_eq!(device.memory().in_use(), device.arena().held_bytes());
-    device.arena().trim();
+    // All successful reservations unwound.
     assert_eq!(device.memory().in_use(), 0);
 }

@@ -10,9 +10,8 @@
 //! 2. every request that fails, fails with a *typed* error —
 //!    `Overloaded`, `DeadlineExceeded`, or `Cancelled`; a raw `Device`
 //!    error means the per-request resilience ladder leaked a fault;
-//! 3. the shared device ends with **zero leaked reservations**: every
-//!    byte still charged is arena-pooled scratch, and a trim releases
-//!    it all.
+//! 3. the shared device ends with **zero leaked reservations**: no byte
+//!    is still charged once every request has returned.
 //!
 //! Datasets are well-separated blobs plus far-apart noise: every point
 //! is either a core point or noise with >> eps of clearance, so every
@@ -326,16 +325,9 @@ fn chaos_under_concurrency_matrix() {
         "seed {seed}: no injected fault fired"
     );
 
-    // Zero leaked reservations: whatever is still charged is pooled
-    // arena scratch, and trimming releases every byte.
+    // Zero leaked reservations.
     let memory = service.device().memory();
-    assert_eq!(
-        memory.in_use(),
-        service.device().arena().held_bytes(),
-        "seed {seed}: reservations leaked beyond the arena pool"
-    );
-    service.device().arena().trim();
-    assert_eq!(memory.in_use(), 0, "seed {seed}: arena trim left reservations behind");
+    assert_eq!(memory.in_use(), 0, "seed {seed}: reservations leaked");
 
     // Service accounting adds up.
     let stats = service.stats();
@@ -366,11 +358,7 @@ fn repeated_chaos_waves_leave_a_clean_device() {
         for handle in handles {
             handle.wait().unwrap();
         }
-        assert_eq!(
-            service.device().memory().in_use(),
-            service.device().arena().held_bytes(),
-            "wave {wave} leaked reservations"
-        );
+        assert_eq!(service.device().memory().in_use(), 0, "wave {wave} leaked reservations");
         assert_eq!(service.metrics().inflight(), 0, "wave {wave} leaked the inflight gauge");
     }
     assert_eq!(service.stats().completed, 12);
